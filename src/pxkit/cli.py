@@ -7,10 +7,11 @@ results file gets a ``<name>.manifest.json`` recording the resolved
 configuration, seed, library versions and wall time.
 
 Monte Carlo subcommands derive the per-scenario stream from (seed, theta1),
-so a singleton mc-sweep row and a test run with the same inputs report
-identical numbers.
+and a test run is a singleton mc-sweep, so both report identical numbers
+for the same inputs.
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration error.
+Exit codes: 0 success, 1 numerical failure, 2 configuration error (including
+model parameters, hypotheses or replicate counts the library rejects).
 The PXKIT_OUT_DIR environment variable supplies the output directory when
 --out is omitted.
 """
@@ -23,10 +24,12 @@ import io
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from .affinity import activation_measure, expanded_bound, marginal_bound
+from . import survey
 from .affinity import affinity as compute_affinity
 from .densities import load_tabulated_csv
 from .models import (
@@ -38,20 +41,14 @@ from .models import (
     make_normal_variance_expansion,
     make_two_stage_normal,
 )
-from .montecarlo import check_bound, estimate_phi_errors, estimate_psi_errors, row_seed, sweep
+from .montecarlo import check_replicates, sweep
 from .quadrature import QuadratureBudgetError, QuadratureConfig
 from .reporting import emit_plot_data, render_record, render_table, write_atomic, write_manifest
-from .survey import (
-    AccuracyModel,
-    PopulationSpec,
-    Stratum,
-    compare_schemes,
-    population_spec_from_section,
-)
+from .survey import AccuracyModel, PopulationSpec, check_replications, compare_schemes
 
 COMMANDS = ("affinity", "bound", "r-measure", "test", "mc-sweep", "survey")
-FAMILY_MODELS = ("normal", "exponential")
-EXPANDED_MODELS = ("two-stage-normal", "variance-expansion")
+PLOT_COMMANDS = ("mc-sweep", "survey")
+SURVEY = ("survey",)
 OUT_DIR_ENV = "PXKIT_OUT_DIR"
 
 
@@ -59,62 +56,101 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    seed: int = 0
-    out: str | None = None
-    format: str = "json"
-    plot_data: str | None = None
-    model: str | None = None
-    sigma: float = 1.0
-    n1: int = 1
-    n2: int = 1
-    n: int = 2
-    csv_f: str | None = None
-    csv_g: str | None = None
-    theta0: float | None = None
-    theta1: float | None = None
-    theta1_list: tuple[float, ...] | None = None
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
-    max_evaluations: int = 1_000_000
-    replicates: int = 100_000
-    quantile: float = 1.0
-    p_accurate: float = 1.0
-    noise_sd: float = 0.0
-    replications: int = 1000
-    srs_size: int | None = None
-    population: PopulationSpec | None = None
+def _require(config: ExperimentConfig, *names: str) -> None:
+    for name in names:
+        if getattr(config, name) is None:
+            raise ConfigError(f"field {name!r} is required for command {config.command!r}")
 
 
-_SCHEMA = {
-    "run": {"command": str, "seed": int, "out": str, "format": str, "plot_data": str},
-    "model": {"kind": str, "sigma": float, "n1": int, "n2": int, "n": int, "csv_f": str, "csv_g": str},
-    "hypotheses": {"theta0": float, "theta1": float, "theta1_list": "floats"},
-    "quadrature": {"abs_tol": float, "rel_tol": float, "max_evaluations": int},
-    "monte_carlo": {"replicates": int},
-    "survey": {
-        "quantile": float,
-        "p_accurate": float,
-        "noise_sd": float,
-        "replications": int,
-        "srs_size": int,
-    },
-    "population": {"seed": int, "strata": str},
+def _build(config, make, *names, args=None):
+    """``make`` of the named config fields (or of ``args``); bad input in them is a ConfigError."""
+    _require(config, *names)
+    try:
+        return make(*(args if args is not None else [getattr(config, n) for n in names]))
+    except ValueError as exc:
+        raise ConfigError(f"{', '.join(names)}: {exc}") from None
+
+
+# Model name -> constructor and the config fields it takes ("tabulated" reads two CSVs).
+_MODELS = {
+    "normal": (make_normal_location, "sigma"),
+    "exponential": (make_exponential_rate,),
+    "two-stage-normal": (make_two_stage_normal, "n1", "n2", "sigma"),
+    "variance-expansion": (make_normal_variance_expansion, "n"),
 }
+# The model types each command accepts; the others take both.
+_ACCEPTS = {"affinity": MarginalFamily, "r-measure": ExpandedModel}
 
-_KEY_TO_FIELD = {("model", "kind"): "model"}
 
-
-def _parse_floats(text: str) -> tuple[float, ...]:
+def float_list(text: str) -> tuple[float, ...]:
+    """Floats separated by commas or semicolons, as in ``theta1_list``."""
     parts = [p.strip() for p in text.replace(";", ",").split(",") if p.strip()]
     if not parts:
-        raise ConfigError("hypotheses.theta1_list: empty list")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"hypotheses.theta1_list: {exc}") from None
+        raise ValueError("empty list")
+    return tuple(float(p) for p in parts)
+
+
+def _option(section, default=MISSING, parse=str, help=None, **meta):
+    """A config field: INI ``[section] key``, and ``--name`` on the ``flags`` subcommands.
+
+    Optional ``meta``: ``key`` (default: the field name; None makes the field
+    the whole section), ``flags`` (default: every subcommand), ``show``
+    (writes INI text; default: str), ``record`` (the (to, from) pair for the
+    JSON manifest form; default: stored as is) and argparse ``choices``.
+    ``parse`` reads INI or flag text; ``help`` is the flag's help.
+    """
+    return field(default=default, metadata=dict(meta, section=section, parse=parse, help=help))
+
+
+@dataclass
+class ExperimentConfig:
+    """One experiment; each field's metadata (see `_option`) is its whole schema."""
+
+    command: str = _option("run", flags=())
+    seed: int = _option("run", 0, int, "base seed for all derived streams")
+    out: str | None = _option(
+        "run", None, str, "output path (default: $PXKIT_OUT_DIR/<command>.<format>)"
+    )
+    format: str = _option("run", "json", str, "output format", choices=["csv", "json"])
+    plot_data: str | None = _option(
+        "run", None, str, "also write an x/y CSV projection", flags=PLOT_COMMANDS
+    )
+    model: str | None = _option(
+        "model", None, str, "model family", key="kind", choices=[*_MODELS, "tabulated"]
+    )
+    sigma: float = _option("model", 1.0, float, "observation sd (normal, two-stage-normal)")
+    n1: int = _option("model", 1, int, "observations behind t1 (two-stage-normal)")
+    n2: int = _option("model", 1, int, "observations behind t2 (two-stage-normal)")
+    n: int = _option("model", 2, int, "sample size (variance-expansion)")
+    csv_f: str | None = _option("model", None, str, "grid,value CSV of the density f (tabulated)")
+    csv_g: str | None = _option("model", None, str, "grid,value CSV of the density g (tabulated)")
+    theta0: float | None = _option("hypotheses", None, float, "null parameter value")
+    theta1: float | None = _option("hypotheses", None, float, "alternative parameter value")
+    theta1_list: tuple[float, ...] | None = _option(
+        "hypotheses", None, float_list, "comma-separated alternatives",
+        show=lambda v: ", ".join(map(str, v)), record=(list, tuple),
+    )
+    abs_tol: float = _option("quadrature", 1e-9, float, "absolute quadrature tolerance")
+    rel_tol: float = _option("quadrature", 1e-7, float, "relative quadrature tolerance")
+    max_evaluations: int = _option("quadrature", 1_000_000, int, "integrand evaluation budget")
+    replicates: int = _option("monte_carlo", 100_000, int, "Monte Carlo replicates per hypothesis")
+    quantile: float = _option("survey", 1.0, float, "share of proxy reports kept", flags=SURVEY)
+    p_accurate: float = _option("survey", 1.0, float, "share of exact proxy reports", flags=SURVEY)
+    noise_sd: float = _option("survey", 0.0, float, "sd of inexact proxy reports", flags=SURVEY)
+    replications: int = _option("survey", 1000, int, "survey replications", flags=SURVEY)
+    srs_size: int | None = _option(
+        "survey", None, int, "random-sample benchmark size (default: respondents)", flags=SURVEY
+    )
+    population: PopulationSpec | None = _option(
+        "population", None, survey.population_spec_from_section, key=None, flags=(),
+        show=survey.population_spec_to_section,
+        record=(survey.population_record, survey.population_spec_from_record),
+    )
+
+
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_INI = {(f.metadata["section"], f.metadata.get("key", f.name)): f for f in _FIELDS.values()}
+_SECTIONS = {section for section, _ in _INI}
 
 
 def apply_config_file(config: ExperimentConfig, path: str | Path) -> ExperimentConfig:
@@ -138,191 +174,98 @@ def _apply_parsed(
     config: ExperimentConfig, cp: configparser.ConfigParser, where: str
 ) -> ExperimentConfig:
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"{where}: unknown section [{section}]")
-        schema = _SCHEMA[section]
-        for key, raw in cp[section].items():
-            if key not in schema:
+        # A field keyed None takes the whole section and checks its keys itself.
+        whole = (section, None) in _INI
+        for key, raw in [(None, dict(cp[section]))] if whole else cp[section].items():
+            if (section, key) not in _INI:
                 raise ConfigError(f"{where}: unknown key {section}.{key}")
-            if section == "population":
-                continue  # handled as a block below
-            kind = schema[key]
-            field = _KEY_TO_FIELD.get((section, key), key)
-            if section == "run" and key == "command":
-                if raw != config.command:
-                    raise ConfigError(
-                        f"{where}: run.command {raw!r} does not match subcommand {config.command!r}"
-                    )
-                continue
+            f = _INI[section, key]
             try:
-                if kind == "floats":
-                    value = _parse_floats(raw)
-                elif kind is int:
-                    value = int(raw)
-                elif kind is float:
-                    value = float(raw)
-                else:
-                    value = raw
-            except ValueError:
-                raise ConfigError(f"{where}: {section}.{key}: cannot parse {raw!r}") from None
-            setattr(config, field, value)
-    if cp.has_section("population"):
-        try:
-            config.population = population_spec_from_section(dict(cp["population"]), where=where)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+                value = f.metadata["parse"](raw)
+            except ValueError as exc:
+                name = section if whole else f"{section}.{key}"
+                raise ConfigError(f"{where}: {name}: {exc}") from None
+            if f.name == "command" and value != config.command:
+                raise ConfigError(
+                    f"{where}: run.command {raw!r} does not match subcommand {config.command!r}"
+                )
+            setattr(config, f.name, value)
     return config
 
 
 def to_ini(config: ExperimentConfig) -> str:
     """Serialize a config to INI text that re-parses to an equal config."""
     cp = configparser.ConfigParser()
-    cp["run"] = {"command": config.command, "seed": str(config.seed), "format": config.format}
-    if config.out is not None:
-        cp["run"]["out"] = config.out
-    if config.plot_data is not None:
-        cp["run"]["plot_data"] = config.plot_data
-    model = {}
-    if config.model is not None:
-        model["kind"] = config.model
-    model.update(
-        sigma=repr(config.sigma), n1=str(config.n1), n2=str(config.n2), n=str(config.n)
-    )
-    if config.csv_f is not None:
-        model["csv_f"] = config.csv_f
-    if config.csv_g is not None:
-        model["csv_g"] = config.csv_g
-    cp["model"] = model
-    hyp = {}
-    if config.theta0 is not None:
-        hyp["theta0"] = repr(config.theta0)
-    if config.theta1 is not None:
-        hyp["theta1"] = repr(config.theta1)
-    if config.theta1_list is not None:
-        hyp["theta1_list"] = ", ".join(repr(t) for t in config.theta1_list)
-    if hyp:
-        cp["hypotheses"] = hyp
-    cp["quadrature"] = {
-        "abs_tol": repr(config.abs_tol),
-        "rel_tol": repr(config.rel_tol),
-        "max_evaluations": str(config.max_evaluations),
-    }
-    cp["monte_carlo"] = {"replicates": str(config.replicates)}
-    survey = {
-        "quantile": repr(config.quantile),
-        "p_accurate": repr(config.p_accurate),
-        "noise_sd": repr(config.noise_sd),
-        "replications": str(config.replications),
-    }
-    if config.srs_size is not None:
-        survey["srs_size"] = str(config.srs_size)
-    cp["survey"] = survey
-    if config.population is not None:
-        lines = "\n" + "\n".join(
-            f"{s.label}, {s.size}, {s.value_mean!r}, {s.value_sd!r}, {p!r}"
-            for s, p in zip(config.population.strata, config.population.attribute_prob)
-        )
-        cp["population"] = {"seed": str(config.population.seed), "strata": lines}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is not None:
+            key = f.metadata.get("key", f.name)
+            text = f.metadata.get("show", str)(value)
+            cp.read_dict({f.metadata["section"]: text if key is None else {key: text}})
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
+def config_record(config: ExperimentConfig) -> dict:
+    """The config as JSON-ready values, in field order, for run manifests."""
+    return {f.name: _recorded(f, getattr(config, f.name), 0) for f in fields(config)}
+
+
 def config_from_record(record: dict) -> ExperimentConfig:
     """Rebuild a config from a manifest's config record (inverse of config_record)."""
-    data = dict(record)
-    pop = data.pop("population", None)
-    theta1_list = data.pop("theta1_list", None)
-    config = ExperimentConfig(**data)
-    if theta1_list is not None:
-        config.theta1_list = tuple(theta1_list)
-    if pop is not None:
-        config.population = PopulationSpec(
-            strata=tuple(
-                Stratum(s["label"], s["size"], s["value_mean"], s["value_sd"])
-                for s in pop["strata"]
-            ),
-            attribute_prob=tuple(s["attribute_prob"] for s in pop["strata"]),
-            seed=pop["seed"],
+    return ExperimentConfig(**{k: _recorded(_FIELDS[k], v, 1) for k, v in record.items()})
+
+
+def _recorded(f, value, direction: int):
+    """``value`` converted to (direction 0) or from (1) its manifest form."""
+    record = f.metadata.get("record")
+    return value if value is None or record is None else record[direction](value)
+
+
+def _inputs(config: ExperimentConfig) -> SimpleNamespace:
+    """Every library input object the command needs, built before any computation.
+
+    The library constructors validate their arguments, so input they reject
+    exits 2 as a configuration error, before numerical work could exit 1.
+    """
+    if config.command == "survey":
+        _require(config, "population")
+        return SimpleNamespace(
+            accuracy=_build(config, AccuracyModel, "p_accurate", "noise_sd"),
+            replications=_build(config, check_replications, "replications"),
         )
-    return config
-
-
-def config_record(config: ExperimentConfig) -> dict:
-    rec = {}
-    for f in fields(config):
-        v = getattr(config, f.name)
-        if isinstance(v, PopulationSpec):
-            rec[f.name] = {
-                "seed": v.seed,
-                "strata": [
-                    {
-                        "label": s.label,
-                        "size": s.size,
-                        "value_mean": s.value_mean,
-                        "value_sd": s.value_sd,
-                        "attribute_prob": p,
-                    }
-                    for s, p in zip(v.strata, v.attribute_prob)
-                ],
-            }
-        elif isinstance(v, tuple):
-            rec[f.name] = list(v)
-        else:
-            rec[f.name] = v
-    return rec
-
-
-def _require(config: ExperimentConfig, *names: str) -> None:
-    for name in names:
-        if getattr(config, name) is None:
-            raise ConfigError(f"field {name!r} is required for command {config.command!r}")
-
-
-def _quad_cfg(config: ExperimentConfig) -> QuadratureConfig:
-    try:
-        return QuadratureConfig(config.abs_tol, config.rel_tol, config.max_evaluations)
-    except ValueError as exc:
-        raise ConfigError(f"quadrature: {exc}") from None
-
-
-def _family(config: ExperimentConfig) -> MarginalFamily:
-    if config.model == "normal":
-        return make_normal_location(config.sigma)
-    if config.model == "exponential":
-        return make_exponential_rate()
-    raise ConfigError(f"model {config.model!r} is not a marginal family")
-
-
-def _expanded(config: ExperimentConfig) -> ExpandedModel:
-    if config.model == "two-stage-normal":
-        return make_two_stage_normal(config.n1, config.n2, config.sigma)
-    if config.model == "variance-expansion":
-        return make_normal_variance_expansion(config.n)
-    raise ConfigError(f"model {config.model!r} is not an expanded model")
-
-
-def _hypotheses(config: ExperimentConfig) -> SimpleHypotheses:
-    _require(config, "theta0", "theta1")
-    try:
-        return SimpleHypotheses(config.theta0, config.theta1)
-    except ValueError as exc:
-        raise ConfigError(f"hypotheses: {exc}") from None
-
-
-def _cmd_affinity(config: ExperimentConfig):
     _require(config, "model")
-    cfg = _quad_cfg(config)
-    if config.model == "tabulated":
-        _require(config, "csv_f", "csv_g")
-        f = load_tabulated_csv(config.csv_f)
-        g = load_tabulated_csv(config.csv_g)
-    else:
-        hyp = _hypotheses(config)
-        family = _family(config)
-        f = family.density_at(hyp.theta1)
-        g = family.density_at(hyp.theta0)
-    res = compute_affinity(f, g, cfg)
+    quad = _build(config, QuadratureConfig, "abs_tol", "rel_tol", "max_evaluations")
+    if config.command == "affinity" and config.model == "tabulated":
+        densities = [_build(config, load_tabulated_csv, n) for n in ("csv_f", "csv_g")]
+        return SimpleNamespace(quad=quad, densities=densities)
+    model = _build(config, *_MODELS[config.model]) if config.model in _MODELS else None
+    if not isinstance(model, _ACCEPTS.get(config.command, (MarginalFamily, ExpandedModel))):
+        raise ConfigError(f"model {config.model!r} is not supported by {config.command!r}")
+    sweeping = config.command == "mc-sweep"
+    names = ("theta0", "theta1_list" if sweeping else "theta1")
+    _require(config, *names)
+    alternatives = config.theta1_list if sweeping else (config.theta1,)
+    # Building the marginal densities at every hypothesis checks the thetas
+    # against the family's parameter space (the exponential rate is positive).
+    marginal = model.marginal if isinstance(model, ExpandedModel) else model
+    for theta1 in alternatives:
+        hyp = _build(config, SimpleHypotheses, *names, args=(config.theta0, theta1))
+        densities = [
+            _build(config, marginal.density_at, *names, args=(t,)) for t in (theta1, config.theta0)
+        ]
+    mc = config.command in ("test", "mc-sweep")
+    replicates = _build(config, check_replicates, "replicates") if mc else None
+    return SimpleNamespace(
+        quad=quad, model=model, hyp=hyp, densities=densities, replicates=replicates
+    )
+
+
+def _cmd_affinity(config: ExperimentConfig, inp: SimpleNamespace):
+    res = compute_affinity(*inp.densities, inp.quad)
     return {
         "affinity": res.value,
         "raw_value": res.raw_value,
@@ -332,20 +275,16 @@ def _cmd_affinity(config: ExperimentConfig):
     }
 
 
-def _cmd_bound(config: ExperimentConfig):
-    _require(config, "model")
-    cfg = _quad_cfg(config)
-    hyp = _hypotheses(config)
-    if config.model in FAMILY_MODELS:
-        res = marginal_bound(_family(config), hyp, cfg)
+def _cmd_bound(config: ExperimentConfig, inp: SimpleNamespace):
+    if isinstance(inp.model, MarginalFamily):
+        res = marginal_bound(inp.model, inp.hyp, inp.quad)
         return {
             "bound": res.value,
             "abs_error_estimate": res.abs_error_estimate,
             "evaluations": res.evaluations,
         }
-    em = _expanded(config)
-    mb = marginal_bound(em.marginal, hyp, cfg)
-    eb = expanded_bound(em, hyp, cfg)
+    mb = marginal_bound(inp.model.marginal, inp.hyp, inp.quad)
+    eb = expanded_bound(inp.model, inp.hyp, inp.quad)
     return {
         "marginal_bound": mb.value,
         "marginal_error": mb.abs_error_estimate,
@@ -354,77 +293,44 @@ def _cmd_bound(config: ExperimentConfig):
     }
 
 
-def _cmd_r_measure(config: ExperimentConfig):
-    _require(config, "model")
-    comp = activation_measure(_expanded(config), _hypotheses(config), _quad_cfg(config))
+def _cmd_r_measure(config: ExperimentConfig, inp: SimpleNamespace):
+    comp = activation_measure(inp.model, inp.hyp, inp.quad)
+    return {**asdict(comp), "hellinger_sq_gain": comp.hellinger_sq_gain}
+
+
+def _cmd_test(config: ExperimentConfig, inp: SimpleNamespace):
+    """A one-row mc-sweep, so both report the same numbers for the same theta1."""
+    table = _cmd_mc_sweep(replace(config, theta1_list=(inp.hyp.theta1,)), inp)
+    row = table.rows[0]
     return {
-        "marginal_bound": comp.marginal_bound,
-        "expanded_bound": comp.expanded_bound,
-        "r_measure": comp.r_measure,
-        "strict": comp.strict,
-        "marginal_error": comp.marginal_error,
-        "expanded_error": comp.expanded_error,
-        "hellinger_sq_gain": comp.hellinger_sq_gain,
+        "test": table.kind,
+        "theta0": table.theta0,
+        "theta1": row.theta1,
+        "alpha_hat": row.alpha_hat,
+        "beta_hat": row.beta_hat,
+        "half_width_alpha": row.half_width_alpha,
+        "half_width_beta": row.half_width_beta,
+        "replicates": table.replicates,
+        "seed": table.seed,
+        "bound": row.bound,
+        "slack": row.slack,
+        "satisfied": row.satisfied,
     }
 
 
-def _cmd_test(config: ExperimentConfig):
-    _require(config, "model")
-    cfg = _quad_cfg(config)
-    hyp = _hypotheses(config)
-    seed = row_seed(config.seed, hyp.theta1)
-    if config.model in FAMILY_MODELS:
-        family = _family(config)
-        est = estimate_phi_errors(family, hyp, config.replicates, seed)
-        bound = marginal_bound(family, hyp, cfg).value
-        test_kind = "phi"
-    else:
-        em = _expanded(config)
-        est = estimate_psi_errors(em, hyp, config.replicates, seed)
-        bound = expanded_bound(em, hyp, cfg).value
-        test_kind = "psi"
-    chk = check_bound(est, bound)
-    return {
-        "test": test_kind,
-        "theta0": hyp.theta0,
-        "theta1": hyp.theta1,
-        "alpha_hat": est.alpha_hat,
-        "beta_hat": est.beta_hat,
-        "half_width_alpha": est.half_width_alpha,
-        "half_width_beta": est.half_width_beta,
-        "replicates": est.replicates,
-        "seed": config.seed,
-        "bound": chk.bound,
-        "slack": chk.slack,
-        "satisfied": chk.satisfied,
-    }
-
-
-def _cmd_mc_sweep(config: ExperimentConfig):
-    _require(config, "model", "theta0", "theta1_list")
-    cfg = _quad_cfg(config)
-    if config.model in FAMILY_MODELS:
-        return sweep(
-            "phi", _family(config), config.theta0, config.theta1_list,
-            config.replicates, config.seed, cfg,
-        )
+def _cmd_mc_sweep(config: ExperimentConfig, inp: SimpleNamespace):
+    kind = "phi" if isinstance(inp.model, MarginalFamily) else "psi"
     return sweep(
-        "psi", _expanded(config), config.theta0, config.theta1_list,
-        config.replicates, config.seed, cfg,
+        kind, inp.model, config.theta0, config.theta1_list, inp.replicates, config.seed, inp.quad
     )
 
 
-def _cmd_survey(config: ExperimentConfig):
-    _require(config, "population")
-    try:
-        acc = AccuracyModel(config.p_accurate, config.noise_sd)
-    except ValueError as exc:
-        raise ConfigError(f"survey: {exc}") from None
+def _cmd_survey(config: ExperimentConfig, inp: SimpleNamespace):
     return compare_schemes(
         config.population,
-        acc,
+        inp.accuracy,
         config.quantile,
-        config.replications,
+        inp.replications,
         config.seed,
         srs_size=config.srs_size,
     )
@@ -452,10 +358,10 @@ def run(config: ExperimentConfig) -> int:
     """Execute one configured experiment; returns the process exit code."""
     if config.format not in ("csv", "json"):
         raise ConfigError(f"field 'format' must be csv or json, got {config.format!r}")
-    if config.plot_data is not None and config.command not in ("mc-sweep", "survey"):
+    if config.plot_data is not None and config.command not in PLOT_COMMANDS:
         raise ConfigError(f"field 'plot_data' is not supported for {config.command!r}")
     started = time.perf_counter()
-    result = _RUNNERS[config.command](config)
+    result = _RUNNERS[config.command](config, _inputs(config))
     if isinstance(result, dict):
         text = render_record(result, config.format)
     else:
@@ -480,34 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", help="INI config file; flags override its values")
-        p.add_argument("--seed", type=int, help="base seed for all derived streams")
-        p.add_argument("--out", help="output path (default: $PXKIT_OUT_DIR/<command>.<format>)")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
-        p.add_argument("--abs-tol", type=float, dest="abs_tol")
-        p.add_argument("--rel-tol", type=float, dest="rel_tol")
-        p.add_argument("--max-evaluations", type=int, dest="max_evaluations")
-        p.add_argument("--replicates", type=int)
-        p.add_argument(
-            "--model",
-            choices=list(FAMILY_MODELS) + list(EXPANDED_MODELS) + ["tabulated"],
-        )
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--n1", type=int)
-        p.add_argument("--n2", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--csv-f", dest="csv_f")
-        p.add_argument("--csv-g", dest="csv_g")
-        p.add_argument("--theta0", type=float)
-        p.add_argument("--theta1", type=float)
-        p.add_argument("--theta1-list", dest="theta1_list", help="comma-separated alternatives")
-        if command in ("mc-sweep", "survey"):
-            p.add_argument("--plot-data", dest="plot_data", help="also write an x/y CSV projection")
-        if command == "survey":
-            p.add_argument("--quantile", type=float)
-            p.add_argument("--p-accurate", type=float, dest="p_accurate")
-            p.add_argument("--noise-sd", type=float, dest="noise_sd")
-            p.add_argument("--replications", type=int)
-            p.add_argument("--srs-size", type=int, dest="srs_size")
+        for f in _FIELDS.values():
+            if command in f.metadata.get("flags", COMMANDS):
+                p.add_argument(
+                    "--" + f.name.replace("_", "-"),
+                    dest=f.name,
+                    type=f.metadata["parse"],
+                    help=f.metadata["help"],
+                    choices=f.metadata.get("choices"),
+                )
     return parser
 
 
@@ -515,16 +402,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig(command=args.command)
     if args.config:
         config = apply_config_file(config, args.config)
-    for name in (
-        "seed", "out", "format", "plot_data", "model", "sigma", "n1", "n2", "n",
-        "csv_f", "csv_g", "theta0", "theta1", "abs_tol", "rel_tol", "max_evaluations",
-        "replicates", "quantile", "p_accurate", "noise_sd", "replications", "srs_size",
-    ):
+    for name in _FIELDS:
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
-    if getattr(args, "theta1_list", None) is not None:
-        config.theta1_list = _parse_floats(args.theta1_list)
     return config
 
 
@@ -536,10 +417,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureBudgetError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (QuadratureBudgetError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -131,7 +130,7 @@ def gamma_density(shape: float, scale: float) -> ScalarDensity:
         raise ValueError(f"shape and scale must be positive, got ({shape}, {scale})")
     shape = float(shape)
     scale = float(scale)
-    log_norm = gammaln(shape) + shape * math.log(scale)
+    log_norm = math.lgamma(shape) + shape * math.log(scale)
 
     def logpdf(x):
         x = np.asarray(x, dtype=float)

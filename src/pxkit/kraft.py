@@ -8,8 +8,9 @@ space so extreme observations cannot overflow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses
 
@@ -20,11 +21,23 @@ class Decision:
     log_ratio: float
 
 
-def _decide(l1: float, l0: float) -> Decision:
-    if math.isinf(l1) and l1 < 0 and math.isinf(l0) and l0 < 0:
+def decide(l1, l0) -> tuple[np.ndarray, np.ndarray]:
+    """The rejection rule over arrays of log densities under the alternative and the null.
+
+    Returns ``(reject_h0, half_log_ratio)`` elementwise.  Raises ValueError
+    if any observation has zero density under both hypotheses.
+    """
+    l1 = np.asarray(l1, dtype=float)
+    l0 = np.asarray(l0, dtype=float)
+    if np.any(np.isneginf(l1) & np.isneginf(l0)):
         raise ValueError("observation has zero density under both hypotheses")
     log_ratio = 0.5 * (l1 - l0)
-    return Decision(reject_h0=log_ratio > 0.0, log_ratio=log_ratio)
+    return log_ratio > 0.0, log_ratio
+
+
+def _decide(l1: float, l0: float) -> Decision:
+    reject, log_ratio = decide(l1, l0)
+    return Decision(reject_h0=bool(reject), log_ratio=float(log_ratio))
 
 
 def phi_decide(t1: float, family: MarginalFamily, hyp: SimpleHypotheses) -> Decision:

@@ -17,6 +17,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .affinity import expanded_bound, marginal_bound
+from .kraft import decide
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses, joint_logpdf
 from .quadrature import QuadratureConfig
 from .seeding import derive_seed
@@ -57,11 +58,11 @@ def _half_width(p_hat: float, n: int) -> float:
     return Z_99 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
-def _half_log_ratio(l1: np.ndarray, l0: np.ndarray) -> np.ndarray:
-    both_dead = np.isneginf(l1) & np.isneginf(l0)
-    if np.any(both_dead):
-        raise ValueError("simulated observation has zero density under both hypotheses")
-    return 0.5 * (l1 - l0)
+def check_replicates(replicates: int) -> int:
+    """The replicate count as an int; raises ValueError below the minimum of 100."""
+    if replicates < 100:
+        raise ValueError(f"need at least 100 replicates, got {replicates}")
+    return int(replicates)
 
 
 def estimate_phi_errors(
@@ -73,17 +74,15 @@ def estimate_phi_errors(
     strict positive-half-log-ratio rejection rule, and reports rejection /
     retention frequencies.
     """
-    if replicates < 100:
-        raise ValueError(f"need at least 100 replicates, got {replicates}")
-    replicates = int(replicates)
+    replicates = check_replicates(replicates)
     d0 = family.density_at(hyp.theta0)
     d1 = family.density_at(hyp.theta1)
     t_h0 = d0.sample(replicates, derive_seed(seed, 0))
     t_h1 = d1.sample(replicates, derive_seed(seed, 1))
-    lr_h0 = _half_log_ratio(d1.logpdf(t_h0), d0.logpdf(t_h0))
-    lr_h1 = _half_log_ratio(d1.logpdf(t_h1), d0.logpdf(t_h1))
-    alpha = float(np.mean(lr_h0 > 0.0))
-    beta = float(np.mean(lr_h1 <= 0.0))
+    reject_h0 = decide(d1.logpdf(t_h0), d0.logpdf(t_h0))[0]
+    reject_h1 = decide(d1.logpdf(t_h1), d0.logpdf(t_h1))[0]
+    alpha = float(np.mean(reject_h0))
+    beta = float(np.mean(~reject_h1))
     return ErrorProbEstimate(
         alpha_hat=alpha,
         beta_hat=beta,
@@ -110,19 +109,17 @@ def estimate_psi_errors(
     em: ExpandedModel, hyp: SimpleHypotheses, replicates: int, seed: int
 ) -> ErrorProbEstimate:
     """Error probabilities of the joint-statistic test at eta0."""
-    if replicates < 100:
-        raise ValueError(f"need at least 100 replicates, got {replicates}")
-    replicates = int(replicates)
+    replicates = check_replicates(replicates)
     t1_h0, t2_h0 = _sample_joint(em, hyp.theta0, replicates, derive_seed(seed, 0), derive_seed(seed, 1))
     t1_h1, t2_h1 = _sample_joint(em, hyp.theta1, replicates, derive_seed(seed, 2), derive_seed(seed, 3))
-    lr_h0 = _half_log_ratio(
+    reject_h0 = decide(
         joint_logpdf(em, t1_h0, t2_h0, hyp.theta1), joint_logpdf(em, t1_h0, t2_h0, hyp.theta0)
-    )
-    lr_h1 = _half_log_ratio(
+    )[0]
+    reject_h1 = decide(
         joint_logpdf(em, t1_h1, t2_h1, hyp.theta1), joint_logpdf(em, t1_h1, t2_h1, hyp.theta0)
-    )
-    alpha = float(np.mean(lr_h0 > 0.0))
-    beta = float(np.mean(lr_h1 <= 0.0))
+    )[0]
+    alpha = float(np.mean(reject_h0))
+    beta = float(np.mean(~reject_h1))
     return ErrorProbEstimate(
         alpha_hat=alpha,
         beta_hat=beta,

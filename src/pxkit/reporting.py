@@ -127,7 +127,6 @@ def write_manifest(
     import platform
 
     import numpy
-    import scipy
 
     from . import __version__
 
@@ -139,7 +138,6 @@ def write_manifest(
         "versions": {
             "pxkit": __version__,
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "wall_time_s": wall_time_s,

@@ -282,6 +282,13 @@ class SchemeComparison:
         ]
 
 
+def check_replications(replications: int) -> int:
+    """The replication count as an int; raises ValueError below the minimum of 10."""
+    if replications < 10:
+        raise ValueError(f"need at least 10 replications, got {replications}")
+    return int(replications)
+
+
 def compare_schemes(
     spec: PopulationSpec,
     acc: AccuracyModel,
@@ -297,10 +304,9 @@ def compare_schemes(
     ``srs_size`` is not given, the benchmark sample matches the
     replication's respondent count.
     """
-    if replications < 10:
-        raise ValueError(f"need at least 10 replications, got {replications}")
+    replications = check_replications(replications)
     errors: dict[str, list[float]] = {s: [] for s in SCHEMES}
-    for rep in range(int(replications)):
+    for rep in range(replications):
         pop = generate_population(replace(spec, seed=derive_seed(seed, rep, 0)))
         responses = collect_proxy_responses(pop, acc, derive_seed(seed, rep, 1))
         kept = filter_most_accurate(responses, quantile) if responses else []
@@ -313,7 +319,7 @@ def compare_schemes(
             errors[scheme].append(report.error)
     arrays = {s: np.array(v) for s, v in errors.items()}
     return SchemeComparison(
-        replications=int(replications),
+        replications=replications,
         seed=int(seed),
         mean_error={s: float(np.mean(a)) for s, a in arrays.items()},
         rmse={s: float(np.sqrt(np.mean(a * a))) for s, a in arrays.items()},
@@ -342,16 +348,19 @@ def load_population_spec(path: str | Path) -> PopulationSpec:
         raise ValueError(f"cannot read config file {path}")
     if "population" not in cp:
         raise ValueError(f"{path}: missing [population] section")
-    return population_spec_from_section(dict(cp["population"]), where=str(path))
+    try:
+        return population_spec_from_section(dict(cp["population"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def population_spec_from_section(section: dict, where: str = "config") -> PopulationSpec:
-    allowed = {"seed", "strata"}
-    unknown = set(section) - allowed
+def population_spec_from_section(section: dict) -> PopulationSpec:
+    """Parse the keys of a ``[population]`` INI section (see `load_population_spec`)."""
+    unknown = set(section) - {"seed", "strata"}
     if unknown:
-        raise ValueError(f"{where}: unknown population key(s): {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown population key(s): {', '.join(sorted(unknown))}")
     if "strata" not in section:
-        raise ValueError(f"{where}: population.strata is required")
+        raise ValueError("population.strata is required")
     strata = []
     probs = []
     for line in str(section["strata"]).strip().splitlines():
@@ -361,10 +370,43 @@ def population_spec_from_section(section: dict, where: str = "config") -> Popula
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 5:
             raise ValueError(
-                f"{where}: stratum line needs label, size, mean, sd, attribute_prob: {line!r}"
+                f"stratum line needs label, size, mean, sd, attribute_prob: {line!r}"
             )
         label, size, mean, sd, prob = parts
         strata.append(Stratum(label, int(size), float(mean), float(sd)))
         probs.append(float(prob))
     seed = int(section.get("seed", 0))
     return PopulationSpec(strata=tuple(strata), attribute_prob=tuple(probs), seed=seed)
+
+
+def population_spec_to_section(spec: PopulationSpec) -> dict[str, str]:
+    """Inverse of `population_spec_from_section`: one stratum line per stratum."""
+    lines = [", ".join(str(v) for v in row.values()) for row in population_record(spec)["strata"]]
+    return {"seed": str(spec.seed), "strata": "\n" + "\n".join(lines)}
+
+
+def population_record(spec: PopulationSpec) -> dict:
+    """JSON-ready form of a spec: its seed and one column dict per stratum."""
+    return {
+        "seed": spec.seed,
+        "strata": [
+            {
+                "label": s.label,
+                "size": s.size,
+                "value_mean": s.value_mean,
+                "value_sd": s.value_sd,
+                "attribute_prob": p,
+            }
+            for s, p in zip(spec.strata, spec.attribute_prob)
+        ],
+    }
+
+
+def population_spec_from_record(record: dict) -> PopulationSpec:
+    """Inverse of `population_record`."""
+    rows = record["strata"]
+    return PopulationSpec(
+        strata=tuple(Stratum(r["label"], r["size"], r["value_mean"], r["value_sd"]) for r in rows),
+        attribute_prob=tuple(r["attribute_prob"] for r in rows),
+        seed=record["seed"],
+    )

@@ -2,8 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import pxkit
 
 from pxkit.cli import (
     ConfigError,
@@ -164,6 +169,34 @@ class TestExitCodes:
     def test_theta0_equal_theta1(self, capsys):
         assert run_cli("bound", "--model", "normal", "--theta0", "1", "--theta1", "1") == 2
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["bound", "--model", "normal", "--sigma", "-1", "--theta0", "0", "--theta1", "1"],
+             "sigma"),
+            (["bound", "--model", "exponential", "--theta0", "-1", "--theta1", "1"], "theta0"),
+            (["r-measure", "--model", "two-stage-normal", "--n1", "0", "--theta0", "0",
+              "--theta1", "1"], "n1"),
+            (["r-measure", "--model", "variance-expansion", "--n", "1", "--theta0", "0",
+              "--theta1", "1"], "n"),
+            (["test", "--model", "normal", "--theta0", "0", "--theta1", "1", "--replicates", "50"],
+             "replicates"),
+            (["mc-sweep", "--model", "normal", "--theta0", "0", "--theta1-list", "0,1",
+              "--replicates", "1000"], "theta1_list"),
+            (["survey"], "replications"),
+        ],
+    )
+    def test_input_rejected_by_library_is_config_error(self, args, field, tmp_path, capsys):
+        cfg = tmp_path / "survey.ini"
+        cfg.write_text(SURVEY_INI.replace("replications = 50", "replications = 5"), encoding="utf-8")
+        extra = ["--config", str(cfg)] if args == ["survey"] else []
+        assert run_cli(*args, *extra, "--out", str(tmp_path / "x.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        named = err.split(": ")[1].split(", ")
+        assert field in named
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestConfigRoundTrip:
     def test_full_round_trip(self):
@@ -258,3 +291,17 @@ class TestAtomicity:
         with pytest.raises(OSError):
             write_atomic(target, "replacement")
         assert target.read_text() == "original"
+
+
+def test_cli_run_does_not_import_scipy(tmp_path):
+    src = str(Path(pxkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, pxkit\n"
+        "from pxkit.cli import main\n"
+        "assert main(['affinity', '--model', 'normal', '--theta0', '0', '--theta1', '1',"
+        f" '--out', {str(tmp_path / 'a.json')!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

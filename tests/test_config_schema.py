@@ -1,0 +1,142 @@
+"""The configuration schema: flags per subcommand, INI keys per section, per-field round trips."""
+
+import argparse
+import configparser
+import json
+from dataclasses import fields
+
+import pytest
+
+from pxkit.cli import (
+    ConfigError,
+    ExperimentConfig,
+    _config_from_args,
+    build_parser,
+    config_from_record,
+    config_record,
+    parse_config_text,
+    to_ini,
+)
+from pxkit.reporting import render_json
+from pxkit.survey import PopulationSpec, Stratum
+
+COMMON_FLAGS = {
+    "-h", "--help", "--config", "--seed", "--out", "--format", "--abs-tol", "--rel-tol",
+    "--max-evaluations", "--replicates", "--model", "--sigma", "--n1", "--n2", "--n",
+    "--csv-f", "--csv-g", "--theta0", "--theta1", "--theta1-list",
+}
+SURVEY_FLAGS = {"--quantile", "--p-accurate", "--noise-sd", "--replications", "--srs-size"}
+FLAGS = {
+    "affinity": COMMON_FLAGS,
+    "bound": COMMON_FLAGS,
+    "r-measure": COMMON_FLAGS,
+    "test": COMMON_FLAGS,
+    "mc-sweep": COMMON_FLAGS | {"--plot-data"},
+    "survey": COMMON_FLAGS | {"--plot-data"} | SURVEY_FLAGS,
+}
+INI_KEYS = {
+    "run": {"command", "seed", "out", "format", "plot_data"},
+    "model": {"kind", "sigma", "n1", "n2", "n", "csv_f", "csv_g"},
+    "hypotheses": {"theta0", "theta1", "theta1_list"},
+    "quadrature": {"abs_tol", "rel_tol", "max_evaluations"},
+    "monte_carlo": {"replicates"},
+    "survey": {"quantile", "p_accurate", "noise_sd", "replications", "srs_size"},
+    "population": {"seed", "strata"},
+}
+
+POPULATION = PopulationSpec(
+    strata=(Stratum("A", 10, 0.5, 1.0), Stratum("B", 20, -1.0, 2.0)),
+    attribute_prob=(0.25, 0.75),
+    seed=3,
+)
+
+# A value differing from the default for every field.
+NON_DEFAULT = {
+    "command": "survey",
+    "seed": 42,
+    "out": "results.csv",
+    "format": "csv",
+    "plot_data": "plot.csv",
+    "model": "two-stage-normal",
+    "sigma": 1.5,
+    "n1": 2,
+    "n2": 3,
+    "n": 5,
+    "csv_f": "f.csv",
+    "csv_g": "g.csv",
+    "theta0": 0.25,
+    "theta1": -0.75,
+    "theta1_list": (0.5, 1.0, 2.0),
+    "abs_tol": 1e-10,
+    "rel_tol": 1e-6,
+    "max_evaluations": 5000,
+    "replicates": 5000,
+    "quantile": 0.5,
+    "p_accurate": 0.8,
+    "noise_sd": 0.3,
+    "replications": 20,
+    "srs_size": 40,
+    "population": POPULATION,
+}
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_flag_sets_per_subcommand():
+    subs = _subparsers(build_parser())
+    assert set(subs) == set(FLAGS)
+    for command, sub in subs.items():
+        flags = {s for a in sub._actions for s in a.option_strings}
+        assert flags == FLAGS[command], command
+
+
+def test_ini_key_sets_per_section():
+    cp = configparser.ConfigParser()
+    cp.read_string(to_ini(ExperimentConfig(**NON_DEFAULT)))
+    assert {s: set(cp[s]) for s in cp.sections()} == INI_KEYS
+
+
+@pytest.mark.parametrize("section", sorted(INI_KEYS))
+def test_unknown_key_rejected_in_every_section(section):
+    with pytest.raises(ConfigError, match="bogus"):
+        parse_config_text(f"[{section}]\nbogus = 1\n", command="affinity")
+
+
+def test_unknown_section_rejected():
+    with pytest.raises(ConfigError, match="extra"):
+        parse_config_text("[extra]\nseed = 1\n", command="affinity")
+
+
+def test_non_default_values_cover_every_field():
+    assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)}
+    defaults = ExperimentConfig(command="affinity")
+    for name, value in NON_DEFAULT.items():
+        assert getattr(defaults, name) != value, name
+
+
+def _flag_text(value):
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+def test_every_field_round_trips(name):
+    """A non-default value of each field survives the INI, manifest-record and flag paths."""
+    value = NON_DEFAULT[name]
+    config = ExperimentConfig(command=value if name == "command" else "survey")
+    setattr(config, name, value)
+
+    assert parse_config_text(to_ini(config)) == config
+    assert config_from_record(json.loads(render_json(config_record(config)))) == config
+
+    flag = "--" + name.replace("_", "-")
+    for command, sub in _subparsers(build_parser()).items():
+        if flag in sub._option_string_actions:
+            args = build_parser().parse_args([command, flag, _flag_text(value)])
+            expected = ExperimentConfig(command=command)
+            setattr(expected, name, value)
+            assert _config_from_args(args) == expected, command

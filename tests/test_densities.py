@@ -179,3 +179,13 @@ class TestSamplers:
     def test_different_seeds_differ(self):
         d = normal_density(0, 1)
         assert not np.array_equal(d.sample(100, 1), d.sample(100, 2))
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 1.5, 2.0, 3.5, 10.0])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_gamma_logpdf_matches_scipy(shape, scale):
+    """The normalising constant uses math.lgamma; scipy stays the reference."""
+    x = scale * np.array([0.01, 0.1, 0.5, 1.5, 4.0, 12.0, 40.0])
+    np.testing.assert_allclose(
+        gamma_density(shape, scale).logpdf(x), stats.gamma.logpdf(x, shape, scale=scale), rtol=1e-13
+    )
