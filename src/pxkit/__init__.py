@@ -65,10 +65,8 @@ from .survey import (
     EstimateReport,
     Population,
     PopulationSpec,
-    ProxyResponse,
     SchemeComparison,
     Stratum,
-    Unit,
     collect_proxy_responses,
     compare_schemes,
     estimate_mean,

@@ -11,7 +11,8 @@ and a test run is a singleton mc-sweep, so both report identical numbers
 for the same inputs.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error (including
-model parameters, hypotheses or replicate counts the library rejects).
+model parameters, hypotheses, replicate counts or survey settings the
+library rejects, and input files that cannot be read or parsed).
 The PXKIT_OUT_DIR environment variable supplies the output directory when
 --out is omitted.
 """
@@ -44,7 +45,14 @@ from .models import (
 from .montecarlo import check_replicates, sweep
 from .quadrature import QuadratureBudgetError, QuadratureConfig
 from .reporting import emit_plot_data, render_record, render_table, write_atomic, write_manifest
-from .survey import AccuracyModel, PopulationSpec, check_replications, compare_schemes
+from .survey import (
+    AccuracyModel,
+    PopulationSpec,
+    check_quantile,
+    check_replications,
+    check_srs_size,
+    compare_schemes,
+)
 
 COMMANDS = ("affinity", "bound", "r-measure", "test", "mc-sweep", "survey")
 PLOT_COMMANDS = ("mc-sweep", "survey")
@@ -63,11 +71,14 @@ def _require(config: ExperimentConfig, *names: str) -> None:
 
 
 def _build(config, make, *names, args=None):
-    """``make`` of the named config fields (or of ``args``); bad input in them is a ConfigError."""
+    """``make`` of the named config fields (or of ``args``); bad input in them is a ConfigError.
+
+    Bad input is a value ``make`` rejects or a file it cannot read.
+    """
     _require(config, *names)
     try:
         return make(*(args if args is not None else [getattr(config, n) for n in names]))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"{', '.join(names)}: {exc}") from None
 
 
@@ -155,7 +166,10 @@ _SECTIONS = {section for section, _ in _INI}
 
 def apply_config_file(config: ExperimentConfig, path: str | Path) -> ExperimentConfig:
     cp = configparser.ConfigParser()
-    read = cp.read(path, encoding="utf-8")
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     return _apply_parsed(config, cp, where=str(path))
@@ -233,9 +247,15 @@ def _inputs(config: ExperimentConfig) -> SimpleNamespace:
     """
     if config.command == "survey":
         _require(config, "population")
+        size = config.srs_size
+        if size is not None:
+            args = (size, config.population.total_size)
+            size = _build(config, check_srs_size, "srs_size", args=args)
         return SimpleNamespace(
             accuracy=_build(config, AccuracyModel, "p_accurate", "noise_sd"),
+            quantile=_build(config, check_quantile, "quantile"),
             replications=_build(config, check_replications, "replications"),
+            srs_size=size,
         )
     _require(config, "model")
     quad = _build(config, QuadratureConfig, "abs_tol", "rel_tol", "max_evaluations")
@@ -329,10 +349,10 @@ def _cmd_survey(config: ExperimentConfig, inp: SimpleNamespace):
     return compare_schemes(
         config.population,
         inp.accuracy,
-        config.quantile,
+        inp.quantile,
         inp.replications,
         config.seed,
-        srs_size=config.srs_size,
+        srs_size=inp.srs_size,
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ExpandedModel, MarginalFamily, SimpleHypotheses
+from .models import ExpandedModel, MarginalFamily, SimpleHypotheses, joint_logpdf
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,4 @@ def phi_decide(t1: float, family: MarginalFamily, hyp: SimpleHypotheses) -> Deci
 
 def psi_decide(t1: float, t2: float, em: ExpandedModel, hyp: SimpleHypotheses) -> Decision:
     """Test based on the joint statistic of the expanded model at eta0."""
-    eta0 = em.eta0
-    l1 = float(em.marginal.density_at(hyp.theta1, eta0).logpdf(t1)) + float(
-        em.conditional.density_at(t1, hyp.theta1, eta0).logpdf(t2)
-    )
-    l0 = float(em.marginal.density_at(hyp.theta0, eta0).logpdf(t1)) + float(
-        em.conditional.density_at(t1, hyp.theta0, eta0).logpdf(t2)
-    )
-    return _decide(l1, l0)
+    return _decide(joint_logpdf(em, t1, t2, hyp.theta1), joint_logpdf(em, t1, t2, hyp.theta0))

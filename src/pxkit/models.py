@@ -64,14 +64,16 @@ class MarginalFamily:
 class ConditionalFamily:
     """Family of t2-given-t1 densities indexed by (t1, theta, eta).
 
-    ``logpdf_given`` and ``sample_given`` are optional vectorized fast
-    paths over per-replicate (t1, t2) pairs; when absent, callers fall
-    back to per-point ``density_at`` calls.
+    ``density_at`` gives one conditional density, for quadrature.
+    ``logpdf_given(t1, t2, theta, eta)`` evaluates the log density over
+    paired (t1, t2) arrays and ``sample_given(t1, theta, eta, seed)`` draws
+    one t2 per entry of ``t1``; `joint_logpdf`, `kraft.psi_decide` and
+    the Monte Carlo estimators use these.
     """
 
     _density_at: Callable[[float, float, float], ScalarDensity]
-    logpdf_given: Callable[[np.ndarray, np.ndarray, float, float], np.ndarray] | None = None
-    sample_given: Callable[[np.ndarray, float, float, int], np.ndarray] | None = None
+    logpdf_given: Callable[[np.ndarray, np.ndarray, float, float], np.ndarray]
+    sample_given: Callable[[np.ndarray, float, float, int], np.ndarray]
 
     def density_at(self, t1: float, theta: float, eta: float) -> ScalarDensity:
         return self._density_at(float(t1), float(theta), float(eta))
@@ -205,14 +207,7 @@ def joint_logpdf(em: ExpandedModel, t1, t2, theta: float, eta: float | None = No
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     lm = em.marginal.density_at(theta, eta).logpdf(t1)
-    if em.conditional.logpdf_given is not None:
-        lc = em.conditional.logpdf_given(t1, t2, theta, eta)
-    else:
-        lc = np.array([
-            float(em.conditional.density_at(x1, theta, eta).logpdf(x2))
-            for x1, x2 in zip(np.atleast_1d(t1), np.atleast_1d(t2))
-        ]).reshape(np.shape(t1))
-    return lm + lc
+    return lm + em.conditional.logpdf_given(t1, t2, theta, eta)
 
 
 @dataclass(frozen=True)

@@ -95,14 +95,7 @@ def estimate_phi_errors(
 
 def _sample_joint(em: ExpandedModel, theta: float, n: int, seed_t1: int, seed_t2: int):
     t1 = em.marginal.density_at(theta, em.eta0).sample(n, seed_t1)
-    if em.conditional.sample_given is not None:
-        t2 = em.conditional.sample_given(t1, theta, em.eta0, seed_t2)
-    else:
-        t2 = np.array([
-            em.conditional.density_at(float(x), theta, em.eta0).sample(1, derive_seed(seed_t2, i))[0]
-            for i, x in enumerate(t1)
-        ])
-    return t1, t2
+    return t1, em.conditional.sample_given(t1, theta, em.eta0, seed_t2)
 
 
 def estimate_psi_errors(

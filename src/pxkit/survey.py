@@ -19,7 +19,7 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,13 +65,16 @@ class PopulationSpec:
         return sum(s.size for s in self.strata)
 
 
-@dataclass(frozen=True)
-class Unit:
-    id: int
-    stratum: str
-    true_value: float
-    has_attribute: bool
-    associate_id: int | None = None
+# One record per population unit: its stratum (index into ``spec.strata``),
+# true value, attribute flag and paired unit (index, or -1 when unpaired).
+UNIT_DTYPE = np.dtype(
+    [("stratum", "i8"), ("value", "f8"), ("has_attribute", "?"), ("associate", "i8")]
+)
+# One record per proxy report: the reporting unit, the unit reported on,
+# the reported value and its accuracy score.
+REPORT_DTYPE = np.dtype(
+    [("respondent", "i8"), ("target", "i8"), ("reported_value", "f8"), ("accuracy_score", "f8")]
+)
 
 
 @dataclass(frozen=True)
@@ -88,26 +91,19 @@ class AccuracyModel:
             raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
 
 
-@dataclass(frozen=True)
-class ProxyResponse:
-    respondent_id: int
-    target_id: int
-    reported_value: float
-    accuracy_score: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
+    """A drawn population: ``units`` is a read-only `UNIT_DTYPE` array in stratum order."""
+
     spec: PopulationSpec
-    units: tuple[Unit, ...]
+    units: np.ndarray
     pairing_shortfall: dict[str, int]
 
     @property
     def true_mean(self) -> float:
-        return float(np.mean([u.true_value for u in self.units]))
-
-    def respondents(self) -> list[Unit]:
-        return [u for u in self.units if u.has_attribute]
+        # A contiguous copy keeps numpy's pairwise summation on the same blocks
+        # as for a plain float array; the strided field would shift last bits.
+        return float(np.mean(np.ascontiguousarray(self.units["value"])))
 
 
 @dataclass(frozen=True)
@@ -123,91 +119,87 @@ def generate_population(spec: PopulationSpec) -> Population:
     """Draw a stratified population with attribute flags and 1:1 pairings.
 
     Within each stratum, attribute holders are paired with distinct
-    non-holders in unit-id order; holders beyond the number of available
+    non-holders in unit order; holders beyond the number of available
     non-holders stay unpaired and the per-stratum shortfall is recorded.
     """
     rng = make_rng(spec.seed)
-    units: list[Unit] = []
+    units = np.empty(spec.total_size, dtype=UNIT_DTYPE)
+    units["associate"] = -1
     shortfall: dict[str, int] = {}
-    uid = 0
-    for stratum, prob in zip(spec.strata, spec.attribute_prob):
-        values = rng.normal(stratum.value_mean, stratum.value_sd, stratum.size)
-        flags = rng.random(stratum.size) < prob
-        ids = range(uid, uid + stratum.size)
-        uid += stratum.size
-        holders = [i for i, f in zip(ids, flags) if f]
-        non_holders = [i for i, f in zip(ids, flags) if not f]
-        associate = dict(zip(holders, non_holders))
-        shortfall[stratum.label] = max(0, len(holders) - len(non_holders))
-        for i, value, flag in zip(ids, values, flags):
-            units.append(
-                Unit(
-                    id=i,
-                    stratum=stratum.label,
-                    true_value=float(value),
-                    has_attribute=bool(flag),
-                    associate_id=associate.get(i),
-                )
-            )
-    return Population(spec=spec, units=tuple(units), pairing_shortfall=shortfall)
+    start = 0
+    for k, (stratum, prob) in enumerate(zip(spec.strata, spec.attribute_prob)):
+        block = units[start : start + stratum.size]
+        block["stratum"] = k
+        block["value"] = rng.normal(stratum.value_mean, stratum.value_sd, stratum.size)
+        block["has_attribute"] = rng.random(stratum.size) < prob
+        holders = start + np.flatnonzero(block["has_attribute"])
+        non_holders = start + np.flatnonzero(~block["has_attribute"])
+        pairs = min(len(holders), len(non_holders))
+        units["associate"][holders[:pairs]] = non_holders[:pairs]
+        shortfall[stratum.label] = len(holders) - pairs
+        start += stratum.size
+    units.flags.writeable = False
+    return Population(spec=spec, units=units, pairing_shortfall=shortfall)
 
 
-def collect_proxy_responses(
-    pop: Population, acc: AccuracyModel, seed: int
-) -> list[ProxyResponse]:
+def collect_proxy_responses(pop: Population, acc: AccuracyModel, seed: int) -> np.ndarray:
     """One proxy report per paired respondent for its associated unit.
 
-    A report is the target's exact value with probability ``p_accurate``,
-    otherwise the value plus centered normal noise.  The accuracy score is
-    1 for exact reports and decays exponentially in the absolute
-    corruption (in noise-sd units) otherwise.
+    Returns a `REPORT_DTYPE` array in respondent order.  A report is the
+    target's exact value with probability ``p_accurate``, otherwise the
+    value plus centered normal noise.  The accuracy score is 1 for exact
+    reports and decays exponentially in the absolute corruption (in
+    noise-sd units) otherwise.
     """
-    by_id = {u.id: u for u in pop.units}
-    paired = [u for u in pop.units if u.has_attribute and u.associate_id is not None]
+    units = pop.units
+    paired = np.flatnonzero(units["associate"] >= 0)
     n = len(paired)
+    reports = np.empty(n, dtype=REPORT_DTYPE)
     if n == 0:
-        return []
+        return reports
     rng = make_rng(seed)
     exact = rng.random(n) < acc.p_accurate
     noise = rng.normal(0.0, acc.noise_sd, n) if acc.noise_sd > 0 else np.zeros(n)
     corruption = np.where(exact, 0.0, noise)
     with np.errstate(divide="ignore", invalid="ignore"):
         decayed = np.exp(-np.abs(corruption) / acc.noise_sd) if acc.noise_sd > 0 else np.ones(n)
-    scores = np.where(corruption == 0.0, 1.0, decayed)
-    out = []
-    for u, c, s in zip(paired, corruption, scores):
-        target = by_id[u.associate_id]
-        out.append(
-            ProxyResponse(
-                respondent_id=u.id,
-                target_id=target.id,
-                reported_value=target.true_value + float(c),
-                accuracy_score=float(s),
-            )
-        )
-    return out
+    reports["respondent"] = paired
+    reports["target"] = units["associate"][paired]
+    reports["reported_value"] = units["value"][reports["target"]] + corruption
+    reports["accuracy_score"] = np.where(corruption == 0.0, 1.0, decayed)
+    return reports
 
 
-def filter_most_accurate(
-    responses: Sequence[ProxyResponse], quantile: float
-) -> list[ProxyResponse]:
-    """Keep the top `quantile` share of responses by accuracy score.
+def check_quantile(quantile: float) -> float:
+    """The kept share of proxy reports as a float; raises ValueError outside (0, 1]."""
+    if not 0.0 < quantile <= 1.0:
+        raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
+    return float(quantile)
+
+
+def check_srs_size(srs_size: int, population_size: int) -> int:
+    """The random-sample size as an int; raises ValueError outside [1, population_size]."""
+    if not 1 <= srs_size <= population_size:
+        raise ValueError(f"srs_size must lie in [1, {population_size}], got {srs_size}")
+    return int(srs_size)
+
+
+def filter_most_accurate(responses: np.ndarray, quantile: float) -> np.ndarray:
+    """Keep the top `quantile` share of proxy reports by accuracy score.
 
     The cut is the (1 - quantile) empirical quantile of the scores; ties at
     the cut are kept, input order is preserved.
     """
-    if not responses:
+    if len(responses) == 0:
         raise ValueError("no responses to filter")
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
-    scores = np.array([r.accuracy_score for r in responses])
-    threshold = float(np.quantile(scores, 1.0 - quantile))
-    return [r for r in responses if r.accuracy_score >= threshold]
+    quantile = check_quantile(quantile)
+    scores = responses["accuracy_score"]
+    return responses[scores >= float(np.quantile(scores, 1.0 - quantile))]
 
 
 def estimate_mean(
     pop: Population,
-    responses: Sequence[ProxyResponse],
+    responses: np.ndarray,
     scheme: str,
     srs_size: int = 0,
     seed: int = 0,
@@ -216,42 +208,41 @@ def estimate_mean(
 
     naive_attribute_only averages the respondents' own values; augmented
     post-stratifies the pooled respondent self-reports and proxy reports
-    using population stratum shares (renormalized over covered strata);
-    srs_oracle averages a seeded simple random sample of the whole
-    population.
+    (`REPORT_DTYPE` array) using population stratum shares (renormalized
+    over covered strata); srs_oracle averages a seeded simple random
+    sample of the whole population.
     """
     truth = pop.true_mean
+    units = pop.units
+    respondents = units["has_attribute"]
     if scheme == "naive_attribute_only":
-        values = [u.true_value for u in pop.units if u.has_attribute]
-        if not values:
+        values = units["value"][respondents]
+        if len(values) == 0:
             raise ValueError("no respondents: naive estimate undefined")
         est = float(np.mean(values))
         return EstimateReport(scheme, est, len(values), truth, est - truth)
 
     if scheme == "augmented":
-        by_id = {u.id: u for u in pop.units}
-        per_stratum: dict[str, list[float]] = {s.label: [] for s in pop.spec.strata}
-        for u in pop.units:
-            if u.has_attribute:
-                per_stratum[u.stratum].append(u.true_value)
-        for r in responses:
-            per_stratum[by_id[r.target_id].stratum].append(r.reported_value)
-        total = pop.spec.total_size
-        covered = [(s, per_stratum[s.label]) for s in pop.spec.strata if per_stratum[s.label]]
-        if not covered:
+        # Self-reports in unit order, then proxy reports in report order: the
+        # pooled order fixes the summation order, and so the last bits, of each mean.
+        strata = np.concatenate(
+            [units["stratum"][respondents], units["stratum"][responses["target"]]]
+        )
+        values = np.concatenate([units["value"][respondents], responses["reported_value"]])
+        if len(values) == 0:
             raise ValueError("no respondents or proxy reports: augmented estimate undefined")
-        share_sum = sum(s.size / total for s, _ in covered)
-        est = sum((s.size / total) * float(np.mean(vals)) for s, vals in covered) / share_sum
-        n_used = sum(len(vals) for _, vals in covered)
-        return EstimateReport(scheme, est, n_used, truth, est - truth)
+        total = pop.spec.total_size
+        covered = [(s.size / total, values[strata == k]) for k, s in enumerate(pop.spec.strata)]
+        covered = [(share, vals) for share, vals in covered if len(vals)]
+        share_sum = sum(share for share, _ in covered)
+        est = sum(share * float(np.mean(vals)) for share, vals in covered) / share_sum
+        return EstimateReport(scheme, est, len(values), truth, est - truth)
 
     if scheme == "srs_oracle":
-        n_pop = len(pop.units)
-        if not 1 <= srs_size <= n_pop:
-            raise ValueError(f"srs_size must lie in [1, {n_pop}], got {srs_size}")
-        idx = make_rng(seed).choice(n_pop, size=int(srs_size), replace=False)
-        est = float(np.mean([pop.units[i].true_value for i in idx]))
-        return EstimateReport(scheme, est, int(srs_size), truth, est - truth)
+        srs_size = check_srs_size(srs_size, len(units))
+        idx = make_rng(seed).choice(len(units), size=srs_size, replace=False)
+        est = float(np.mean(units["value"][idx]))
+        return EstimateReport(scheme, est, srs_size, truth, est - truth)
 
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
@@ -302,15 +293,19 @@ def compare_schemes(
     Each replication regenerates the population, proxy responses and SRS
     draw from seeds derived of (seed, replication index).  When
     ``srs_size`` is not given, the benchmark sample matches the
-    replication's respondent count.
+    replication's respondent count.  The replication count, ``quantile``
+    and ``srs_size`` are validated before the first replication.
     """
     replications = check_replications(replications)
+    quantile = check_quantile(quantile)
+    if srs_size is not None:
+        srs_size = check_srs_size(srs_size, spec.total_size)
     errors: dict[str, list[float]] = {s: [] for s in SCHEMES}
     for rep in range(replications):
         pop = generate_population(replace(spec, seed=derive_seed(seed, rep, 0)))
         responses = collect_proxy_responses(pop, acc, derive_seed(seed, rep, 1))
-        kept = filter_most_accurate(responses, quantile) if responses else []
-        n_resp = sum(1 for u in pop.units if u.has_attribute)
+        kept = filter_most_accurate(responses, quantile) if len(responses) else responses
+        n_resp = int(np.count_nonzero(pop.units["has_attribute"]))
         size = srs_size if srs_size is not None else max(1, n_resp)
         for scheme in SCHEMES:
             report = estimate_mean(

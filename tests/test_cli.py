@@ -184,12 +184,35 @@ class TestExitCodes:
             (["mc-sweep", "--model", "normal", "--theta0", "0", "--theta1-list", "0,1",
               "--replicates", "1000"], "theta1_list"),
             (["survey"], "replications"),
+            # No respondent can be paired, so no report ever reaches the filter.
+            (["survey", "--config", "{tmp}/unpaired.ini", "--quantile", "5"], "quantile"),
+            (["survey", "--config", "{tmp}/ok.ini", "--quantile", "5"], "quantile"),
+            (["survey", "--config", "{tmp}/ok.ini", "--srs-size", "500"], "srs_size"),
+            (["affinity", "--model", "tabulated", "--csv-f", "{tmp}/missing.csv",
+              "--csv-g", "{tmp}/missing.csv"], "csv_f"),
+            (["bound", "--config", "{tmp}/no_header.ini", "--theta0", "0", "--theta1", "1"],
+             "config"),
+            (["bound", "--config", "{tmp}/stray_line.ini", "--theta0", "0", "--theta1", "1"],
+             "config"),
+            (["bound", "--config", "{tmp}/not_utf8.ini", "--theta0", "0", "--theta1", "1"],
+             "config"),
         ],
     )
     def test_input_rejected_by_library_is_config_error(self, args, field, tmp_path, capsys):
         cfg = tmp_path / "survey.ini"
         cfg.write_text(SURVEY_INI.replace("replications = 50", "replications = 5"), encoding="utf-8")
         extra = ["--config", str(cfg)] if args == ["survey"] else []
+        inis = {
+            "ok": SURVEY_INI,
+            "unpaired": SURVEY_INI.replace("0.9", "1.0").replace("0.1", "1.0"),
+            "no_header": "kind = normal\n",
+            "stray_line": "[model]\nkind = normal\nstray line\n",
+            "not_utf8": "[model]\nkind = normal\n# caf\u00e9\n",
+        }
+        for name, text in inis.items():
+            # Latin-1 leaves the other files as they are and makes not_utf8 invalid UTF-8.
+            (tmp_path / f"{name}.ini").write_bytes(text.encode("latin-1"))
+        args = [a.format(tmp=tmp_path) for a in args]
         assert run_cli(*args, *extra, "--out", str(tmp_path / "x.json")) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")

@@ -9,7 +9,6 @@ import pytest
 from pxkit import (
     AccuracyModel,
     PopulationSpec,
-    ProxyResponse,
     Stratum,
     collect_proxy_responses,
     compare_schemes,
@@ -19,6 +18,7 @@ from pxkit import (
     generate_population,
     load_population_spec,
 )
+from pxkit.survey import REPORT_DTYPE
 
 TWO_STRATA = PopulationSpec(
     strata=(Stratum("A", 100, 0.0, 1.0), Stratum("B", 100, 10.0, 1.0)),
@@ -26,6 +26,7 @@ TWO_STRATA = PopulationSpec(
     seed=7,
 )
 PERFECT = AccuracyModel(p_accurate=1.0, noise_sd=0.0)
+NO_REPORTS = np.empty(0, dtype=REPORT_DTYPE)
 
 
 class TestSpecValidation:
@@ -55,55 +56,51 @@ class TestGeneratePopulation:
         counts = {"A": [], "B": []}
         for s in range(50):
             pop = generate_population(replace(TWO_STRATA, seed=s))
-            for label in counts:
-                counts[label].append(
-                    sum(1 for u in pop.units if u.stratum == label and u.has_attribute)
-                )
+            for k, label in enumerate(counts):
+                in_stratum = pop.units["stratum"] == k
+                counts[label].append(np.count_nonzero(in_stratum & pop.units["has_attribute"]))
         assert np.mean(counts["A"]) == pytest.approx(90, abs=2)
         assert np.mean(counts["B"]) == pytest.approx(10, abs=2)
 
     def test_pairing_is_one_to_one_within_stratum(self):
-        pop = generate_population(TWO_STRATA)
-        by_id = {u.id: u for u in pop.units}
-        seen_targets = set()
-        for u in pop.units:
-            if u.associate_id is not None:
-                assert u.has_attribute
-                target = by_id[u.associate_id]
-                assert target.stratum == u.stratum
-                assert not target.has_attribute
-                assert target.id not in seen_targets
-                seen_targets.add(target.id)
+        units = generate_population(TWO_STRATA).units
+        paired = np.flatnonzero(units["associate"] >= 0)
+        targets = units["associate"][paired]
+        assert len(paired)
+        assert np.all(units["associate"][units["associate"] < 0] == -1)
+        assert np.all(units["has_attribute"][paired])
+        assert np.array_equal(units["stratum"][targets], units["stratum"][paired])
+        assert not np.any(units["has_attribute"][targets])
+        assert len(np.unique(targets)) == len(targets)
 
     def test_shortfall_reported_not_fatal(self):
         spec = PopulationSpec((Stratum("A", 20, 0.0, 1.0),), (0.95,), seed=3)
         pop = generate_population(spec)
-        holders = sum(1 for u in pop.units if u.has_attribute)
+        holders = np.count_nonzero(pop.units["has_attribute"])
         expected = max(0, holders - (20 - holders))
         assert pop.pairing_shortfall["A"] == expected
 
     def test_no_attribute_means_no_respondents(self):
         spec = replace(TWO_STRATA, attribute_prob=(0.0, 0.0))
         pop = generate_population(spec)
-        assert not pop.respondents()
+        assert not np.any(pop.units["has_attribute"])
         with pytest.raises(ValueError):
-            estimate_mean(pop, [], "naive_attribute_only")
+            estimate_mean(pop, NO_REPORTS, "naive_attribute_only")
         with pytest.raises(ValueError):
-            estimate_mean(pop, [], "augmented")
+            estimate_mean(pop, NO_REPORTS, "augmented")
 
     def test_determinism(self):
-        assert generate_population(TWO_STRATA).units == generate_population(TWO_STRATA).units
+        a, b = generate_population(TWO_STRATA), generate_population(TWO_STRATA)
+        assert np.array_equal(a.units, b.units)
 
 
 class TestProxyResponses:
     def test_perfect_information(self):
         pop = generate_population(TWO_STRATA)
-        by_id = {u.id: u for u in pop.units}
         responses = collect_proxy_responses(pop, PERFECT, seed=1)
-        assert responses
-        for r in responses:
-            assert r.reported_value == by_id[r.target_id].true_value
-            assert r.accuracy_score == 1.0
+        assert len(responses)
+        assert np.array_equal(responses["reported_value"], pop.units["value"][responses["target"]])
+        assert np.all(responses["accuracy_score"] == 1.0)
 
     def test_fully_noisy_reports_match_folded_normal_mean(self):
         # E|N(0,1)| = sqrt(2/pi) =~ 0.7979.
@@ -114,21 +111,22 @@ class TestProxyResponses:
         errs = []
         for s in range(60):
             pop = generate_population(replace(spec, seed=s))
-            by_id = {u.id: u for u in pop.units}
-            for r in collect_proxy_responses(pop, acc, seed=1000 + s):
-                errs.append(abs(r.reported_value - by_id[r.target_id].true_value))
+            r = collect_proxy_responses(pop, acc, seed=1000 + s)
+            errs.extend(np.abs(r["reported_value"] - pop.units["value"][r["target"]]))
         assert np.mean(errs) == pytest.approx(math.sqrt(2 / math.pi), abs=0.02)
 
     def test_unpaired_respondents_emit_nothing(self):
         pop = generate_population(TWO_STRATA)
-        paired = {u.id for u in pop.units if u.has_attribute and u.associate_id is not None}
+        paired = np.flatnonzero(pop.units["has_attribute"] & (pop.units["associate"] >= 0))
         responses = collect_proxy_responses(pop, PERFECT, seed=2)
-        assert {r.respondent_id for r in responses} == paired
+        assert np.array_equal(responses["respondent"], paired)
+        assert np.array_equal(responses["target"], pop.units["associate"][paired])
 
     def test_determinism(self):
         pop = generate_population(TWO_STRATA)
         acc = AccuracyModel(0.5, 2.0)
-        assert collect_proxy_responses(pop, acc, 9) == collect_proxy_responses(pop, acc, 9)
+        a, b = collect_proxy_responses(pop, acc, 9), collect_proxy_responses(pop, acc, 9)
+        assert np.array_equal(a, b)
 
     def test_accuracy_model_validation(self):
         with pytest.raises(ValueError):
@@ -137,47 +135,47 @@ class TestProxyResponses:
             AccuracyModel(0.5, -1.0)
 
 
-def _resp(score, i=0):
-    return ProxyResponse(respondent_id=i, target_id=100 + i, reported_value=0.0, accuracy_score=score)
+def _resp(scores):
+    return np.array([(i, 100 + i, 0.0, s) for i, s in enumerate(scores)], dtype=REPORT_DTYPE)
 
 
 class TestFilter:
     def test_quantile_one_keeps_all(self):
-        rs = [_resp(s, i) for i, s in enumerate([0.9, 0.1, 0.5])]
-        assert filter_most_accurate(rs, 1.0) == rs
+        rs = _resp([0.9, 0.1, 0.5])
+        assert np.array_equal(filter_most_accurate(rs, 1.0), rs)
 
     def test_equal_scores_all_kept(self):
-        rs = [_resp(0.7, i) for i in range(5)]
-        assert filter_most_accurate(rs, 0.2) == rs
+        rs = _resp([0.7] * 5)
+        assert np.array_equal(filter_most_accurate(rs, 0.2), rs)
 
     def test_half_quantile_cut(self):
-        rs = [_resp(s, i) for i, s in enumerate([1.0, 1.0, 0.2, 0.1])]
+        rs = _resp([1.0, 1.0, 0.2, 0.1])
         kept = filter_most_accurate(rs, 0.5)
-        assert kept == rs[:2]
+        assert np.array_equal(kept, rs[:2])
 
     def test_stable_order(self):
-        rs = [_resp(s, i) for i, s in enumerate([0.5, 0.9, 0.5, 0.9])]
+        rs = _resp([0.5, 0.9, 0.5, 0.9])
         kept = filter_most_accurate(rs, 0.5)
-        assert [r.respondent_id for r in kept] == [1, 3]
+        assert np.array_equal(kept["respondent"], [1, 3])
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
-            filter_most_accurate([], 0.5)
+            filter_most_accurate(NO_REPORTS, 0.5)
         with pytest.raises(ValueError):
-            filter_most_accurate([_resp(1.0)], 0.0)
+            filter_most_accurate(_resp([1.0]), 0.0)
 
 
 class TestEstimators:
     def test_srs_census_is_exact(self):
         pop = generate_population(TWO_STRATA)
-        report = estimate_mean(pop, [], "srs_oracle", srs_size=len(pop.units), seed=3)
+        report = estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=len(pop.units), seed=3)
         assert report.estimate == pytest.approx(pop.true_mean, abs=1e-12)
         assert report.error == pytest.approx(0.0, abs=1e-12)
 
     def test_unknown_scheme(self):
         pop = generate_population(TWO_STRATA)
         with pytest.raises(ValueError):
-            estimate_mean(pop, [], "bootstrap")
+            estimate_mean(pop, NO_REPORTS, "bootstrap")
 
     def test_error_field_consistency(self):
         pop = generate_population(TWO_STRATA)
@@ -230,10 +228,9 @@ class TestCompareSchemes:
         for rep in range(reps):
             pop = generate_population(replace(TWO_STRATA, seed=derive_seed(8, rep)))
             responses = collect_proxy_responses(pop, PERFECT, seed=derive_seed(9, rep))
-            strata_with_data = {u.stratum for u in pop.units if u.has_attribute}
-            by_id = {u.id: u for u in pop.units}
-            strata_with_data |= {by_id[r.target_id].stratum for r in responses}
-            covered += strata_with_data == {"A", "B"}
+            strata_with_data = set(pop.units["stratum"][pop.units["has_attribute"]])
+            strata_with_data |= set(pop.units["stratum"][responses["target"]])
+            covered += strata_with_data == {0, 1}
         assert covered / reps >= 0.99
 
     def test_minimum_replications(self):
