@@ -97,15 +97,8 @@ def affinity(
     f: ScalarDensity,
     g: ScalarDensity,
     cfg: QuadratureConfig | None = None,
-    *,
-    abs_tol: float | None = None,
-    max_evaluations: int | None = None,
 ) -> AffinityResult:
     """Affinity of two densities by adaptive quadrature over the common support."""
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if max_evaluations is not None:
-        cfg = QuadratureConfig(cfg.abs_tol, cfg.rel_tol, max_evaluations)
     common = f.support.intersect(g.support)
     if common is None:
         return AffinityResult(value=0.0, raw_value=0.0, abs_error_estimate=0.0, evaluations=0)
@@ -115,7 +108,6 @@ def affinity(
         common.lower,
         common.upper,
         cfg,
-        abs_tol=abs_tol,
         center=center,
         scale=scale,
     )

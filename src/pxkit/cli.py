@@ -48,6 +48,7 @@ from .reporting import emit_plot_data, render_record, render_table, write_atomic
 from .survey import (
     AccuracyModel,
     PopulationSpec,
+    check_population,
     check_quantile,
     check_replications,
     check_srs_size,
@@ -177,7 +178,10 @@ def apply_config_file(config: ExperimentConfig, path: str | Path) -> ExperimentC
 
 def parse_config_text(text: str, command: str | None = None) -> ExperimentConfig:
     cp = configparser.ConfigParser()
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config: {exc}") from None
     cmd = command or cp.get("run", "command", fallback=None)
     if cmd is None:
         raise ConfigError("run.command is required")
@@ -246,7 +250,7 @@ def _inputs(config: ExperimentConfig) -> SimpleNamespace:
     exits 2 as a configuration error, before numerical work could exit 1.
     """
     if config.command == "survey":
-        _require(config, "population")
+        _build(config, check_population, "population")
         size = config.srs_size
         if size is not None:
             args = (size, config.population.total_size)
@@ -339,9 +343,8 @@ def _cmd_test(config: ExperimentConfig, inp: SimpleNamespace):
 
 
 def _cmd_mc_sweep(config: ExperimentConfig, inp: SimpleNamespace):
-    kind = "phi" if isinstance(inp.model, MarginalFamily) else "psi"
     return sweep(
-        kind, inp.model, config.theta0, config.theta1_list, inp.replicates, config.seed, inp.quad
+        inp.model, config.theta0, config.theta1_list, inp.replicates, config.seed, inp.quad
     )
 
 

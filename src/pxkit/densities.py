@@ -1,8 +1,12 @@
 """Scalar probability densities with evaluation, log-evaluation and seeded sampling.
 
-Every density here is a plain value object: an interval of support plus
-vectorized ``pdf`` / ``logpdf`` callables and a ``sample(n, seed)`` callable.
-Samplers are stateless; the seed fully determines the draw.
+Every density here is a plain value object: an interval of support plus a
+vectorized ``logpdf`` callable and a ``sample(n, seed)`` callable.  ``logpdf``
+is the one formula of the law; ``pdf`` is derived from it.  Samplers are
+stateless; the seed fully determines the draw.  A density may also hold one
+law per entry of a parameter array (a conditional family at an array of t1):
+``logpdf`` then pairs its argument with those entries elementwise and
+``sample`` draws one value per entry.
 """
 
 from __future__ import annotations
@@ -48,20 +52,23 @@ class Interval:
 class ScalarDensity:
     """A one-dimensional density.
 
-    ``pdf`` and ``logpdf`` accept scalars or numpy arrays and return 0 /
-    -inf outside ``support``.  ``sample(n, seed)`` returns ``n`` draws,
-    bit-reproducible for a given seed.  ``center`` and ``scale`` are
-    location/spread hints used to parameterize variable transformations
-    when integrating over infinite supports; they carry no probabilistic
-    meaning of their own.
+    ``logpdf`` accepts scalars or numpy arrays and returns -inf outside
+    ``support``; ``pdf`` is its exponential.  ``sample(n, seed)`` returns
+    ``n`` draws, bit-reproducible for a given seed.  ``center`` and
+    ``scale`` are location/spread hints used to parameterize variable
+    transformations when integrating over infinite supports; they carry no
+    probabilistic meaning of their own.
     """
 
     support: Interval
-    pdf: Callable[[np.ndarray | float], np.ndarray]
     logpdf: Callable[[np.ndarray | float], np.ndarray]
     sample: Callable[[int, int], np.ndarray]
     center: float = 0.0
     scale: float = 1.0
+
+    def pdf(self, x) -> np.ndarray:
+        """Density values: ``exp(logpdf(x))``, 0 outside ``support``."""
+        return np.exp(self.logpdf(x))
 
 
 def normal_density(mean: float, sd: float) -> ScalarDensity:
@@ -76,15 +83,11 @@ def normal_density(mean: float, sd: float) -> ScalarDensity:
         z = (np.asarray(x, dtype=float) - mean) / sd
         return -0.5 * z * z - log_norm
 
-    def pdf(x):
-        return np.exp(logpdf(x))
-
     def sample(n: int, seed: int) -> np.ndarray:
         return make_rng(seed).normal(mean, sd, size=int(n))
 
     return ScalarDensity(
         support=Interval(-math.inf, math.inf),
-        pdf=pdf,
         logpdf=logpdf,
         sample=sample,
         center=mean,
@@ -105,18 +108,11 @@ def exponential_density(rate: float) -> ScalarDensity:
         safe = np.where(inside, x, 0.0)
         return np.where(inside, log_rate - rate * safe, -math.inf)
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        inside = x >= 0.0
-        safe = np.where(inside, x, 0.0)
-        return np.where(inside, rate * np.exp(-rate * safe), 0.0)
-
     def sample(n: int, seed: int) -> np.ndarray:
         return make_rng(seed).exponential(1.0 / rate, size=int(n))
 
     return ScalarDensity(
         support=Interval(0.0, math.inf),
-        pdf=pdf,
         logpdf=logpdf,
         sample=sample,
         center=1.0 / rate,
@@ -139,16 +135,11 @@ def gamma_density(shape: float, scale: float) -> ScalarDensity:
         out = (shape - 1.0) * np.log(safe) - safe / scale - log_norm
         return np.where(inside, out, -math.inf)
 
-    def pdf(x):
-        out = logpdf(x)
-        return np.exp(out)
-
     def sample(n: int, seed: int) -> np.ndarray:
         return make_rng(seed).gamma(shape, scale, size=int(n))
 
     return ScalarDensity(
         support=Interval(0.0, math.inf),
-        pdf=pdf,
         logpdf=logpdf,
         sample=sample,
         center=shape * scale,
@@ -187,16 +178,12 @@ def tabulated_density(grid, values) -> ScalarDensity:
     total = cum[-1]
     slopes = np.diff(values) / dx
 
-    def pdf(x):
+    def logpdf(x):
         x = np.asarray(x, dtype=float)
         inside = (x >= lo) & (x <= hi)
         safe = np.where(inside, x, lo)
-        return np.where(inside, np.interp(safe, grid, values), 0.0)
-
-    def logpdf(x):
-        p = pdf(x)
         with np.errstate(divide="ignore"):
-            return np.log(p)
+            return np.where(inside, np.log(np.interp(safe, grid, values)), -math.inf)
 
     def sample(n: int, seed: int) -> np.ndarray:
         # Inverse CDF: the cumulative mass is quadratic on each segment.
@@ -215,7 +202,6 @@ def tabulated_density(grid, values) -> ScalarDensity:
 
     return ScalarDensity(
         support=Interval(lo, hi),
-        pdf=pdf,
         logpdf=logpdf,
         sample=sample,
         center=0.5 * (lo + hi),

@@ -64,19 +64,15 @@ class MarginalFamily:
 class ConditionalFamily:
     """Family of t2-given-t1 densities indexed by (t1, theta, eta).
 
-    ``density_at`` gives one conditional density, for quadrature.
-    ``logpdf_given(t1, t2, theta, eta)`` evaluates the log density over
-    paired (t1, t2) arrays and ``sample_given(t1, theta, eta, seed)`` draws
-    one t2 per entry of ``t1``; `joint_logpdf`, `kraft.psi_decide` and
-    the Monte Carlo estimators use these.
+    ``density_at(t1, theta, eta)`` is the one description of the law, used
+    by the quadrature, `joint_logpdf`, `kraft.psi_decide` and the Monte
+    Carlo estimators alike.  ``t1`` is a scalar (one conditional density,
+    for quadrature) or an array; for an array, the returned density's
+    ``logpdf(t2)`` pairs t2 with t1 elementwise and ``sample(len(t1), seed)``
+    draws one t2 per entry of t1.  The support must not depend on t1.
     """
 
-    _density_at: Callable[[float, float, float], ScalarDensity]
-    logpdf_given: Callable[[np.ndarray, np.ndarray, float, float], np.ndarray]
-    sample_given: Callable[[np.ndarray, float, float, int], np.ndarray]
-
-    def density_at(self, t1: float, theta: float, eta: float) -> ScalarDensity:
-        return self._density_at(float(t1), float(theta), float(eta))
+    density_at: Callable[[np.ndarray | float, float, float], ScalarDensity]
 
 
 @dataclass(frozen=True)
@@ -135,18 +131,12 @@ def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:
     def marginal_at(theta: float, eta: float) -> ScalarDensity:
         return normal_density(theta, sd1)
 
-    def conditional_at(t1: float, theta: float, eta: float) -> ScalarDensity:
+    def conditional_at(t1, theta: float, eta: float) -> ScalarDensity:
         return normal_density(theta, sd2)
-
-    def logpdf_given(t1, t2, theta, eta):
-        return normal_density(theta, sd2).logpdf(t2)
-
-    def sample_given(t1, theta, eta, seed):
-        return normal_density(theta, sd2).sample(len(t1), seed)
 
     return ExpandedModel(
         marginal=MarginalFamily(marginal_at, eta0=0.0),
-        conditional=ConditionalFamily(conditional_at, logpdf_given, sample_given),
+        conditional=ConditionalFamily(conditional_at),
         eta0=0.0,
         base_marginal=lambda theta: normal_density(theta, sd1),
     )
@@ -170,21 +160,12 @@ def make_normal_variance_expansion(n: int) -> ExpandedModel:
     def marginal_at(theta: float, eta: float) -> ScalarDensity:
         return normal_density(theta, abs(eta) / math.sqrt(n))
 
-    def _t2_density(eta: float) -> ScalarDensity:
+    def conditional_at(t1, theta: float, eta: float) -> ScalarDensity:
         return gamma_density(shape, 2.0 * eta * eta / (n - 1))
-
-    def conditional_at(t1: float, theta: float, eta: float) -> ScalarDensity:
-        return _t2_density(eta)
-
-    def logpdf_given(t1, t2, theta, eta):
-        return _t2_density(eta).logpdf(t2)
-
-    def sample_given(t1, theta, eta, seed):
-        return _t2_density(eta).sample(len(t1), seed)
 
     return ExpandedModel(
         marginal=MarginalFamily(marginal_at, eta0=1.0),
-        conditional=ConditionalFamily(conditional_at, logpdf_given, sample_given),
+        conditional=ConditionalFamily(conditional_at),
         eta0=1.0,
         base_marginal=lambda theta: normal_density(theta, 1.0 / math.sqrt(n)),
     )
@@ -205,9 +186,8 @@ def joint_logpdf(em: ExpandedModel, t1, t2, theta: float, eta: float | None = No
     if eta is None:
         eta = em.eta0
     t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
     lm = em.marginal.density_at(theta, eta).logpdf(t1)
-    return lm + em.conditional.logpdf_given(t1, t2, theta, eta)
+    return lm + em.conditional.density_at(t1, theta, eta).logpdf(t2)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def estimate_phi_errors(
 
 def _sample_joint(em: ExpandedModel, theta: float, n: int, seed_t1: int, seed_t2: int):
     t1 = em.marginal.density_at(theta, em.eta0).sample(n, seed_t1)
-    return t1, em.conditional.sample_given(t1, theta, em.eta0, seed_t2)
+    return t1, em.conditional.density_at(t1, theta, em.eta0).sample(n, seed_t2)
 
 
 def estimate_psi_errors(
@@ -188,7 +188,6 @@ def row_seed(base_seed: int, theta1: float) -> int:
 
 
 def sweep(
-    kind: str,
     model: MarginalFamily | ExpandedModel,
     theta0: float,
     theta1_list: Sequence[float],
@@ -196,25 +195,25 @@ def sweep(
     seed: int,
     cfg: QuadratureConfig | None = None,
 ) -> SweepTable:
-    """Bound checks across a list of alternatives for one test type."""
-    if kind not in ("phi", "psi"):
-        raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
+    """Bound checks across a list of alternatives.
+
+    A `MarginalFamily` gets the first-statistic (phi) test and its marginal
+    bound, an `ExpandedModel` the joint-statistic (psi) test and its
+    expanded bound; the table's ``kind`` says which.
+    """
+    if isinstance(model, MarginalFamily):
+        kind, estimate, bound_of = "phi", estimate_phi_errors, marginal_bound
+    elif isinstance(model, ExpandedModel):
+        kind, estimate, bound_of = "psi", estimate_psi_errors, expanded_bound
+    else:
+        raise ValueError(f"sweep needs a model, got {type(model).__name__}")
     if len(theta1_list) == 0:
         raise ValueError("theta1_list must be nonempty")
-    if kind == "phi" and not isinstance(model, MarginalFamily):
-        raise ValueError("phi sweep requires a MarginalFamily")
-    if kind == "psi" and not isinstance(model, ExpandedModel):
-        raise ValueError("psi sweep requires an ExpandedModel")
     rows = []
     for theta1 in theta1_list:
         hyp = SimpleHypotheses(theta0, float(theta1))
-        rseed = row_seed(seed, float(theta1))
-        if kind == "phi":
-            est = estimate_phi_errors(model, hyp, replicates, rseed)
-            bound = marginal_bound(model, hyp, cfg).value
-        else:
-            est = estimate_psi_errors(model, hyp, replicates, rseed)
-            bound = expanded_bound(model, hyp, cfg).value
+        est = estimate(model, hyp, replicates, row_seed(seed, float(theta1)))
+        bound = bound_of(model, hyp, cfg).value
         chk = check_bound(est, bound)
         rows.append(
             SweepRow(

@@ -280,6 +280,17 @@ def check_replications(replications: int) -> int:
     return int(replications)
 
 
+def check_population(spec: PopulationSpec) -> PopulationSpec:
+    """The spec; raises ValueError when every attribute probability is 0.
+
+    Such a population never has a respondent, so the naive estimate is
+    undefined in every replication.
+    """
+    if not any(spec.attribute_prob):
+        raise ValueError("every attribute probability is 0, so no unit can respond")
+    return spec
+
+
 def compare_schemes(
     spec: PopulationSpec,
     acc: AccuracyModel,
@@ -293,9 +304,10 @@ def compare_schemes(
     Each replication regenerates the population, proxy responses and SRS
     draw from seeds derived of (seed, replication index).  When
     ``srs_size`` is not given, the benchmark sample matches the
-    replication's respondent count.  The replication count, ``quantile``
-    and ``srs_size`` are validated before the first replication.
+    replication's respondent count.  The spec, the replication count,
+    ``quantile`` and ``srs_size`` are validated before the first replication.
     """
+    check_population(spec)
     replications = check_replications(replications)
     quantile = check_quantile(quantile)
     if srs_size is not None:
@@ -338,7 +350,10 @@ def load_population_spec(path: str | Path) -> PopulationSpec:
     probability.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path, encoding="utf-8")
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not read:
         raise ValueError(f"cannot read config file {path}")
     if "population" not in cp:

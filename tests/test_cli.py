@@ -196,6 +196,8 @@ class TestExitCodes:
              "config"),
             (["bound", "--config", "{tmp}/not_utf8.ini", "--theta0", "0", "--theta1", "1"],
              "config"),
+            # No unit can hold the attribute, so no replication has a respondent.
+            (["survey", "--config", "{tmp}/no_attribute.ini"], "population"),
         ],
     )
     def test_input_rejected_by_library_is_config_error(self, args, field, tmp_path, capsys):
@@ -205,6 +207,7 @@ class TestExitCodes:
         inis = {
             "ok": SURVEY_INI,
             "unpaired": SURVEY_INI.replace("0.9", "1.0").replace("0.1", "1.0"),
+            "no_attribute": SURVEY_INI.replace("0.9", "0.0").replace("0.1", "0.0"),
             "no_header": "kind = normal\n",
             "stray_line": "[model]\nkind = normal\nstray line\n",
             "not_utf8": "[model]\nkind = normal\n# caf\u00e9\n",
@@ -246,6 +249,10 @@ class TestConfigRoundTrip:
     def test_parse_requires_command(self):
         with pytest.raises(ConfigError):
             parse_config_text("[quadrature]\nabs_tol = 1e-9\n")
+
+    def test_parse_rejects_text_without_section_header(self):
+        with pytest.raises(ConfigError, match="section header"):
+            parse_config_text("kind = x\n", "bound")
 
     def test_manifest_reproduces_results_bit_exactly(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -75,7 +75,6 @@ def test_scale_invariance_of_decision():
         d = base.density_at(theta, eta)
         return ScalarDensity(
             support=d.support,
-            pdf=lambda x, d=d: c * d.pdf(x),
             logpdf=lambda x, d=d: math.log(c) + d.logpdf(x),
             sample=d.sample,
             center=d.center,

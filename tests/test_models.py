@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from pxkit import (
+    ConditionalFamily,
     ExpandedModel,
+    Interval,
     ParamPoint,
     QuadratureConfig,
+    ScalarDensity,
     SimpleHypotheses,
+    check_bound,
+    estimate_psi_errors,
+    expanded_bound,
     integrate,
     joint_density,
     joint_logpdf,
@@ -20,6 +26,7 @@ from pxkit import (
     normal_density,
     verify_preservation,
 )
+from pxkit.densities import make_rng
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -164,6 +171,65 @@ class TestJointStructure:
         vec = joint_logpdf(em, t1, t2, 0.5)
         scalar = [math.log(joint_density(em, a, b, ParamPoint(0.5))) for a, b in zip(t1, t2)]
         np.testing.assert_allclose(vec, scalar, rtol=1e-12)
+
+
+# t1 ~ N(theta, SIGMA^2) and t2 | t1 ~ N(B*t1 + C*theta, TAU^2).  At every t1 the
+# two hypotheses' conditionals differ in the mean by C*delta, so the expanded
+# bound is exp(-delta^2/8 SIGMA^2) * exp(-C^2 delta^2/8 TAU^2), and the joint
+# test errs with probability Phi(-d/2) under each hypothesis, where
+# d^2 = delta^2/SIGMA^2 + C^2 delta^2/TAU^2.
+SIGMA, B, C, TAU = 1.0, 0.8, 1.5, 0.7
+
+
+def _linear_conditional_at(t1, theta, eta):
+    """N(B*t1 + C*theta, TAU^2): one law per entry of an array t1."""
+    mean = B * np.asarray(t1, dtype=float) + C * theta
+    log_norm = math.log(TAU * math.sqrt(2.0 * math.pi))
+
+    def logpdf(t2):
+        z = (np.asarray(t2, dtype=float) - mean) / TAU
+        return -0.5 * z * z - log_norm
+
+    def sample(n, seed):
+        return make_rng(seed).normal(mean, TAU, size=n)
+
+    return ScalarDensity(
+        Interval(-math.inf, math.inf), logpdf, sample, center=float(np.mean(mean)), scale=TAU
+    )
+
+
+LINEAR = ExpandedModel(
+    marginal=make_normal_location(SIGMA),
+    conditional=ConditionalFamily(_linear_conditional_at),
+    eta0=0.0,
+)
+
+
+class TestT1DependentConditional:
+    def test_joint_logpdf_matches_joint_density(self):
+        rng = np.random.default_rng(3)
+        t1 = rng.normal(0.3, 2.0, size=50)
+        t2 = rng.normal(0.0, 3.0, size=50)
+        vec = np.exp(joint_logpdf(LINEAR, t1, t2, 0.3))
+        scalar = [joint_density(LINEAR, a, b, ParamPoint(0.3)) for a, b in zip(t1, t2)]
+        np.testing.assert_allclose(vec, scalar, rtol=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+    def test_expanded_bound_matches_closed_form(self, delta):
+        res = expanded_bound(LINEAR, SimpleHypotheses(0.0, delta))
+        exact = math.exp(-(delta**2) / (8 * SIGMA**2)) * math.exp(-(C * delta) ** 2 / (8 * TAU**2))
+        assert abs(res.raw_value - exact) <= res.abs_error_estimate
+
+    def test_psi_estimate_matches_oracle_and_bound(self):
+        delta, n = 1.0, 10**5
+        hyp = SimpleHypotheses(0.0, delta)
+        est = estimate_psi_errors(LINEAR, hyp, n, seed=17)
+        d = delta * math.sqrt(1 / SIGMA**2 + C**2 / TAU**2)
+        p = 0.5 * math.erfc(d / 2 / math.sqrt(2))
+        sd = math.sqrt(p * (1 - p) / n)
+        assert abs(est.alpha_hat - p) < 5 * sd
+        assert abs(est.beta_hat - p) < 5 * sd
+        assert check_bound(est, expanded_bound(LINEAR, hyp).value).satisfied
 
 
 class TestPreservation:

@@ -134,41 +134,41 @@ class TestCheckBound:
 
 class TestSweep:
     def test_rows_have_positive_slack(self):
-        table = sweep("phi", NORMAL, 0.0, [0.5, 1.0, 2.0], 10**4, seed=99)
+        table = sweep(NORMAL, 0.0, [0.5, 1.0, 2.0], 10**4, seed=99)
+        assert table.kind == "phi"
         assert len(table.rows) == 3
         for row in table.rows:
             assert row.slack > 0
             assert row.satisfied
 
     def test_singleton_reproduces_single_estimate(self):
-        table = sweep("phi", NORMAL, 0.0, [1.0], 10**4, seed=123)
+        table = sweep(NORMAL, 0.0, [1.0], 10**4, seed=123)
         est = estimate_phi_errors(NORMAL, HYP, 10**4, seed=row_seed(123, 1.0))
         row = table.rows[0]
         assert row.alpha_hat == est.alpha_hat
         assert row.beta_hat == est.beta_hat
 
     def test_reordering_permutes_rows_only(self):
-        fwd = sweep("phi", NORMAL, 0.0, [0.5, 1.0, 2.0], 5000, seed=7)
-        rev = sweep("phi", NORMAL, 0.0, [2.0, 1.0, 0.5], 5000, seed=7)
+        fwd = sweep(NORMAL, 0.0, [0.5, 1.0, 2.0], 5000, seed=7)
+        rev = sweep(NORMAL, 0.0, [2.0, 1.0, 0.5], 5000, seed=7)
         key = lambda r: r.theta1
         assert sorted(fwd.rows, key=key) == sorted(rev.rows, key=key)
 
     def test_psi_sweep(self):
         em = make_two_stage_normal(1, 1, 1.0)
-        table = sweep("psi", em, 0.0, [1.0, 2.0], 10**4, seed=4)
+        table = sweep(em, 0.0, [1.0, 2.0], 10**4, seed=4)
+        assert table.kind == "psi"
         for row in table.rows:
             assert row.satisfied
 
     def test_exponential_rows_respect_bound(self):
         fam = make_exponential_rate()
-        table = sweep("phi", fam, 1.0, [1.5, 2.0, 4.0], 10**4, seed=21)
+        table = sweep(fam, 1.0, [1.5, 2.0, 4.0], 10**4, seed=21)
         for row in table.rows:
             assert row.satisfied
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            sweep("phi", NORMAL, 0.0, [], 1000, seed=0)
+            sweep(NORMAL, 0.0, [], 1000, seed=0)
         with pytest.raises(ValueError):
-            sweep("chi", NORMAL, 0.0, [1.0], 1000, seed=0)
-        with pytest.raises(ValueError):
-            sweep("psi", NORMAL, 0.0, [1.0], 1000, seed=0)
+            sweep("normal", 0.0, [1.0], 1000, seed=0)

@@ -18,6 +18,7 @@ from pxkit import (
     generate_population,
     load_population_spec,
 )
+from pxkit import survey
 from pxkit.survey import REPORT_DTYPE
 
 TWO_STRATA = PopulationSpec(
@@ -237,6 +238,12 @@ class TestCompareSchemes:
         with pytest.raises(ValueError):
             compare_schemes(TWO_STRATA, PERFECT, 1.0, 5, seed=0)
 
+    def test_no_possible_respondent_rejected_before_replicating(self, monkeypatch):
+        spec = replace(TWO_STRATA, attribute_prob=(0.0, 0.0))
+        monkeypatch.setattr(survey, "generate_population", lambda spec: pytest.fail("replicated"))
+        with pytest.raises(ValueError, match="attribute probability"):
+            compare_schemes(spec, PERFECT, 1.0, 10, seed=0)
+
 
 def test_population_spec_config_roundtrip(tmp_path):
     path = tmp_path / "pop.ini"
@@ -258,4 +265,14 @@ def test_population_spec_config_errors(tmp_path):
         load_population_spec(path)
     path.write_text("[population]\nbogus = 1\nstrata =\n    A, 10, 0, 1, 0.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bogus"):
+        load_population_spec(path)
+
+
+@pytest.mark.parametrize(
+    "content", [b"kind = x\n", b"[population]\n# caf\xe9\n"], ids=["no_header", "not_utf8"]
+)
+def test_unparsable_population_file_is_value_error_naming_it(tmp_path, content):
+    path = tmp_path / "pop.ini"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match="pop.ini"):
         load_population_spec(path)
