@@ -11,7 +11,7 @@ measure computed by ``activation_measure``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,15 +82,31 @@ def _sqrt_product_integrand(f: ScalarDensity, g: ScalarDensity):
     return integrand
 
 
-def _transform_hints(f: ScalarDensity, g: ScalarDensity, lo: float, hi: float):
-    """Location/scale hints for the infinite-interval substitution."""
+def _integrate_overlap(
+    integrand, f: ScalarDensity, g: ScalarDensity, cfg: QuadratureConfig | None
+) -> AffinityResult:
+    """Integral of ``integrand`` over the common support of f and g, clamped to [0, 1].
+
+    Disjoint supports give exactly 0 with no evaluation.  The location and
+    scale hints of the infinite-interval substitution come from f and g.
+    """
+    common = f.support.intersect(g.support)
+    if common is None:
+        return AffinityResult(value=0.0, raw_value=0.0, abs_error_estimate=0.0, evaluations=0)
+    lo, hi = common.lower, common.upper
     center = 0.5 * (f.center + g.center)
-    spread = max(f.scale, g.scale) + 0.5 * abs(f.center - g.center)
-    spread = max(spread, 1e-12)
-    if math.isinf(lo) and math.isinf(hi):
-        return center, spread
-    anchor = lo if math.isinf(hi) else hi
-    return center, max(spread, abs(center - anchor))
+    scale = max(f.scale, g.scale) + 0.5 * abs(f.center - g.center)
+    scale = max(scale, 1e-12)
+    if not (math.isinf(lo) and math.isinf(hi)):
+        anchor = lo if math.isinf(hi) else hi
+        scale = max(scale, abs(center - anchor))
+    res = integrate(integrand, lo, hi, cfg, center=center, scale=scale)
+    return AffinityResult(
+        value=min(1.0, max(0.0, res.value)),
+        raw_value=res.value,
+        abs_error_estimate=res.abs_error,
+        evaluations=res.evaluations,
+    )
 
 
 def affinity(
@@ -99,24 +115,7 @@ def affinity(
     cfg: QuadratureConfig | None = None,
 ) -> AffinityResult:
     """Affinity of two densities by adaptive quadrature over the common support."""
-    common = f.support.intersect(g.support)
-    if common is None:
-        return AffinityResult(value=0.0, raw_value=0.0, abs_error_estimate=0.0, evaluations=0)
-    center, scale = _transform_hints(f, g, common.lower, common.upper)
-    res = integrate(
-        _sqrt_product_integrand(f, g),
-        common.lower,
-        common.upper,
-        cfg,
-        center=center,
-        scale=scale,
-    )
-    return AffinityResult(
-        value=min(1.0, max(0.0, res.value)),
-        raw_value=res.value,
-        abs_error_estimate=res.abs_error,
-        evaluations=res.evaluations,
-    )
+    return _integrate_overlap(_sqrt_product_integrand(f, g), f, g, cfg)
 
 
 def hellinger_sq(
@@ -166,51 +165,35 @@ def expanded_bound(
         cfg = QuadratureConfig()
     m1 = em.marginal.density_at(hyp.theta1, em.eta0)
     m0 = em.marginal.density_at(hyp.theta0, em.eta0)
-    common = m1.support.intersect(m0.support)
-    if common is None:
-        return AffinityResult(value=0.0, raw_value=0.0, abs_error_estimate=0.0, evaluations=0)
-
     outer_tol = 0.5 * cfg.abs_tol
     inner_tol = outer_tol / 10.0
     weight = _sqrt_product_integrand(m1, m0)
-    inner_evals = [0]
+    inner_evals = 0
 
     def outer_integrand(t1_values):
+        nonlocal inner_evals
         t1_values = np.atleast_1d(np.asarray(t1_values, dtype=float))
         w = weight(t1_values)
         out = np.zeros_like(w)
         for i, t1 in enumerate(t1_values):
             if w[i] == 0.0:
                 continue
-            remaining = cfg.max_evaluations - inner_evals[0]
+            remaining = cfg.max_evaluations - inner_evals
             if remaining < 100:
-                raise QuadratureBudgetError(float(out[i]), math.inf, inner_evals[0])
-            inner = conditional_affinity(
-                em,
-                hyp,
-                float(t1),
-                QuadratureConfig(inner_tol, cfg.rel_tol, remaining),
-            )
-            inner_evals[0] += inner.evaluations
+                raise QuadratureBudgetError(float(out[i]), math.inf, inner_evals)
+            inner_cfg = replace(cfg, abs_tol=inner_tol, max_evaluations=remaining)
+            inner = conditional_affinity(em, hyp, float(t1), inner_cfg)
+            inner_evals += inner.evaluations
             out[i] = w[i] * inner.raw_value
         return out
 
-    center, scale = _transform_hints(m1, m0, common.lower, common.upper)
-    res = integrate(
-        outer_integrand,
-        common.lower,
-        common.upper,
-        cfg,
-        abs_tol=outer_tol,
-        center=center,
-        scale=scale,
-    )
-    total_err = res.abs_error + inner_tol
-    return AffinityResult(
-        value=min(1.0, max(0.0, res.value)),
-        raw_value=res.value,
-        abs_error_estimate=total_err,
-        evaluations=res.evaluations + inner_evals[0],
+    res = _integrate_overlap(outer_integrand, m1, m0, replace(cfg, abs_tol=outer_tol))
+    if res.evaluations == 0:
+        return res  # disjoint supports: no integral, so no inner tolerance either
+    return replace(
+        res,
+        abs_error_estimate=res.abs_error_estimate + inner_tol,
+        evaluations=res.evaluations + inner_evals,
     )
 
 

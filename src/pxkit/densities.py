@@ -73,8 +73,10 @@ class ScalarDensity:
 
 def normal_density(mean: float, sd: float) -> ScalarDensity:
     """Normal density with the given mean and standard deviation."""
-    if not sd > 0:
-        raise ValueError(f"standard deviation must be positive, got {sd}")
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not 0 < sd < math.inf:
+        raise ValueError(f"standard deviation must be positive and finite, got {sd}")
     mean = float(mean)
     sd = float(sd)
     log_norm = math.log(sd * _SQRT_2PI)
@@ -97,8 +99,8 @@ def normal_density(mean: float, sd: float) -> ScalarDensity:
 
 def exponential_density(rate: float) -> ScalarDensity:
     """Exponential density with the given rate on [0, inf)."""
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     rate = float(rate)
     log_rate = math.log(rate)
 
@@ -122,8 +124,8 @@ def exponential_density(rate: float) -> ScalarDensity:
 
 def gamma_density(shape: float, scale: float) -> ScalarDensity:
     """Gamma density (shape/scale parameterization) on (0, inf)."""
-    if not shape > 0 or not scale > 0:
-        raise ValueError(f"shape and scale must be positive, got ({shape}, {scale})")
+    if not (0 < shape < math.inf and 0 < scale < math.inf):
+        raise ValueError(f"shape and scale must be positive and finite, got ({shape}, {scale})")
     shape = float(shape)
     scale = float(scale)
     log_norm = math.lgamma(shape) + shape * math.log(scale)

@@ -86,14 +86,18 @@ class ExpandedModel:
 
     marginal: MarginalFamily
     conditional: ConditionalFamily
-    eta0: float
     base_marginal: Callable[[float], ScalarDensity] | None = None
+
+    @property
+    def eta0(self) -> float:
+        """The expansion baseline: the marginal family's ``eta0``, its one source."""
+        return self.marginal.eta0
 
 
 def make_normal_location(sigma: float) -> MarginalFamily:
     """Normal location family: theta is the mean, sigma fixed, eta unused."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
     def density_at(theta: float, eta: float) -> ScalarDensity:
         return normal_density(theta, sigma)
@@ -123,8 +127,8 @@ def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:
     """
     if int(n1) != n1 or int(n2) != n2 or n1 < 1 or n2 < 1:
         raise ValueError(f"observation counts must be integers >= 1, got ({n1}, {n2})")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     sd1 = sigma / math.sqrt(n1)
     sd2 = sigma / math.sqrt(n2)
 
@@ -137,7 +141,6 @@ def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:
     return ExpandedModel(
         marginal=MarginalFamily(marginal_at, eta0=0.0),
         conditional=ConditionalFamily(conditional_at),
-        eta0=0.0,
         base_marginal=lambda theta: normal_density(theta, sd1),
     )
 
@@ -166,7 +169,6 @@ def make_normal_variance_expansion(n: int) -> ExpandedModel:
     return ExpandedModel(
         marginal=MarginalFamily(marginal_at, eta0=1.0),
         conditional=ConditionalFamily(conditional_at),
-        eta0=1.0,
         base_marginal=lambda theta: normal_density(theta, 1.0 / math.sqrt(n)),
     )
 

@@ -10,6 +10,7 @@ are evaluated vectorized (count aggregation is order-insensitive).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
@@ -65,22 +66,23 @@ def check_replicates(replicates: int) -> int:
     return int(replicates)
 
 
-def estimate_phi_errors(
-    family: MarginalFamily, hyp: SimpleHypotheses, replicates: int, seed: int
+def _estimate_errors(
+    sample, logpdf, hyp: SimpleHypotheses, replicates: int, seed: int
 ) -> ErrorProbEstimate:
-    """Error probabilities of the first-statistic test.
+    """Error probabilities of the test that rejects when ``logpdf(t, theta1)`` wins.
 
-    Draws t1 under each hypothesis from decorrelated streams, applies the
-    strict positive-half-log-ratio rejection rule, and reports rejection /
-    retention frequencies.
+    ``sample(theta, n, seeds)`` draws n statistics under theta, taking one
+    stream seed from the iterator ``seeds`` per draw it makes;
+    ``logpdf(t, theta)`` is their log density.  Seeds are derived from
+    ``seed`` with keys 0, 1, ... in draw order, the theta0 draws first.
+    Decisions use the strict positive-half-log-ratio rule of `kraft.decide`.
     """
     replicates = check_replicates(replicates)
-    d0 = family.density_at(hyp.theta0)
-    d1 = family.density_at(hyp.theta1)
-    t_h0 = d0.sample(replicates, derive_seed(seed, 0))
-    t_h1 = d1.sample(replicates, derive_seed(seed, 1))
-    reject_h0 = decide(d1.logpdf(t_h0), d0.logpdf(t_h0))[0]
-    reject_h1 = decide(d1.logpdf(t_h1), d0.logpdf(t_h1))[0]
+    seeds = (derive_seed(seed, key) for key in itertools.count())
+    t_h0 = sample(hyp.theta0, replicates, seeds)
+    t_h1 = sample(hyp.theta1, replicates, seeds)
+    reject_h0 = decide(logpdf(t_h0, hyp.theta1), logpdf(t_h0, hyp.theta0))[0]
+    reject_h1 = decide(logpdf(t_h1, hyp.theta1), logpdf(t_h1, hyp.theta0))[0]
     alpha = float(np.mean(reject_h0))
     beta = float(np.mean(~reject_h1))
     return ErrorProbEstimate(
@@ -93,33 +95,39 @@ def estimate_phi_errors(
     )
 
 
-def _sample_joint(em: ExpandedModel, theta: float, n: int, seed_t1: int, seed_t2: int):
-    t1 = em.marginal.density_at(theta, em.eta0).sample(n, seed_t1)
-    return t1, em.conditional.density_at(t1, theta, em.eta0).sample(n, seed_t2)
+def estimate_phi_errors(
+    family: MarginalFamily, hyp: SimpleHypotheses, replicates: int, seed: int
+) -> ErrorProbEstimate:
+    """Error probabilities of the first-statistic test.
+
+    Draws t1 under each hypothesis from its own stream (keys 0 and 1) and
+    reports rejection / retention frequencies.
+    """
+    density = {theta: family.density_at(theta) for theta in (hyp.theta0, hyp.theta1)}
+    return _estimate_errors(
+        lambda theta, n, seeds: density[theta].sample(n, next(seeds)),
+        lambda t, theta: density[theta].logpdf(t),
+        hyp,
+        replicates,
+        seed,
+    )
 
 
 def estimate_psi_errors(
     em: ExpandedModel, hyp: SimpleHypotheses, replicates: int, seed: int
 ) -> ErrorProbEstimate:
-    """Error probabilities of the joint-statistic test at eta0."""
-    replicates = check_replicates(replicates)
-    t1_h0, t2_h0 = _sample_joint(em, hyp.theta0, replicates, derive_seed(seed, 0), derive_seed(seed, 1))
-    t1_h1, t2_h1 = _sample_joint(em, hyp.theta1, replicates, derive_seed(seed, 2), derive_seed(seed, 3))
-    reject_h0 = decide(
-        joint_logpdf(em, t1_h0, t2_h0, hyp.theta1), joint_logpdf(em, t1_h0, t2_h0, hyp.theta0)
-    )[0]
-    reject_h1 = decide(
-        joint_logpdf(em, t1_h1, t2_h1, hyp.theta1), joint_logpdf(em, t1_h1, t2_h1, hyp.theta0)
-    )[0]
-    alpha = float(np.mean(reject_h0))
-    beta = float(np.mean(~reject_h1))
-    return ErrorProbEstimate(
-        alpha_hat=alpha,
-        beta_hat=beta,
-        replicates=replicates,
-        seed=int(seed),
-        half_width_alpha=_half_width(alpha, replicates),
-        half_width_beta=_half_width(beta, replicates),
+    """Error probabilities of the joint-statistic test at eta0.
+
+    Draws t1 and then t2 given t1 under each hypothesis, from streams with
+    keys 0 and 1 under theta0 and 2 and 3 under theta1.
+    """
+
+    def sample(theta, n, seeds):
+        t1 = em.marginal.density_at(theta, em.eta0).sample(n, next(seeds))
+        return t1, em.conditional.density_at(t1, theta, em.eta0).sample(n, next(seeds))
+
+    return _estimate_errors(
+        sample, lambda t, theta: joint_logpdf(em, *t, theta), hyp, replicates, seed
     )
 
 

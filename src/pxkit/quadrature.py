@@ -72,6 +72,7 @@ _WG = np.array([
 ])
 
 _EPS = np.finfo(float).eps
+_INITIAL_PANELS = 16  # equal panels the interval is cut into before adaptive bisection
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,9 @@ class QuadratureConfig:
     max_evaluations: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0 or not self.rel_tol > 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_evaluations < 100:
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not self.max_evaluations >= 100:
             raise ValueError("max_evaluations must be at least 100")
 
 
@@ -142,34 +143,26 @@ def _transform(fn: Callable, lower: float, upper: float, center: float, scale: f
     s = scale if scale > 0 else 1.0
 
     if lo_inf and hi_inf:
-        c = center
+        a, b = -1.0, 1.0
 
-        def g(t):
-            t = np.asarray(t, dtype=float)
+        def substitute(t):
             onemt2 = 1.0 - t * t
-            x = c + s * t / onemt2
-            w = s * (1.0 + t * t) / (onemt2 * onemt2)
-            fx = np.asarray(fn(x), dtype=float)
-            return np.where(fx == 0.0, 0.0, fx * w)
+            return center + s * t / onemt2, s * (1.0 + t * t) / (onemt2 * onemt2)
 
-        return -1.0, 1.0, g
-
-    if hi_inf:
-        a = lower
-        sign = 1.0
     else:
-        a = upper
-        sign = -1.0
+        a, b = 0.0, 1.0
+        anchor, sign = (lower, 1.0) if hi_inf else (upper, -1.0)
+
+        def substitute(t):
+            onemt = 1.0 - t
+            return anchor + sign * s * t / onemt, s / (onemt * onemt)
 
     def g(t):
-        t = np.asarray(t, dtype=float)
-        onemt = 1.0 - t
-        x = a + sign * s * t / onemt
-        w = s / (onemt * onemt)
+        x, w = substitute(np.asarray(t, dtype=float))
         fx = np.asarray(fn(x), dtype=float)
         return np.where(fx == 0.0, 0.0, fx * w)
 
-    return 0.0, 1.0, g
+    return a, b, g
 
 
 def integrate(
@@ -178,27 +171,25 @@ def integrate(
     upper: float,
     cfg: QuadratureConfig | None = None,
     *,
-    abs_tol: float | None = None,
     center: float = 0.0,
     scale: float = 1.0,
-    initial_panels: int = 16,
 ) -> QuadResult:
     """Integrate a vectorized function over (lower, upper).
 
     Converges when the summed panel error is below
-    max(abs_tol, rel_tol * |integral|).  ``abs_tol`` overrides the config
-    value, which lets iterated integrals split one tolerance budget.
+    max(cfg.abs_tol, cfg.rel_tol * |integral|).  There is no per-call
+    override: an iterated integral passes each level a config that holds
+    its share of the tolerance and of the evaluation budget.
     Raises QuadratureBudgetError when max_evaluations is hit first.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    tol_abs = cfg.abs_tol if abs_tol is None else abs_tol
     if lower >= upper:
         raise ValueError(f"bad integration interval ({lower}, {upper})")
 
     a, b, g = _transform(fn, lower, upper, center, scale)
 
-    edges = np.linspace(a, b, initial_panels + 1)
+    edges = np.linspace(a, b, _INITIAL_PANELS + 1)
     heap: list = []
     seq = 0
     total = 0.0
@@ -213,7 +204,7 @@ def integrate(
         seq += 1
 
     splits = 0
-    while err_total > max(tol_abs, cfg.rel_tol * abs(total)):
+    while err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         if evals + 30 > cfg.max_evaluations:
             raise QuadratureBudgetError(total, err_total, evals)
         neg_e, _, left, right, v, e = heapq.heappop(heap)

@@ -39,8 +39,10 @@ class Stratum:
     def __post_init__(self) -> None:
         if int(self.size) != self.size or self.size <= 0:
             raise ValueError(f"stratum {self.label!r}: size must be a positive integer")
-        if self.value_sd < 0:
-            raise ValueError(f"stratum {self.label!r}: value_sd must be nonnegative")
+        if not math.isfinite(self.value_mean):
+            raise ValueError(f"stratum {self.label!r}: value_mean must be finite")
+        if not 0 <= self.value_sd < math.inf:
+            raise ValueError(f"stratum {self.label!r}: value_sd must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class AccuracyModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_accurate <= 1.0:
             raise ValueError(f"p_accurate must lie in [0, 1], got {self.p_accurate}")
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        if not 0 <= self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
 
 
 @dataclass(frozen=True, eq=False)

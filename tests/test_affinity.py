@@ -1,12 +1,17 @@
 """Affinity values against closed forms, bound ordering, and the activation measure."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate as sciint
 
 from pxkit import (
+    AffinityResult,
+    ConditionalFamily,
+    ExpandedModel,
+    MarginalFamily,
     QuadratureBudgetError,
     QuadratureConfig,
     SimpleHypotheses,
@@ -144,6 +149,17 @@ class TestExpandedBound:
         assert eb.value == pytest.approx(mb.value, abs=1e-8)
         assert eb.value == pytest.approx(gaussian_affinity(0, 1, 1 / math.sqrt(n)), abs=1e-8)
 
+    def test_disjoint_marginal_supports(self):
+        # t1 is uniform on [theta, theta + 1], so theta = 0 and 5 never overlap.
+        def conditional_at(t1, theta, eta):
+            raise AssertionError("no conditional is needed when the marginals are disjoint")
+
+        em = ExpandedModel(
+            MarginalFamily(lambda theta, eta: tabulated_density([theta, theta + 1.0], [1.0, 1.0])),
+            ConditionalFamily(conditional_at),
+        )
+        assert expanded_bound(em, SimpleHypotheses(0, 5)) == AffinityResult(0.0, 0.0, 0.0, 0)
+
     def test_tiny_separation_stays_below_one(self):
         em = make_two_stage_normal(1, 1, 1.0)
         res = expanded_bound(em, SimpleHypotheses(0, 0.001))
@@ -170,6 +186,15 @@ class TestActivationMeasure:
             comp = activation_measure(em, hyp)
             assert abs(comp.r_measure) <= 2e-9
             assert not comp.strict
+
+    def test_rebased_variance_model_never_strict(self):
+        # Both statistics use the marginal family's baseline, here eta0 = 2.
+        ve = make_normal_variance_expansion(4)
+        em = ExpandedModel(replace(ve.marginal, eta0=2.0), ve.conditional)
+        assert em.eta0 == 2.0
+        comp = activation_measure(em, SimpleHypotheses(0, 1))
+        assert abs(comp.r_measure) <= comp.marginal_error + comp.expanded_error
+        assert not comp.strict
 
     def test_r_measure_is_bound_difference(self):
         comp = activation_measure(make_two_stage_normal(2, 1, 1.0), SimpleHypotheses(0, 0.7))

@@ -1,5 +1,6 @@
 """CLI subcommands end to end: outputs, manifests, config handling, exit codes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -221,6 +222,45 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         named = err.split(": ")[1].split(", ")
         assert field in named
+        assert not (tmp_path / "x.json").exists()
+
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["bound", "--model", "normal", "--sigma", "inf", "--theta0", "0", "--theta1", "1"],
+             "sigma"),
+            (["r-measure", "--model", "two-stage-normal", "--sigma", "inf", "--theta0", "0",
+              "--theta1", "1"], "sigma"),
+            (["r-measure", "--model", "two-stage-normal", "--abs-tol", "inf", "--theta0", "0",
+              "--theta1", "1"], "abs_tol"),
+            (["bound", "--model", "normal", "--rel-tol", "inf", "--theta0", "0", "--theta1", "1"],
+             "rel_tol"),
+            (["survey", "--config", "{tmp}/ok.ini", "--noise-sd", "nan", "--p-accurate", "0.5"],
+             "noise_sd"),
+            (["survey", "--config", "{tmp}/nan_mean.ini"], "value_mean"),
+            (["survey", "--config", "{tmp}/nan_sd.ini"], "value_sd"),
+        ],
+    )
+    def test_non_finite_input_rejected_before_computing(
+        self, args, field, tmp_path, capsys, monkeypatch
+    ):
+        def computation(*args, **kwargs):
+            raise AssertionError("computation started on rejected input")
+
+        monkeypatch.setattr(importlib.import_module("pxkit.affinity"), "integrate", computation)
+        monkeypatch.setattr(importlib.import_module("pxkit.cli"), "compare_schemes", computation)
+        inis = {
+            "ok": SURVEY_INI,
+            "nan_mean": SURVEY_INI.replace("A, 50, 0.0, 1.0", "A, 50, nan, 1.0"),
+            "nan_sd": SURVEY_INI.replace("A, 50, 0.0, 1.0", "A, 50, 0.0, nan"),
+        }
+        for name, text in inis.items():
+            (tmp_path / f"{name}.ini").write_text(text, encoding="utf-8")
+        args = [a.format(tmp=tmp_path) for a in args]
+        assert run_cli(*args, "--out", str(tmp_path / "x.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
         assert not (tmp_path / "x.json").exists()
 
 

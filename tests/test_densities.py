@@ -86,6 +86,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             gamma_density(-1, 1)
 
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (normal_density, (math.nan, 1.0)),
+            (normal_density, (math.inf, 1.0)),
+            (normal_density, (0.0, math.inf)),
+            (exponential_density, (math.inf,)),
+            (gamma_density, (math.inf, 1.0)),
+            (gamma_density, (2.0, math.inf)),
+        ],
+    )
+    def test_non_finite_parameters(self, make, args):
+        with pytest.raises(ValueError, match="finite"):
+            make(*args)
+
     def test_tabulated_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
             tabulated_density([0, 1], [0, 0])

@@ -64,6 +64,15 @@ class TestNormalLocation:
             make_normal_location(0.0)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "make", [make_normal_location, lambda s: make_two_stage_normal(1, 1, s)], ids=["normal", "two_stage"]
+)
+def test_non_finite_sigma_is_named(make, sigma):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        make(sigma)
+
+
 class TestExponentialRate:
     def test_pdf_matches_formula(self):
         fam = make_exponential_rate()
@@ -201,7 +210,6 @@ def _linear_conditional_at(t1, theta, eta):
 LINEAR = ExpandedModel(
     marginal=make_normal_location(SIGMA),
     conditional=ConditionalFamily(_linear_conditional_at),
-    eta0=0.0,
 )
 
 
@@ -246,7 +254,6 @@ class TestPreservation:
         broken = ExpandedModel(
             marginal=em.marginal,
             conditional=em.conditional,
-            eta0=em.eta0,
             base_marginal=lambda theta: normal_density(theta + 0.01, 1.0),
         )
         report = verify_preservation(broken, 0.0, [-1.0, 0.0, 1.0])
@@ -255,6 +262,6 @@ class TestPreservation:
 
     def test_missing_base_family_raises(self):
         em = make_two_stage_normal(1, 1, 1.0)
-        bare = ExpandedModel(em.marginal, em.conditional, em.eta0)
+        bare = ExpandedModel(em.marginal, em.conditional)
         with pytest.raises(ValueError):
             verify_preservation(bare, 0.0, [0.0])

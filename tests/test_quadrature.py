@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate as sciint
 
 from pxkit import QuadratureBudgetError, QuadratureConfig, integrate
-from pxkit.quadrature import _WG, _WK
+from pxkit.quadrature import _WG, _WK, _panel
 
 
 def test_rule_weights_sum_to_interval_length():
@@ -18,8 +18,8 @@ def test_rule_weights_sum_to_interval_length():
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 8, 13, 20])
 def test_polynomial_exactness(degree):
     # K15 integrates polynomials up to degree 22 exactly; compare on [0, 1].
-    res = integrate(lambda x: (degree + 1) * x**degree, 0.0, 1.0, initial_panels=1)
-    assert res.value == pytest.approx(1.0, abs=1e-13)
+    value, _ = _panel(lambda x: (degree + 1) * x**degree, 0.0, 1.0)
+    assert value == pytest.approx(1.0, abs=1e-13)
 
 
 def test_known_definite_integrals():
@@ -79,6 +79,19 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1)
     with pytest.raises(ValueError):
         QuadratureConfig(max_evaluations=10)
+
+
+def test_nan_budget_rejected():
+    # A NaN budget would compare false against every evaluation count and never stop.
+    with pytest.raises(ValueError, match="max_evaluations"):
+        QuadratureConfig(max_evaluations=math.nan)
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_tolerance_rejected(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureConfig(**{field: value})
 
 
 def test_bad_interval():

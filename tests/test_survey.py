@@ -45,6 +45,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Stratum("A", 10, 0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "mean, sd, field",
+        [(math.nan, 1.0, "value_mean"), (math.inf, 1.0, "value_mean"),
+         (0.0, math.nan, "value_sd"), (0.0, math.inf, "value_sd")],
+    )
+    def test_rejects_non_finite_stratum(self, mean, sd, field):
+        with pytest.raises(ValueError, match=field):
+            Stratum("A", 10, mean, sd)
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             PopulationSpec(
@@ -128,6 +137,11 @@ class TestProxyResponses:
         acc = AccuracyModel(0.5, 2.0)
         a, b = collect_proxy_responses(pop, acc, 9), collect_proxy_responses(pop, acc, 9)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("noise_sd", [math.nan, math.inf])
+    def test_accuracy_model_rejects_non_finite_noise(self, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd"):
+            AccuracyModel(0.5, noise_sd)
 
     def test_accuracy_model_validation(self):
         with pytest.raises(ValueError):
