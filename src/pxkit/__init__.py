@@ -31,15 +31,12 @@ from .densities import (
     normal_density,
     tabulated_density,
 )
-from .kraft import Decision, phi_decide, psi_decide
 from .models import (
     ConditionalFamily,
     ExpandedModel,
     MarginalFamily,
-    ParamPoint,
     PreservationReport,
     SimpleHypotheses,
-    joint_density,
     joint_logpdf,
     make_exponential_rate,
     make_normal_location,
@@ -62,7 +59,6 @@ from .quadrature import QuadratureBudgetError, QuadratureConfig, QuadResult, int
 from .seeding import derive_seed
 from .survey import (
     AccuracyModel,
-    EstimateReport,
     Population,
     PopulationSpec,
     SchemeComparison,

@@ -157,9 +157,13 @@ def expanded_bound(
     of the two t2 conditionals is found by an inner adaptive quadrature at
     one tenth of the outer tolerance, then weighted by sqrt of the product
     of the marginal densities and integrated over t1.  The reported error
-    adds the inner tolerance budget to the outer quadrature estimate.  On
-    budget exhaustion mid-iteration the raised error refers to the
-    integral that was in progress.
+    adds the inner tolerance budget to the outer quadrature estimate.
+
+    The outer integral has a budget of ``max_evaluations``, and the inner
+    integrals share another.  When either runs out, the raised
+    QuadratureBudgetError counts the evaluations of both levels.  Its value
+    is the outer partial sum if the outer integral ran out, and NaN if an
+    inner one did: a node without its inner affinity leaves no estimate.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -168,26 +172,37 @@ def expanded_bound(
     outer_tol = 0.5 * cfg.abs_tol
     inner_tol = outer_tol / 10.0
     weight = _sqrt_product_integrand(m1, m0)
-    inner_evals = 0
+    outer_evals = inner_evals = 0
+    inner_ran_out = False
 
     def outer_integrand(t1_values):
-        nonlocal inner_evals
+        nonlocal outer_evals, inner_evals, inner_ran_out
         t1_values = np.atleast_1d(np.asarray(t1_values, dtype=float))
+        outer_evals += len(t1_values)
         w = weight(t1_values)
         out = np.zeros_like(w)
         for i, t1 in enumerate(t1_values):
             if w[i] == 0.0:
                 continue
             remaining = cfg.max_evaluations - inner_evals
-            if remaining < 100:
-                raise QuadratureBudgetError(float(out[i]), math.inf, inner_evals)
-            inner_cfg = replace(cfg, abs_tol=inner_tol, max_evaluations=remaining)
-            inner = conditional_affinity(em, hyp, float(t1), inner_cfg)
+            try:
+                if remaining < 100:
+                    raise QuadratureBudgetError(math.nan, math.inf, 0)
+                inner_cfg = replace(cfg, abs_tol=inner_tol, max_evaluations=remaining)
+                inner = conditional_affinity(em, hyp, float(t1), inner_cfg)
+            except QuadratureBudgetError as exc:
+                inner_evals += exc.evaluations
+                inner_ran_out = True
+                raise
             inner_evals += inner.evaluations
             out[i] = w[i] * inner.raw_value
         return out
 
-    res = _integrate_overlap(outer_integrand, m1, m0, replace(cfg, abs_tol=outer_tol))
+    try:
+        res = _integrate_overlap(outer_integrand, m1, m0, replace(cfg, abs_tol=outer_tol))
+    except QuadratureBudgetError as exc:
+        partial = (math.nan, math.inf) if inner_ran_out else (exc.value, exc.abs_error + inner_tol)
+        raise QuadratureBudgetError(*partial, outer_evals + inner_evals) from None
     if res.evaluations == 0:
         return res  # disjoint supports: no integral, so no inner tolerance either
     return replace(

@@ -20,20 +20,6 @@ from .densities import ScalarDensity, gamma_density, normal_density, exponential
 
 
 @dataclass(frozen=True)
-class ParamPoint:
-    """A (theta, eta) parameter pair; eta=None means the model's eta0."""
-
-    theta: float
-    eta: float | None = None
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
-        if self.eta is not None and not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
-
-
-@dataclass(frozen=True)
 class SimpleHypotheses:
     """The two parameter values of a simple-vs-simple testing problem."""
 
@@ -65,11 +51,11 @@ class ConditionalFamily:
     """Family of t2-given-t1 densities indexed by (t1, theta, eta).
 
     ``density_at(t1, theta, eta)`` is the one description of the law, used
-    by the quadrature, `joint_logpdf`, `kraft.psi_decide` and the Monte
-    Carlo estimators alike.  ``t1`` is a scalar (one conditional density,
-    for quadrature) or an array; for an array, the returned density's
-    ``logpdf(t2)`` pairs t2 with t1 elementwise and ``sample(len(t1), seed)``
-    draws one t2 per entry of t1.  The support must not depend on t1.
+    by the quadrature, `joint_logpdf` and the Monte Carlo estimators alike.
+    ``t1`` is a scalar (one conditional density, for quadrature) or an
+    array; for an array, the returned density's ``logpdf(t2)`` pairs t2
+    with t1 elementwise and ``sample(len(t1), seed)`` draws one t2 per
+    entry of t1.  The support must not depend on t1.
     """
 
     density_at: Callable[[np.ndarray | float, float, float], ScalarDensity]
@@ -171,16 +157,6 @@ def make_normal_variance_expansion(n: int) -> ExpandedModel:
         conditional=ConditionalFamily(conditional_at),
         base_marginal=lambda theta: normal_density(theta, 1.0 / math.sqrt(n)),
     )
-
-
-def joint_density(em: ExpandedModel, t1: float, t2: float, p: ParamPoint) -> float:
-    """Joint density of (t1, t2): marginal at t1 times conditional at t2."""
-    eta = em.eta0 if p.eta is None else p.eta
-    m = float(em.marginal.density_at(p.theta, eta).pdf(t1))
-    if m == 0.0:
-        return 0.0
-    c = float(em.conditional.density_at(t1, p.theta, eta).pdf(t2))
-    return m * c
 
 
 def joint_logpdf(em: ExpandedModel, t1, t2, theta: float, eta: float | None = None):

@@ -60,9 +60,9 @@ def _half_width(p_hat: float, n: int) -> float:
 
 
 def check_replicates(replicates: int) -> int:
-    """The replicate count as an int; raises ValueError below the minimum of 100."""
-    if replicates < 100:
-        raise ValueError(f"need at least 100 replicates, got {replicates}")
+    """The replicate count as an int; raises ValueError unless an integer >= 100."""
+    if not (replicates >= 100 and replicates % 1 == 0):
+        raise ValueError(f"replicates must be an integer >= 100, got {replicates}")
     return int(replicates)
 
 

@@ -86,8 +86,10 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if not self.max_evaluations >= 100:
-            raise ValueError("max_evaluations must be at least 100")
+        if not (self.max_evaluations >= 100 and self.max_evaluations % 1 == 0):
+            raise ValueError(
+                f"max_evaluations must be an integer >= 100, got {self.max_evaluations}"
+            )
 
 
 @dataclass(frozen=True)

@@ -108,15 +108,6 @@ class Population:
         return float(np.mean(np.ascontiguousarray(self.units["value"])))
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    scheme: str
-    estimate: float
-    n_used: int
-    true_population_mean: float
-    error: float
-
-
 def generate_population(spec: PopulationSpec) -> Population:
     """Draw a stratified population with attribute flags and 1:1 pairings.
 
@@ -180,9 +171,9 @@ def check_quantile(quantile: float) -> float:
 
 
 def check_srs_size(srs_size: int, population_size: int) -> int:
-    """The random-sample size as an int; raises ValueError outside [1, population_size]."""
-    if not 1 <= srs_size <= population_size:
-        raise ValueError(f"srs_size must lie in [1, {population_size}], got {srs_size}")
+    """The sample size as an int; raises ValueError unless an integer in [1, population_size]."""
+    if not (1 <= srs_size <= population_size and srs_size % 1 == 0):
+        raise ValueError(f"srs_size must be an integer in [1, {population_size}], got {srs_size}")
     return int(srs_size)
 
 
@@ -205,7 +196,7 @@ def estimate_mean(
     scheme: str,
     srs_size: int = 0,
     seed: int = 0,
-) -> EstimateReport:
+) -> float:
     """Population-mean estimate under one of the three schemes.
 
     naive_attribute_only averages the respondents' own values; augmented
@@ -214,15 +205,13 @@ def estimate_mean(
     over covered strata); srs_oracle averages a seeded simple random
     sample of the whole population.
     """
-    truth = pop.true_mean
     units = pop.units
     respondents = units["has_attribute"]
     if scheme == "naive_attribute_only":
         values = units["value"][respondents]
         if len(values) == 0:
             raise ValueError("no respondents: naive estimate undefined")
-        est = float(np.mean(values))
-        return EstimateReport(scheme, est, len(values), truth, est - truth)
+        return float(np.mean(values))
 
     if scheme == "augmented":
         # Self-reports in unit order, then proxy reports in report order: the
@@ -237,14 +226,12 @@ def estimate_mean(
         covered = [(s.size / total, values[strata == k]) for k, s in enumerate(pop.spec.strata)]
         covered = [(share, vals) for share, vals in covered if len(vals)]
         share_sum = sum(share for share, _ in covered)
-        est = sum(share * float(np.mean(vals)) for share, vals in covered) / share_sum
-        return EstimateReport(scheme, est, len(values), truth, est - truth)
+        return sum(share * float(np.mean(vals)) for share, vals in covered) / share_sum
 
     if scheme == "srs_oracle":
         srs_size = check_srs_size(srs_size, len(units))
         idx = make_rng(seed).choice(len(units), size=srs_size, replace=False)
-        est = float(np.mean(units["value"][idx]))
-        return EstimateReport(scheme, est, srs_size, truth, est - truth)
+        return float(np.mean(units["value"][idx]))
 
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
@@ -276,9 +263,9 @@ class SchemeComparison:
 
 
 def check_replications(replications: int) -> int:
-    """The replication count as an int; raises ValueError below the minimum of 10."""
-    if replications < 10:
-        raise ValueError(f"need at least 10 replications, got {replications}")
+    """The replication count as an int; raises ValueError unless an integer >= 10."""
+    if not (replications >= 10 and replications % 1 == 0):
+        raise ValueError(f"replications must be an integer >= 10, got {replications}")
     return int(replications)
 
 
@@ -321,11 +308,10 @@ def compare_schemes(
         kept = filter_most_accurate(responses, quantile) if len(responses) else responses
         n_resp = int(np.count_nonzero(pop.units["has_attribute"]))
         size = srs_size if srs_size is not None else max(1, n_resp)
+        truth = pop.true_mean
         for scheme in SCHEMES:
-            report = estimate_mean(
-                pop, kept, scheme, srs_size=size, seed=derive_seed(seed, rep, 2)
-            )
-            errors[scheme].append(report.error)
+            est = estimate_mean(pop, kept, scheme, srs_size=size, seed=derive_seed(seed, rep, 2))
+            errors[scheme].append(est - truth)
     arrays = {s: np.array(v) for s, v in errors.items()}
     return SchemeComparison(
         replications=replications,

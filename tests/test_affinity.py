@@ -1,5 +1,6 @@
 """Affinity values against closed forms, bound ordering, and the activation measure."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -258,3 +259,27 @@ class TestBudget:
             affinity(f, g, cfg)
         assert err.value.evaluations <= 300
         assert math.isfinite(err.value.value)
+
+    def test_expanded_bound_inner_budget_error_has_no_estimate(self):
+        # 15 outer nodes of the first panel, and 8 inner integrals of 240
+        # evaluations before fewer than 100 remain for the ninth.
+        em = make_two_stage_normal(1, 1, 1.0)
+        with pytest.raises(QuadratureBudgetError) as err:
+            expanded_bound(em, SimpleHypotheses(0, 1), QuadratureConfig(max_evaluations=2000))
+        assert err.value.evaluations == 1935
+        assert math.isnan(err.value.value)
+        assert err.value.abs_error == math.inf
+
+    def test_expanded_bound_outer_budget_error_carries_partial_sum(self, monkeypatch):
+        # With every conditional affinity 1/2 at no cost, only the outer
+        # integral spends the budget, and its partial sum is exp(-1/8) / 2.
+        module = importlib.import_module("pxkit.affinity")
+        monkeypatch.setattr(
+            module, "conditional_affinity", lambda *args: AffinityResult(0.5, 0.5, 0.0, 0)
+        )
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-16, max_evaluations=300)
+        with pytest.raises(QuadratureBudgetError) as err:
+            expanded_bound(make_two_stage_normal(1, 1, 1.0), SimpleHypotheses(0, 1), cfg)
+        assert err.value.evaluations == 300
+        assert err.value.value == pytest.approx(0.5 * gaussian_affinity(0, 1, 1.0), abs=1e-12)
+        assert 0 < err.value.abs_error < 1e-9

@@ -167,6 +167,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "estimate" in err
 
+    def test_nested_budget_failure_logs_no_slot_value(self, tmp_path, capsys):
+        code = run_cli(
+            "r-measure", "--model", "two-stage-normal", "--n1", "1", "--n2", "1", "--sigma", "1",
+            "--theta0", "0", "--theta1", "1", "--max-evaluations", "2000",
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "after 1935 evaluations: estimate nan" in err
+        assert "estimate 0.0" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_theta0_equal_theta1(self, capsys):
         assert run_cli("bound", "--model", "normal", "--theta0", "1", "--theta1", "1") == 2
 

@@ -1,4 +1,4 @@
-"""Decision rules of the ratio tests: ties, antisymmetry, degenerate collapse."""
+"""The square-root density-ratio rule: ties, antisymmetry, degenerate collapse."""
 
 import math
 
@@ -6,105 +6,101 @@ import numpy as np
 import pytest
 
 from pxkit import (
-    MarginalFamily,
-    ScalarDensity,
     SimpleHypotheses,
+    joint_logpdf,
     make_normal_location,
     make_normal_variance_expansion,
     make_two_stage_normal,
-    phi_decide,
-    psi_decide,
     tabulated_density,
 )
+from pxkit.kraft import decide
 
 NORMAL = make_normal_location(1.0)
 HYP = SimpleHypotheses(0.0, 1.0)
 
 
+def phi_rule(t1, family=NORMAL, hyp=HYP):
+    """`decide` on the first statistic's log densities under the two hypotheses."""
+    t1 = np.asarray(t1, dtype=float)
+    l1 = family.density_at(hyp.theta1).logpdf(t1)
+    return decide(l1, family.density_at(hyp.theta0).logpdf(t1))
+
+
+def psi_rule(t1, t2, em, hyp=HYP):
+    """`decide` on the joint log densities of (t1, t2) under the two hypotheses."""
+    return decide(joint_logpdf(em, t1, t2, hyp.theta1), joint_logpdf(em, t1, t2, hyp.theta0))
+
+
 def test_reject_above_midpoint():
     # For equal-variance normals the rule reduces to t1 > (theta0+theta1)/2.
-    assert phi_decide(0.6, NORMAL, HYP).reject_h0
-    assert not phi_decide(0.4, NORMAL, HYP).reject_h0
+    reject, _ = phi_rule([0.6, 0.4, -3.0, 3.0])
+    np.testing.assert_array_equal(reject, [True, False, False, True])
 
 
 def test_tie_retains_null():
-    d = phi_decide(0.5, NORMAL, HYP)
-    assert d.log_ratio == 0.0
-    assert not d.reject_h0
+    reject, log_ratio = phi_rule(0.5)
+    assert log_ratio == 0.0
+    assert not reject
 
 
 def test_decision_matches_sign_of_log_ratio():
-    rng = np.random.default_rng(3)
-    for t1 in rng.normal(0.5, 2.0, size=50):
-        d = phi_decide(float(t1), NORMAL, HYP)
-        assert d.reject_h0 == (d.log_ratio > 0)
+    # log N(t; 1, 1) - log N(t; 0, 1) = t - 1/2, so the half-log-ratio is (t - 1/2) / 2.
+    t1 = np.random.default_rng(3).normal(0.5, 2.0, size=50)
+    reject, log_ratio = phi_rule(t1)
+    np.testing.assert_allclose(log_ratio, 0.5 * (t1 - 0.5), rtol=1e-12, atol=1e-13)
+    np.testing.assert_array_equal(reject, log_ratio > 0)
 
 
 def test_swap_negates_log_ratio():
     swapped = SimpleHypotheses(HYP.theta1, HYP.theta0)
-    for t1 in (-1.0, 0.2, 0.9, 3.0):
-        assert phi_decide(t1, NORMAL, HYP).log_ratio == pytest.approx(
-            -phi_decide(t1, NORMAL, swapped).log_ratio
-        )
+    t1 = np.array([-1.0, 0.2, 0.9, 3.0])
+    np.testing.assert_allclose(phi_rule(t1)[1], -phi_rule(t1, hyp=swapped)[1], rtol=1e-12)
+    l1, l0 = np.array([-0.3, -math.inf, 2.0]), np.array([-1.2, 0.0, -math.inf])
+    np.testing.assert_array_equal(decide(l1, l0)[1], -decide(l0, l1)[1])
 
 
 def test_one_sided_support():
-    def uniform_at(theta, eta):
-        return tabulated_density([theta, theta + 1.0], [1.0, 1.0])
-
-    fam = MarginalFamily(uniform_at)
-    d = phi_decide(1.5, fam, HYP)
-    assert d.reject_h0 and d.log_ratio == math.inf
-    d = phi_decide(0.25, fam, HYP)
-    assert not d.reject_h0 and d.log_ratio == -math.inf
+    # Uniform on [0, 1] under theta0 and on [1, 2] under theta1.
+    l0 = tabulated_density([0.0, 1.0], [1.0, 1.0]).logpdf(np.array([1.5, 0.25]))
+    l1 = tabulated_density([1.0, 2.0], [1.0, 1.0]).logpdf(np.array([1.5, 0.25]))
+    reject, log_ratio = decide(l1, l0)
+    np.testing.assert_array_equal(reject, [True, False])
+    np.testing.assert_array_equal(log_ratio, [math.inf, -math.inf])
 
 
 def test_outside_both_models_raises():
-    def uniform_at(theta, eta):
-        return tabulated_density([theta, theta + 1.0], [1.0, 1.0])
-
-    fam = MarginalFamily(uniform_at)
-    with pytest.raises(ValueError):
-        phi_decide(5.0, fam, HYP)
+    with pytest.raises(ValueError, match="zero density under both"):
+        decide([0.0, -math.inf], [-1.0, -math.inf])
 
 
 def test_scale_invariance_of_decision():
-    base = NORMAL
-
-    def scaled_at(theta, eta, c=7.3):
-        d = base.density_at(theta, eta)
-        return ScalarDensity(
-            support=d.support,
-            logpdf=lambda x, d=d: math.log(c) + d.logpdf(x),
-            sample=d.sample,
-            center=d.center,
-            scale=d.scale,
-        )
-
-    scaled = MarginalFamily(scaled_at)
-    for t1 in (-0.5, 0.5, 0.6, 2.0):
-        assert phi_decide(t1, scaled, HYP).reject_h0 == phi_decide(t1, base, HYP).reject_h0
+    # Multiplying both densities by a constant c leaves the decision unchanged.
+    t1 = np.array([-0.5, 0.5, 0.6, 2.0])
+    l1 = NORMAL.density_at(HYP.theta1).logpdf(t1)
+    l0 = NORMAL.density_at(HYP.theta0).logpdf(t1)
+    c = math.log(7.3)
+    np.testing.assert_array_equal(decide(l1 + c, l0 + c)[0], decide(l1, l0)[0])
 
 
 class TestPsi:
     def test_reject_when_sum_exceeds_threshold(self):
         # two_stage_normal(1,1,1): reject iff t1 + t2 > theta0 + theta1.
         em = make_two_stage_normal(1, 1, 1.0)
-        assert psi_decide(0.3, 0.8, em, HYP).reject_h0
+        reject, _ = psi_rule([0.3, 0.3, -1.0], [0.8, 0.6, 1.5], em)
+        np.testing.assert_array_equal(reject, [True, False, False])
 
     def test_tie_retains(self):
         em = make_two_stage_normal(1, 1, 1.0)
-        d = psi_decide(0.6, 0.4, em, HYP)
-        assert d.log_ratio == pytest.approx(0.0, abs=1e-12)
-        assert not d.reject_h0
+        reject, log_ratio = psi_rule(0.6, 0.4, em)
+        assert log_ratio == pytest.approx(0.0, abs=1e-12)
+        assert not reject
 
     def test_theta_free_conditional_collapses_to_phi(self):
         em = make_normal_variance_expansion(4)
         rng = np.random.default_rng(11)
-        t1_grid = rng.normal(0.5, 1.0, size=100)
-        t2_grid = rng.gamma(1.5, 0.5, size=100)
-        for t1, t2 in zip(t1_grid, t2_grid):
-            psi = psi_decide(float(t1), float(t2), em, HYP)
-            phi = phi_decide(float(t1), em.marginal, HYP)
-            assert psi.reject_h0 == phi.reject_h0
-            assert psi.log_ratio == pytest.approx(phi.log_ratio, rel=1e-12)
+        t1 = rng.normal(0.5, 1.0, size=100)
+        t2 = rng.gamma(1.5, 0.5, size=100)
+        psi_reject, psi_ratio = psi_rule(t1, t2, em)
+        phi_reject, phi_ratio = phi_rule(t1, em.marginal)
+        np.testing.assert_array_equal(psi_reject, phi_reject)
+        np.testing.assert_allclose(psi_ratio, phi_ratio, rtol=1e-12)

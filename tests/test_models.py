@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import gamma, norm
 
 from pxkit import (
     ConditionalFamily,
     ExpandedModel,
     Interval,
-    ParamPoint,
     QuadratureConfig,
     ScalarDensity,
     SimpleHypotheses,
@@ -17,7 +17,6 @@ from pxkit import (
     estimate_psi_errors,
     expanded_bound,
     integrate,
-    joint_density,
     joint_logpdf,
     make_exponential_rate,
     make_normal_location,
@@ -28,20 +27,8 @@ from pxkit import (
 )
 from pxkit.densities import make_rng
 
-INV_2PI = 1.0 / (2.0 * math.pi)
-
 
 class TestParamTypes:
-    def test_param_point_defaults_eta(self):
-        p = ParamPoint(theta=1.5)
-        assert p.eta is None
-
-    def test_param_point_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            ParamPoint(theta=math.nan)
-        with pytest.raises(ValueError):
-            ParamPoint(theta=0.0, eta=math.inf)
-
     def test_hypotheses_must_differ(self):
         with pytest.raises(ValueError):
             SimpleHypotheses(1.0, 1.0)
@@ -91,8 +78,13 @@ class TestExponentialRate:
 class TestTwoStageNormal:
     def test_joint_is_product_of_normals(self):
         em = make_two_stage_normal(1, 1, 1.0)
-        got = joint_density(em, 0.0, 0.0, ParamPoint(0.0))
-        assert got == pytest.approx(INV_2PI, abs=1e-12)
+        assert joint_logpdf(em, 0.0, 0.0, 0.0) == pytest.approx(-math.log(2.0 * math.pi), rel=1e-15)
+        # t1 ~ N(theta, 1.5^2/2) and t2 ~ N(theta, 1.5^2/3), independent.
+        em = make_two_stage_normal(2, 3, 1.5)
+        rng = np.random.default_rng(5)
+        t1, t2 = rng.normal(0.4, 2.0, size=(2, 30))
+        want = norm.logpdf(t1, 0.4, 1.5 / math.sqrt(2)) + norm.logpdf(t2, 0.4, 1.5 / math.sqrt(3))
+        np.testing.assert_allclose(joint_logpdf(em, t1, t2, 0.4), want, rtol=1e-12)
 
     def test_conditional_independent_of_t1(self):
         em = make_two_stage_normal(1, 1, 1.0)
@@ -132,7 +124,9 @@ class TestVarianceExpansion:
 
     def test_negative_t2_has_zero_density(self):
         em = make_normal_variance_expansion(4)
-        assert joint_density(em, 0.0, -0.5, ParamPoint(0.0)) == 0.0
+        assert joint_logpdf(em, 0.0, -0.5, 0.0) == -math.inf
+        logpdf = joint_logpdf(em, [0.0, 1.0], [-1e-9, -3.0], 0.0)
+        np.testing.assert_array_equal(logpdf, -math.inf)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -152,9 +146,7 @@ class TestJointStructure:
         for t1 in probes:
             cond = em.conditional.density_at(t1, theta, em.eta0)
             res = integrate(
-                lambda t2, t1=t1: np.array(
-                    [joint_density(em, t1, float(x), ParamPoint(theta)) for x in np.atleast_1d(t2)]
-                ),
+                lambda t2, t1=t1: np.exp(joint_logpdf(em, t1, t2, theta)),
                 cond.support.lower,
                 cond.support.upper,
                 QuadratureConfig(abs_tol=1e-10),
@@ -173,12 +165,15 @@ class TestJointStructure:
         assert abs(res.value - 1.0) < 1e-5
 
     def test_vectorized_joint_logpdf_matches_scalar(self):
+        # n = 4: t1 ~ N(theta, 1/4) and t2 ~ Gamma(3/2, scale 2/3), independent.
         em = make_normal_variance_expansion(4)
         rng = np.random.default_rng(7)
         t1 = rng.normal(size=20)
         t2 = rng.gamma(1.5, 1.0, size=20)
         vec = joint_logpdf(em, t1, t2, 0.5)
-        scalar = [math.log(joint_density(em, a, b, ParamPoint(0.5))) for a, b in zip(t1, t2)]
+        scalar = [
+            norm.logpdf(a, 0.5, 0.5) + gamma.logpdf(b, 1.5, scale=2 / 3) for a, b in zip(t1, t2)
+        ]
         np.testing.assert_allclose(vec, scalar, rtol=1e-12)
 
 
@@ -218,9 +213,9 @@ class TestT1DependentConditional:
         rng = np.random.default_rng(3)
         t1 = rng.normal(0.3, 2.0, size=50)
         t2 = rng.normal(0.0, 3.0, size=50)
-        vec = np.exp(joint_logpdf(LINEAR, t1, t2, 0.3))
-        scalar = [joint_density(LINEAR, a, b, ParamPoint(0.3)) for a, b in zip(t1, t2)]
-        np.testing.assert_allclose(vec, scalar, rtol=1e-12)
+        vec = joint_logpdf(LINEAR, t1, t2, 0.3)
+        want = norm.logpdf(t1, 0.3, SIGMA) + norm.logpdf(t2, B * t1 + C * 0.3, TAU)
+        np.testing.assert_allclose(vec, want, rtol=1e-12)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
     def test_expanded_bound_matches_closed_form(self, delta):

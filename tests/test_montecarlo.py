@@ -19,10 +19,10 @@ from pxkit import (
     make_normal_variance_expansion,
     make_two_stage_normal,
     marginal_bound,
-    phi_decide,
     row_seed,
     sweep,
 )
+from pxkit.montecarlo import check_replicates
 
 PHI_EXACT = float(norm.cdf(-0.5))          # error prob of the t1 test, sigma=1, delta=1
 PSI_EXACT = float(norm.cdf(-1 / math.sqrt(2)))  # same for the joint test on the 1+1 split
@@ -55,19 +55,23 @@ class TestPhiEstimates:
         with pytest.raises(ValueError):
             estimate_phi_errors(NORMAL, HYP, 99, seed=0)
 
+    @pytest.mark.parametrize("replicates", [150.7, 100.5, math.inf, math.nan])
+    def test_non_integral_replicates_rejected(self, replicates):
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            check_replicates(replicates)
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            estimate_phi_errors(NORMAL, HYP, replicates, seed=0)
+
     def test_vectorized_decisions_agree_with_scalar_rule(self):
         # Rebuild the two streams the estimator uses and replay them through
-        # the scalar decision function.
+        # the closed-form rule of equal-variance normals: reject iff t > (theta0+theta1)/2.
         n, seed = 500, 31
         est = estimate_phi_errors(NORMAL, HYP, n, seed=seed)
-        d0 = NORMAL.density_at(HYP.theta0)
-        d1 = NORMAL.density_at(HYP.theta1)
-        t_h0 = d0.sample(n, derive_seed(seed, 0))
-        t_h1 = d1.sample(n, derive_seed(seed, 1))
-        alpha = np.mean([phi_decide(float(t), NORMAL, HYP).reject_h0 for t in t_h0])
-        beta = np.mean([not phi_decide(float(t), NORMAL, HYP).reject_h0 for t in t_h1])
-        assert est.alpha_hat == pytest.approx(float(alpha), abs=1e-12)
-        assert est.beta_hat == pytest.approx(float(beta), abs=1e-12)
+        midpoint = 0.5 * (HYP.theta0 + HYP.theta1)
+        t_h0 = NORMAL.density_at(HYP.theta0).sample(n, derive_seed(seed, 0))
+        t_h1 = NORMAL.density_at(HYP.theta1).sample(n, derive_seed(seed, 1))
+        assert est.alpha_hat == np.count_nonzero(t_h0 > midpoint) / n
+        assert est.beta_hat == np.count_nonzero(t_h1 <= midpoint) / n
 
 
 class TestPsiEstimates:

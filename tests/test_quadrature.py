@@ -81,6 +81,12 @@ def test_config_validation():
         QuadratureConfig(max_evaluations=10)
 
 
+@pytest.mark.parametrize("budget", [150.5, 100.25, math.inf])
+def test_non_integral_budget_rejected(budget):
+    with pytest.raises(ValueError, match="max_evaluations must be an integer"):
+        QuadratureConfig(max_evaluations=budget)
+
+
 def test_nan_budget_rejected():
     # A NaN budget would compare false against every evaluation count and never stop.
     with pytest.raises(ValueError, match="max_evaluations"):

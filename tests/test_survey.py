@@ -183,21 +183,13 @@ class TestFilter:
 class TestEstimators:
     def test_srs_census_is_exact(self):
         pop = generate_population(TWO_STRATA)
-        report = estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=len(pop.units), seed=3)
-        assert report.estimate == pytest.approx(pop.true_mean, abs=1e-12)
-        assert report.error == pytest.approx(0.0, abs=1e-12)
+        est = estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=len(pop.units), seed=3)
+        assert est == pytest.approx(pop.true_mean, abs=1e-12)
 
     def test_unknown_scheme(self):
         pop = generate_population(TWO_STRATA)
         with pytest.raises(ValueError):
             estimate_mean(pop, NO_REPORTS, "bootstrap")
-
-    def test_error_field_consistency(self):
-        pop = generate_population(TWO_STRATA)
-        responses = collect_proxy_responses(pop, PERFECT, seed=4)
-        for scheme in ("naive_attribute_only", "augmented"):
-            r = estimate_mean(pop, responses, scheme)
-            assert r.error == r.estimate - r.true_population_mean
 
     def test_two_strata_bias_pattern(self):
         # Mostly-stratum-A respondents drag the naive mean toward 0 while
@@ -206,8 +198,8 @@ class TestEstimators:
         for rep in range(300):
             pop = generate_population(replace(TWO_STRATA, seed=derive_seed(5, rep)))
             responses = collect_proxy_responses(pop, PERFECT, seed=derive_seed(6, rep))
-            naive.append(estimate_mean(pop, responses, "naive_attribute_only").error)
-            aug.append(estimate_mean(pop, responses, "augmented").error)
+            naive.append(estimate_mean(pop, responses, "naive_attribute_only") - pop.true_mean)
+            aug.append(estimate_mean(pop, responses, "augmented") - pop.true_mean)
         assert np.mean(naive) == pytest.approx(-4.0, abs=0.15)
         aug_se = np.std(aug, ddof=1) / math.sqrt(len(aug))
         assert abs(np.mean(aug)) < 2 * aug_se + 1e-9
@@ -251,6 +243,23 @@ class TestCompareSchemes:
     def test_minimum_replications(self):
         with pytest.raises(ValueError):
             compare_schemes(TWO_STRATA, PERFECT, 1.0, 5, seed=0)
+
+    @pytest.mark.parametrize(
+        "call, count",
+        [
+            (lambda: survey.check_replications(10.9), "replications"),
+            (lambda: survey.check_replications(math.inf), "replications"),
+            (lambda: survey.check_srs_size(3.5, 10), "srs_size"),
+            (lambda: compare_schemes(TWO_STRATA, PERFECT, 1.0, 10.9, seed=0), "replications"),
+            (lambda: compare_schemes(TWO_STRATA, PERFECT, 1.0, 10, 0, srs_size=3.5), "srs_size"),
+        ],
+        ids=["replications", "inf_replications", "srs_size", "compare_replications",
+             "compare_srs_size"],
+    )
+    def test_non_integral_counts_rejected(self, call, count, monkeypatch):
+        monkeypatch.setattr(survey, "generate_population", lambda spec: pytest.fail("replicated"))
+        with pytest.raises(ValueError, match=f"{count} must be an integer"):
+            call()
 
     def test_no_possible_respondent_rejected_before_replicating(self, monkeypatch):
         spec = replace(TWO_STRATA, attribute_prob=(0.0, 0.0))
