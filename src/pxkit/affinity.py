@@ -17,7 +17,7 @@ import numpy as np
 
 from .densities import ScalarDensity
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses
-from .quadrature import QuadratureBudgetError, QuadratureConfig, integrate
+from .quadrature import MIN_EVALUATIONS, QuadratureBudgetError, QuadratureConfig, integrate
 
 __all__ = [
     "AffinityResult",
@@ -153,11 +153,14 @@ def expanded_bound(
 ) -> AffinityResult:
     """Upper bound on the error-probability sum of the joint-statistic test.
 
-    Computed as an iterated integral: for each outer node t1 the affinity
-    of the two t2 conditionals is found by an inner adaptive quadrature at
-    one tenth of the outer tolerance, then weighted by sqrt of the product
-    of the marginal densities and integrated over t1.  The reported error
-    adds the inner tolerance budget to the outer quadrature estimate.
+    Computed as an iterated integral: the affinity of the two t2
+    conditionals at t1 is found by an inner adaptive quadrature at one
+    tenth of the outer tolerance, then weighted by sqrt of the product of
+    the marginal densities and integrated over t1.  When the conditional
+    family is declared ``t1_free`` there is one inner integral, at the
+    first outer node of nonzero weight, and its value serves every node;
+    otherwise there is one inner integral per such node.  The reported
+    error adds the inner tolerance budget to the outer quadrature estimate.
 
     The outer integral has a budget of ``max_evaluations``, and the inner
     integrals share another.  When either runs out, the raised
@@ -174,28 +177,36 @@ def expanded_bound(
     weight = _sqrt_product_integrand(m1, m0)
     outer_evals = inner_evals = 0
     inner_ran_out = False
+    shared = None  # the one inner value of a t1-free conditional, once computed
+
+    def inner_value(t1: float) -> float:
+        nonlocal inner_evals, inner_ran_out
+        remaining = cfg.max_evaluations - inner_evals
+        try:
+            if remaining < MIN_EVALUATIONS:
+                raise QuadratureBudgetError(math.nan, math.inf, 0)
+            inner_cfg = replace(cfg, abs_tol=inner_tol, max_evaluations=remaining)
+            inner = conditional_affinity(em, hyp, t1, inner_cfg)
+        except QuadratureBudgetError as exc:
+            inner_evals += exc.evaluations
+            inner_ran_out = True
+            raise
+        inner_evals += inner.evaluations
+        return inner.raw_value
 
     def outer_integrand(t1_values):
-        nonlocal outer_evals, inner_evals, inner_ran_out
+        nonlocal outer_evals, shared
         t1_values = np.atleast_1d(np.asarray(t1_values, dtype=float))
         outer_evals += len(t1_values)
         w = weight(t1_values)
+        live = np.flatnonzero(w)
+        if em.conditional.t1_free:
+            if shared is None and live.size:
+                shared = inner_value(float(t1_values[live[0]]))
+            return w if shared is None else w * shared
         out = np.zeros_like(w)
-        for i, t1 in enumerate(t1_values):
-            if w[i] == 0.0:
-                continue
-            remaining = cfg.max_evaluations - inner_evals
-            try:
-                if remaining < 100:
-                    raise QuadratureBudgetError(math.nan, math.inf, 0)
-                inner_cfg = replace(cfg, abs_tol=inner_tol, max_evaluations=remaining)
-                inner = conditional_affinity(em, hyp, float(t1), inner_cfg)
-            except QuadratureBudgetError as exc:
-                inner_evals += exc.evaluations
-                inner_ran_out = True
-                raise
-            inner_evals += inner.evaluations
-            out[i] = w[i] * inner.raw_value
+        for i in live:
+            out[i] = w[i] * inner_value(float(t1_values[i]))
         return out
 
     try:

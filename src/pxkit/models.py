@@ -56,9 +56,15 @@ class ConditionalFamily:
     array; for an array, the returned density's ``logpdf(t2)`` pairs t2
     with t1 elementwise and ``sample(len(t1), seed)`` draws one t2 per
     entry of t1.  The support must not depend on t1.
+
+    ``t1_free`` declares that the law of t2 does not depend on t1, so
+    `expanded_bound` computes one conditional affinity and reuses it at
+    every outer node.  It is a promise about the law that nothing checks:
+    a wrong True gives a wrong bound.
     """
 
     density_at: Callable[[np.ndarray | float, float, float], ScalarDensity]
+    t1_free: bool = False
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,7 @@ def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:
 
     return ExpandedModel(
         marginal=MarginalFamily(marginal_at, eta0=0.0),
-        conditional=ConditionalFamily(conditional_at),
+        conditional=ConditionalFamily(conditional_at, t1_free=True),
         base_marginal=lambda theta: normal_density(theta, sd1),
     )
 
@@ -154,7 +160,7 @@ def make_normal_variance_expansion(n: int) -> ExpandedModel:
 
     return ExpandedModel(
         marginal=MarginalFamily(marginal_at, eta0=1.0),
-        conditional=ConditionalFamily(conditional_at),
+        conditional=ConditionalFamily(conditional_at, t1_free=True),
         base_marginal=lambda theta: normal_density(theta, 1.0 / math.sqrt(n)),
     )
 

@@ -73,6 +73,8 @@ _WG = np.array([
 
 _EPS = np.finfo(float).eps
 _INITIAL_PANELS = 16  # equal panels the interval is cut into before adaptive bisection
+# The first pass over the initial panels always runs, so no smaller budget can hold.
+MIN_EVALUATIONS = _INITIAL_PANELS * 15
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,10 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if not (self.max_evaluations >= 100 and self.max_evaluations % 1 == 0):
+        if not (self.max_evaluations >= MIN_EVALUATIONS and self.max_evaluations % 1 == 0):
             raise ValueError(
-                f"max_evaluations must be an integer >= 100, got {self.max_evaluations}"
+                f"max_evaluations must be an integer >= {MIN_EVALUATIONS}, "
+                f"got {self.max_evaluations}"
             )
 
 

@@ -41,6 +41,17 @@ def exponential_affinity(theta0, theta1):
     return 2.0 * math.sqrt(theta0 * theta1) / (theta0 + theta1)
 
 
+# t2 | t1 ~ N(t1/2 + theta, 1): the conditional law moves with t1, so
+# expanded_bound runs one inner integral per outer node.
+def _t1_dependent_conditional_at(t1, theta, eta):
+    return normal_density(0.5 * float(t1) + theta, 1.0)
+
+
+T1_DEPENDENT = ExpandedModel(
+    make_normal_location(1.0), ConditionalFamily(_t1_dependent_conditional_at)
+)
+
+
 class TestAffinityValues:
     def test_unit_normals_one_apart(self):
         res = affinity(normal_density(0, 1), normal_density(1, 1))
@@ -168,6 +179,68 @@ class TestExpandedBound:
         assert res.raw_value < 1.0
 
 
+class TestT1FreeShortcut:
+    """One inner integral for a t1-free conditional, against the nested path."""
+
+    @pytest.mark.parametrize(
+        "em, cfg",
+        [
+            (make_two_stage_normal(1, 1, 1.0), None),
+            (make_two_stage_normal(1, 1, 1.0), QuadratureConfig(1e-12, 1e-12)),
+            (make_two_stage_normal(2, 3, 0.7), None),
+            (make_two_stage_normal(2, 3, 0.7), QuadratureConfig(1e-12, 1e-12)),
+            (make_normal_variance_expansion(2), None),
+            (make_normal_variance_expansion(8), None),
+            (make_normal_variance_expansion(8), QuadratureConfig(1e-12, 1e-12)),
+        ],
+        ids=["split_1_1", "split_1_1_tight", "split_2_3", "split_2_3_tight",
+             "variance_2", "variance_8", "variance_8_tight"],
+    )
+    def test_same_bytes_as_nested_path(self, em, cfg):
+        nested = replace(em, conditional=replace(em.conditional, t1_free=False))
+        hyp = SimpleHypotheses(0, 1)
+        shortcut, full = expanded_bound(em, hyp, cfg), expanded_bound(nested, hyp, cfg)
+        assert shortcut.raw_value == full.raw_value
+        assert shortcut.abs_error_estimate == full.abs_error_estimate
+        assert shortcut.evaluations < full.evaluations
+
+    @pytest.mark.parametrize(
+        "em", [make_two_stage_normal(2, 3, 0.7), make_normal_variance_expansion(3)],
+        ids=["two_stage", "variance"],
+    )
+    def test_factory_declaration_holds(self, em):
+        assert em.conditional.t1_free
+        x = np.linspace(0.05, 4.0, 9)  # inside the gamma support (0, inf) too
+        for theta, eta in ((0.0, em.eta0), (1.3, 2.0)):
+            ref = em.conditional.density_at(0.0, theta, eta).logpdf(x)
+            for t1 in (-3.0, 0.4, 7.5):
+                got = em.conditional.density_at(t1, theta, eta).logpdf(x)
+                np.testing.assert_array_equal(got, ref)
+
+    def test_inner_integral_counts(self, monkeypatch):
+        module = importlib.import_module("pxkit.affinity")
+        original = module.conditional_affinity
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "conditional_affinity", counted)
+        expanded_bound(make_two_stage_normal(1, 1, 1.0), SimpleHypotheses(0, 1))
+        assert len(calls) == 1
+        calls.clear()
+        expanded_bound(T1_DEPENDENT, SimpleHypotheses(0, 1))
+        assert len(calls) > 1
+
+    def test_evaluation_counts(self):
+        # Deterministic: the outer integral plus one inner integral.  A change
+        # in either count is a change in the quadrature, not noise.
+        hyp = SimpleHypotheses(0, 1)
+        assert expanded_bound(make_two_stage_normal(1, 1, 1.0), hyp).evaluations == 480
+        assert expanded_bound(make_normal_variance_expansion(2), hyp).evaluations == 1710
+
+
 class TestActivationMeasure:
     def test_two_stage_unit_separation(self):
         comp = activation_measure(make_two_stage_normal(1, 1, 1.0), SimpleHypotheses(0, 1))
@@ -262,13 +335,21 @@ class TestBudget:
 
     def test_expanded_bound_inner_budget_error_has_no_estimate(self):
         # 15 outer nodes of the first panel, and 8 inner integrals of 240
-        # evaluations before fewer than 100 remain for the ninth.
-        em = make_two_stage_normal(1, 1, 1.0)
+        # evaluations before fewer than 240 remain for the ninth.
+        cfg = QuadratureConfig(max_evaluations=2000)
         with pytest.raises(QuadratureBudgetError) as err:
-            expanded_bound(em, SimpleHypotheses(0, 1), QuadratureConfig(max_evaluations=2000))
+            expanded_bound(T1_DEPENDENT, SimpleHypotheses(0, 1), cfg)
         assert err.value.evaluations == 1935
         assert math.isnan(err.value.value)
         assert err.value.abs_error == math.inf
+
+    def test_expanded_bound_starts_no_inner_integral_it_cannot_finish(self):
+        # After 8 inner integrals of 240, the 180 evaluations left are fewer
+        # than any integral's first pass, so the ninth is never started.
+        cfg = QuadratureConfig(max_evaluations=2100)
+        with pytest.raises(QuadratureBudgetError) as err:
+            expanded_bound(T1_DEPENDENT, SimpleHypotheses(0, 1), cfg)
+        assert err.value.evaluations == 15 + 1920
 
     def test_expanded_bound_outer_budget_error_carries_partial_sum(self, monkeypatch):
         # With every conditional affinity 1/2 at no cost, only the outer

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -160,22 +161,24 @@ class TestExitCodes:
     def test_numerical_failure(self, tmp_path, capsys):
         code = run_cli(
             "affinity", "--model", "normal", "--theta0", "0", "--theta1", "1",
-            "--abs-tol", "1e-15", "--rel-tol", "1e-16", "--max-evaluations", "150",
+            "--abs-tol", "1e-15", "--rel-tol", "1e-16", "--max-evaluations", "240",
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 1
         err = capsys.readouterr().err
         assert "numerical failure" in err and "estimate" in err
+        assert int(re.search(r"after (\d+) evaluations", err).group(1)) <= 240
 
     def test_nested_budget_failure_logs_no_slot_value(self, tmp_path, capsys):
         code = run_cli(
-            "r-measure", "--model", "two-stage-normal", "--n1", "1", "--n2", "1", "--sigma", "1",
-            "--theta0", "0", "--theta1", "1", "--max-evaluations", "2000",
+            "r-measure", "--model", "variance-expansion", "--n", "2",
+            "--theta0", "0", "--theta1", "1", "--max-evaluations", "1000",
             "--out", str(tmp_path / "r.json"),
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "after 1935 evaluations: estimate nan" in err
+        # The first outer panel's 15 nodes, then the one inner integral runs out at 990.
+        assert "after 1005 evaluations: estimate nan" in err
         assert "estimate 0.0" not in err
         assert not (tmp_path / "r.json").exists()
 

@@ -57,10 +57,10 @@ def test_error_estimate_brackets_truth():
 
 
 def test_budget_error_carries_best_estimate():
-    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-16, max_evaluations=200)
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-16, max_evaluations=300)
     with pytest.raises(QuadratureBudgetError) as err:
         integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, cfg)
-    assert err.value.evaluations <= 260
+    assert err.value.evaluations <= 300
     assert err.value.value == pytest.approx(4.0 / 3.0, abs=1e-3)
     assert err.value.abs_error > 0
 
@@ -81,7 +81,17 @@ def test_config_validation():
         QuadratureConfig(max_evaluations=10)
 
 
-@pytest.mark.parametrize("budget", [150.5, 100.25, math.inf])
+def test_smallest_budget_is_the_first_pass():
+    # The 16 initial panels always run, so a smaller budget could only be overspent.
+    with pytest.raises(ValueError, match="integer >= 240"):
+        QuadratureConfig(max_evaluations=239)
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-16, max_evaluations=240)
+    with pytest.raises(QuadratureBudgetError) as err:
+        integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, cfg)
+    assert err.value.evaluations == 240
+
+
+@pytest.mark.parametrize("budget", [150.5, 100.25, 300.5, math.inf])
 def test_non_integral_budget_rejected(budget):
     with pytest.raises(ValueError, match="max_evaluations must be an integer"):
         QuadratureConfig(max_evaluations=budget)
