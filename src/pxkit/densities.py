@@ -1,12 +1,16 @@
-"""Scalar probability densities with evaluation, log-evaluation and seeded sampling.
+"""Scalar probability densities with evaluation, log-evaluation and sampling.
 
 Every density here is a plain value object: an interval of support plus a
-vectorized ``logpdf`` callable and a ``sample(n, seed)`` callable.  ``logpdf``
-is the one formula of the law; ``pdf`` is derived from it.  Samplers are
-stateless; the seed fully determines the draw.  A density may also hold one
-law per entry of a parameter array (a conditional family at an array of t1):
-``logpdf`` then pairs its argument with those entries elementwise and
-``sample`` draws one value per entry.
+vectorized ``logpdf`` callable and a ``sample(n, rng)`` callable.  ``logpdf``
+is the one formula of the law; ``pdf`` is derived from it.  Samplers hold no
+state of their own: they draw from the caller's `numpy.random.Generator`,
+so the generator's state fully determines the draw, and consecutive calls
+on one generator continue its stream (``n = a`` then ``n = b`` gives the
+same values as one call with ``n = a + b``).  `make_rng` builds the
+generator from an integer seed.  A density may also hold one law per entry
+of a parameter array (a conditional family at an array of t1): ``logpdf``
+then pairs its argument with those entries elementwise and ``sample``
+draws one value per entry.
 """
 
 from __future__ import annotations
@@ -53,8 +57,10 @@ class ScalarDensity:
     """A one-dimensional density.
 
     ``logpdf`` accepts scalars or numpy arrays and returns -inf outside
-    ``support``; ``pdf`` is its exponential.  ``sample(n, seed)`` returns
-    ``n`` draws, bit-reproducible for a given seed.  ``center`` and
+    ``support``; ``pdf`` is its exponential.  ``sample(n, rng)`` returns
+    ``n`` draws from the generator ``rng`` and advances it past them, so
+    the draws are bit-reproducible for a given generator state and a
+    second call continues the stream where the first stopped.  ``center`` and
     ``scale`` are location/spread hints used to parameterize variable
     transformations when integrating over infinite supports; they carry no
     probabilistic meaning of their own.
@@ -62,7 +68,7 @@ class ScalarDensity:
 
     support: Interval
     logpdf: Callable[[np.ndarray | float], np.ndarray]
-    sample: Callable[[int, int], np.ndarray]
+    sample: Callable[[int, np.random.Generator], np.ndarray]
     center: float = 0.0
     scale: float = 1.0
 
@@ -85,8 +91,8 @@ def normal_density(mean: float, sd: float) -> ScalarDensity:
         z = (np.asarray(x, dtype=float) - mean) / sd
         return -0.5 * z * z - log_norm
 
-    def sample(n: int, seed: int) -> np.ndarray:
-        return make_rng(seed).normal(mean, sd, size=int(n))
+    def sample(n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(mean, sd, size=int(n))
 
     return ScalarDensity(
         support=Interval(-math.inf, math.inf),
@@ -110,8 +116,8 @@ def exponential_density(rate: float) -> ScalarDensity:
         safe = np.where(inside, x, 0.0)
         return np.where(inside, log_rate - rate * safe, -math.inf)
 
-    def sample(n: int, seed: int) -> np.ndarray:
-        return make_rng(seed).exponential(1.0 / rate, size=int(n))
+    def sample(n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.exponential(1.0 / rate, size=int(n))
 
     return ScalarDensity(
         support=Interval(0.0, math.inf),
@@ -137,8 +143,8 @@ def gamma_density(shape: float, scale: float) -> ScalarDensity:
         out = (shape - 1.0) * np.log(safe) - safe / scale - log_norm
         return np.where(inside, out, -math.inf)
 
-    def sample(n: int, seed: int) -> np.ndarray:
-        return make_rng(seed).gamma(shape, scale, size=int(n))
+    def sample(n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.gamma(shape, scale, size=int(n))
 
     return ScalarDensity(
         support=Interval(0.0, math.inf),
@@ -187,9 +193,9 @@ def tabulated_density(grid, values) -> ScalarDensity:
         with np.errstate(divide="ignore"):
             return np.where(inside, np.log(np.interp(safe, grid, values)), -math.inf)
 
-    def sample(n: int, seed: int) -> np.ndarray:
+    def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         # Inverse CDF: the cumulative mass is quadratic on each segment.
-        u = make_rng(seed).random(int(n)) * total
+        u = rng.random(int(n)) * total
         idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(dx) - 1)
         rem = u - cum[idx]
         a = values[idx]

@@ -54,7 +54,7 @@ class ConditionalFamily:
     by the quadrature, `joint_logpdf` and the Monte Carlo estimators alike.
     ``t1`` is a scalar (one conditional density, for quadrature) or an
     array; for an array, the returned density's ``logpdf(t2)`` pairs t2
-    with t1 elementwise and ``sample(len(t1), seed)`` draws one t2 per
+    with t1 elementwise and ``sample(len(t1), rng)`` draws one t2 per
     entry of t1.  The support must not depend on t1.
 
     ``t1_free`` declares that the law of t2 does not depend on t1, so

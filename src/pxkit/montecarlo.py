@@ -4,8 +4,9 @@ Estimates the two error probabilities of the first-statistic and
 joint-statistic tests by simulating under each hypothesis, and checks the
 estimates against the analytic affinity bounds.  Every stream is derived
 from the caller's seed with `seeding.derive_seed`, so reruns are
-bit-identical and replicates are decorrelated by construction; decisions
-are evaluated vectorized (count aggregation is order-insensitive).
+bit-identical and replicates are decorrelated by construction.  Replicates
+are drawn, evaluated and decided vectorized in blocks of `_CHUNK`, so
+memory does not grow with the replicate count (see `_estimate_errors`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from . import densities
 from .affinity import expanded_bound, marginal_bound
 from .kraft import decide
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses, joint_logpdf
@@ -24,6 +26,7 @@ from .quadrature import QuadratureConfig
 from .seeding import derive_seed
 
 Z_99 = 2.576  # normal 99% two-sided quantile used for half-widths
+_CHUNK = 1 << 16  # replicates per block; sets memory, never the results
 
 
 @dataclass(frozen=True)
@@ -67,24 +70,35 @@ def check_replicates(replicates: int) -> int:
 
 
 def _estimate_errors(
-    sample, logpdf, hyp: SimpleHypotheses, replicates: int, seed: int
+    sample, streams: int, logpdf, hyp: SimpleHypotheses, replicates: int, seed: int
 ) -> ErrorProbEstimate:
     """Error probabilities of the test that rejects when ``logpdf(t, theta1)`` wins.
 
-    ``sample(theta, n, seeds)`` draws n statistics under theta, taking one
-    stream seed from the iterator ``seeds`` per draw it makes;
-    ``logpdf(t, theta)`` is their log density.  Seeds are derived from
-    ``seed`` with keys 0, 1, ... in draw order, the theta0 draws first.
-    Decisions use the strict positive-half-log-ratio rule of `kraft.decide`.
+    ``sample(theta, n, rngs)`` draws n statistics under theta from the
+    ``streams`` generators in ``rngs``; ``logpdf(t, theta)`` is their log
+    density.  Stream seeds are derived from ``seed`` with keys 0, 1, ...,
+    the theta0 streams first, and each stream is one generator for the
+    whole call.  Replicates are drawn, evaluated and decided in blocks of
+    `_CHUNK` and the rejections summed as integer counts, so the estimate
+    equals that of one full-length draw and memory does not depend on
+    ``replicates``.  Decisions use the strict positive-half-log-ratio rule
+    of `kraft.decide`.
     """
     replicates = check_replicates(replicates)
-    seeds = (derive_seed(seed, key) for key in itertools.count())
-    t_h0 = sample(hyp.theta0, replicates, seeds)
-    t_h1 = sample(hyp.theta1, replicates, seeds)
-    reject_h0 = decide(logpdf(t_h0, hyp.theta1), logpdf(t_h0, hyp.theta0))[0]
-    reject_h1 = decide(logpdf(t_h1, hyp.theta1), logpdf(t_h1, hyp.theta0))[0]
-    alpha = float(np.mean(reject_h0))
-    beta = float(np.mean(~reject_h1))
+    keys = itertools.count()
+    arms = [
+        (theta, [densities.make_rng(derive_seed(seed, next(keys))) for _ in range(streams)])
+        for theta in (hyp.theta0, hyp.theta1)
+    ]
+    rejections = [0, 0]
+    for start in range(0, replicates, _CHUNK):
+        n = min(_CHUNK, replicates - start)
+        for i, (theta, rngs) in enumerate(arms):
+            t = sample(theta, n, rngs)
+            reject = decide(logpdf(t, hyp.theta1), logpdf(t, hyp.theta0))[0]
+            rejections[i] += int(np.count_nonzero(reject))
+    alpha = rejections[0] / replicates
+    beta = (replicates - rejections[1]) / replicates
     return ErrorProbEstimate(
         alpha_hat=alpha,
         beta_hat=beta,
@@ -105,7 +119,8 @@ def estimate_phi_errors(
     """
     density = {theta: family.density_at(theta) for theta in (hyp.theta0, hyp.theta1)}
     return _estimate_errors(
-        lambda theta, n, seeds: density[theta].sample(n, next(seeds)),
+        lambda theta, n, rngs: density[theta].sample(n, rngs[0]),
+        1,
         lambda t, theta: density[theta].logpdf(t),
         hyp,
         replicates,
@@ -122,12 +137,14 @@ def estimate_psi_errors(
     keys 0 and 1 under theta0 and 2 and 3 under theta1.
     """
 
-    def sample(theta, n, seeds):
-        t1 = em.marginal.density_at(theta, em.eta0).sample(n, next(seeds))
-        return t1, em.conditional.density_at(t1, theta, em.eta0).sample(n, next(seeds))
+    marginal = {theta: em.marginal.density_at(theta, em.eta0) for theta in (hyp.theta0, hyp.theta1)}
+
+    def sample(theta, n, rngs):
+        t1 = marginal[theta].sample(n, rngs[0])
+        return t1, em.conditional.density_at(t1, theta, em.eta0).sample(n, rngs[1])
 
     return _estimate_errors(
-        sample, lambda t, theta: joint_logpdf(em, *t, theta), hyp, replicates, seed
+        sample, 2, lambda t, theta: joint_logpdf(em, *t, theta), hyp, replicates, seed
     )
 
 

@@ -16,6 +16,7 @@ from pxkit import (
     tabulated_density,
     total_mass,
 )
+from pxkit.densities import make_rng
 
 ALL_BUILTINS = {
     "normal": normal_density(0.3, 1.7),
@@ -169,31 +170,51 @@ class TestSamplers:
 
     def test_normal_sampler(self):
         d = normal_density(0.3, 1.7)
-        assert self._ks(d.sample(self.N, 1), lambda x: stats.norm.cdf(x, 0.3, 1.7)) < 0.01
+        assert self._ks(d.sample(self.N, make_rng(1)), lambda x: stats.norm.cdf(x, 0.3, 1.7)) < 0.01
 
     def test_exponential_sampler(self):
         d = exponential_density(0.8)
-        assert self._ks(d.sample(self.N, 2), lambda x: stats.expon.cdf(x, scale=1 / 0.8)) < 0.01
+        assert self._ks(d.sample(self.N, make_rng(2)), lambda x: stats.expon.cdf(x, scale=1 / 0.8)) < 0.01
 
     def test_gamma_sampler(self):
         d = gamma_density(1.5, 2.0)
-        assert self._ks(d.sample(self.N, 3), lambda x: stats.gamma.cdf(x, 1.5, scale=2.0)) < 0.01
+        assert self._ks(d.sample(self.N, make_rng(3)), lambda x: stats.gamma.cdf(x, 1.5, scale=2.0)) < 0.01
 
     def test_tabulated_sampler(self):
         d = tabulated_density([0, 1, 2], [0, 2, 0])
-        assert self._ks(d.sample(self.N, 4), _triangle_cdf) < 0.01
+        assert self._ks(d.sample(self.N, make_rng(4)), _triangle_cdf) < 0.01
 
     def test_uniform_sampler(self):
         d = tabulated_density([0, 1], [1, 1])
-        assert self._ks(d.sample(self.N, 5), lambda x: np.clip(x, 0, 1)) < 0.01
+        assert self._ks(d.sample(self.N, make_rng(5)), lambda x: np.clip(x, 0, 1)) < 0.01
 
     def test_seed_determinism(self):
         for d in ALL_BUILTINS.values():
-            np.testing.assert_array_equal(d.sample(1000, 42), d.sample(1000, 42))
+            np.testing.assert_array_equal(d.sample(1000, make_rng(42)), d.sample(1000, make_rng(42)))
 
     def test_different_seeds_differ(self):
         d = normal_density(0, 1)
-        assert not np.array_equal(d.sample(100, 1), d.sample(100, 2))
+        assert not np.array_equal(d.sample(100, make_rng(1)), d.sample(100, make_rng(2)))
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        normal_density(0.3, 1.7),
+        exponential_density(0.8),
+        gamma_density(0.5, 2.0),
+        gamma_density(3.0, 0.7),
+        tabulated_density([0, 1, 2], [0, 2, 0]),
+    ],
+    ids=["normal", "exponential", "gamma-0.5", "gamma-3", "tabulated"],
+)
+@pytest.mark.parametrize("a, b", [(1, 1), (7, 993), (1 << 16, 3)])
+def test_consecutive_draws_continue_one_stream(density, a, b):
+    # The Monte Carlo estimators draw in blocks from one generator per
+    # stream; their results equal a full-length draw only if this holds.
+    g = make_rng(11)
+    blocked = np.concatenate([density.sample(a, g), density.sample(b, g)])
+    assert np.array_equal(blocked, density.sample(a + b, make_rng(11)))
 
 
 @pytest.mark.parametrize("shape", [0.5, 1.0, 1.5, 2.0, 3.5, 10.0])

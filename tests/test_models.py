@@ -194,8 +194,8 @@ def _linear_conditional_at(t1, theta, eta):
         z = (np.asarray(t2, dtype=float) - mean) / TAU
         return -0.5 * z * z - log_norm
 
-    def sample(n, seed):
-        return make_rng(seed).normal(mean, TAU, size=n)
+    def sample(n, rng):
+        return rng.normal(mean, TAU, size=n)
 
     return ScalarDensity(
         Interval(-math.inf, math.inf), logpdf, sample, center=float(np.mean(mean)), scale=TAU
@@ -222,6 +222,16 @@ class TestT1DependentConditional:
         res = expanded_bound(LINEAR, SimpleHypotheses(0.0, delta))
         exact = math.exp(-(delta**2) / (8 * SIGMA**2)) * math.exp(-(C * delta) ** 2 / (8 * TAU**2))
         assert abs(res.raw_value - exact) <= res.abs_error_estimate
+
+    def test_blocked_draws_at_an_array_of_t1_continue_one_stream(self):
+        # The array-mean sampler: drawing at t1[:a] and then at t1[a:] from one
+        # generator gives what one draw at all of t1 gives.
+        t1 = np.random.default_rng(5).normal(0.3, 2.0, size=1000)
+        g = make_rng(4)
+        head = _linear_conditional_at(t1[:300], 0.5, 0.0).sample(300, g)
+        tail = _linear_conditional_at(t1[300:], 0.5, 0.0).sample(700, g)
+        full = _linear_conditional_at(t1, 0.5, 0.0).sample(1000, make_rng(4))
+        assert np.array_equal(np.concatenate([head, tail]), full)
 
     def test_psi_estimate_matches_oracle_and_bound(self):
         delta, n = 1.0, 10**5

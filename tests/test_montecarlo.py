@@ -1,6 +1,8 @@
 """Monte Carlo error estimates against normal-CDF oracles, and bound checks."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,10 @@ from pxkit import (
     row_seed,
     sweep,
 )
-from pxkit.montecarlo import check_replicates
+from pxkit.densities import make_rng
+from pxkit.kraft import decide
+from pxkit.models import joint_logpdf
+from pxkit.montecarlo import _CHUNK, check_replicates
 
 PHI_EXACT = float(norm.cdf(-0.5))          # error prob of the t1 test, sigma=1, delta=1
 PSI_EXACT = float(norm.cdf(-1 / math.sqrt(2)))  # same for the joint test on the 1+1 split
@@ -68,8 +73,8 @@ class TestPhiEstimates:
         n, seed = 500, 31
         est = estimate_phi_errors(NORMAL, HYP, n, seed=seed)
         midpoint = 0.5 * (HYP.theta0 + HYP.theta1)
-        t_h0 = NORMAL.density_at(HYP.theta0).sample(n, derive_seed(seed, 0))
-        t_h1 = NORMAL.density_at(HYP.theta1).sample(n, derive_seed(seed, 1))
+        t_h0 = NORMAL.density_at(HYP.theta0).sample(n, make_rng(derive_seed(seed, 0)))
+        t_h1 = NORMAL.density_at(HYP.theta1).sample(n, make_rng(derive_seed(seed, 1)))
         assert est.alpha_hat == np.count_nonzero(t_h0 > midpoint) / n
         assert est.beta_hat == np.count_nonzero(t_h1 <= midpoint) / n
 
@@ -111,6 +116,62 @@ class TestPsiEstimates:
         assert psi_est.error_sum < phi_est.error_sum
         assert check_bound(phi_est, marginal_bound(em.marginal, HYP).value).satisfied
         assert check_bound(psi_est, expanded_bound(em, HYP).value).satisfied
+
+
+def _full_length_reference(estimator, model, hyp, n, seed):
+    """(alpha_hat, beta_hat) from one full-length draw per stream, decided by `kraft.decide`.
+
+    Streams are seeded as the estimators document: keys 0, 1, ... in draw
+    order, t1 before t2, the theta0 draws first.
+    """
+    keys = itertools.count()
+
+    def rng():
+        return make_rng(derive_seed(seed, next(keys)))
+
+    rejects = []
+    for theta in (hyp.theta0, hyp.theta1):
+        if estimator is estimate_phi_errors:
+            t = model.density_at(theta).sample(n, rng())
+            l1, l0 = (model.density_at(th).logpdf(t) for th in (hyp.theta1, hyp.theta0))
+        else:
+            t1 = model.marginal.density_at(theta, model.eta0).sample(n, rng())
+            t2 = model.conditional.density_at(t1, theta, model.eta0).sample(n, rng())
+            l1, l0 = (joint_logpdf(model, t1, t2, th) for th in (hyp.theta1, hyp.theta0))
+        rejects.append(decide(l1, l0)[0])
+    return float(np.mean(rejects[0])), float(np.mean(~rejects[1]))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "estimator, model, hyp",
+        [
+            (estimate_phi_errors, NORMAL, HYP),
+            (estimate_phi_errors, make_exponential_rate(), SimpleHypotheses(1.0, 2.0)),
+            (estimate_psi_errors, make_two_stage_normal(1, 1, 1.0), HYP),
+            (estimate_psi_errors, make_normal_variance_expansion(2), HYP),
+        ],
+        ids=["phi-normal", "phi-exponential", "psi-two-stage", "psi-variance-2"],
+    )
+    @pytest.mark.parametrize("replicates", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    def test_blocked_estimate_equals_full_length_draw(self, estimator, model, hyp, replicates):
+        est = estimator(model, hyp, replicates, seed=23)
+        alpha, beta = _full_length_reference(estimator, model, hyp, replicates, 23)
+        assert est.alpha_hat == alpha
+        assert est.beta_hat == beta
+
+    def test_peak_memory_is_below_one_full_length_array(self):
+        # A 10^6-replicate call used to hold every draw and log density at
+        # full length (a traced peak of about 70 MiB); blocks keep it below
+        # the size of a single 10^6-element float64 array.
+        em = make_normal_variance_expansion(2)
+        tracemalloc.start()
+        try:
+            estimate_psi_errors(em, HYP, 10**6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6 * np.dtype(np.float64).itemsize
 
 
 class TestCheckBound:
