@@ -5,14 +5,17 @@ joint-statistic tests by simulating under each hypothesis, and checks the
 estimates against the analytic affinity bounds.  Every stream is derived
 from the caller's seed with `seeding.derive_seed`, so reruns are
 bit-identical and replicates are decorrelated by construction.  Replicates
-are drawn, evaluated and decided vectorized in blocks of `_CHUNK`, so
-memory does not grow with the replicate count (see `_estimate_errors`).
+are drawn, evaluated and decided vectorized in blocks of `_CHUNK` (32,768),
+so memory does not grow with the replicate count.  When a call spans more
+than one block, the theta1 arm runs on one worker thread while the caller's
+thread runs the theta0 arm (see `_estimate_errors`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -26,7 +29,7 @@ from .quadrature import QuadratureConfig
 from .seeding import derive_seed
 
 Z_99 = 2.576  # normal 99% two-sided quantile used for half-widths
-_CHUNK = 1 << 16  # replicates per block; sets memory, never the results
+_CHUNK = 1 << 15  # replicates per block; sets memory, never the results
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,18 @@ def _estimate_errors(
     ``streams`` generators in ``rngs``; ``logpdf(t, theta)`` is their log
     density.  Stream seeds are derived from ``seed`` with keys 0, 1, ...,
     the theta0 streams first, and each stream is one generator for the
-    whole call.  Replicates are drawn, evaluated and decided in blocks of
-    `_CHUNK` and the rejections summed as integer counts, so the estimate
-    equals that of one full-length draw and memory does not depend on
-    ``replicates``.  Decisions use the strict positive-half-log-ratio rule
-    of `kraft.decide`.
+    whole call.  Each arm draws, evaluates and decides its replicates in
+    blocks of `_CHUNK` and sums its rejections as an integer count, so the
+    estimate equals that of one full-length draw and memory does not depend
+    on ``replicates``.  Decisions use the strict positive-half-log-ratio
+    rule of `kraft.decide`.
+
+    A call of more than one block runs the theta1 arm on one worker thread
+    while the caller's thread runs the theta0 arm; numpy draws without the
+    interpreter lock, and each arm reads only its own generators, so the
+    counts do not depend on scheduling.  An exception from either arm
+    reaches the caller unchanged, the other arm stops at its next block
+    boundary, and the worker is joined before the call returns.
     """
     replicates = check_replicates(replicates)
     keys = itertools.count()
@@ -90,15 +100,32 @@ def _estimate_errors(
         (theta, [densities.make_rng(derive_seed(seed, next(keys))) for _ in range(streams)])
         for theta in (hyp.theta0, hyp.theta1)
     ]
-    rejections = [0, 0]
-    for start in range(0, replicates, _CHUNK):
-        n = min(_CHUNK, replicates - start)
-        for i, (theta, rngs) in enumerate(arms):
-            t = sample(theta, n, rngs)
-            reject = decide(logpdf(t, hyp.theta1), logpdf(t, hyp.theta0))[0]
-            rejections[i] += int(np.count_nonzero(reject))
-    alpha = rejections[0] / replicates
-    beta = (replicates - rejections[1]) / replicates
+    failed = threading.Event()
+
+    def rejections(theta, rngs) -> int:
+        count = 0
+        try:
+            for start in range(0, replicates, _CHUNK):
+                if failed.is_set():
+                    break
+                t = sample(theta, min(_CHUNK, replicates - start), rngs)
+                reject = decide(logpdf(t, hyp.theta1), logpdf(t, hyp.theta0))[0]
+                count += int(np.count_nonzero(reject))
+        except BaseException:
+            failed.set()
+            raise
+        return count
+
+    if replicates <= _CHUNK:
+        counts = [rejections(*arm) for arm in arms]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            theta1_arm = pool.submit(rejections, *arms[1])
+            counts = [rejections(*arms[0]), theta1_arm.result()]
+    alpha = counts[0] / replicates
+    beta = (replicates - counts[1]) / replicates
     return ErrorProbEstimate(
         alpha_hat=alpha,
         beta_hat=beta,

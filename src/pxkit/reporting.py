@@ -10,7 +10,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 
 from .montecarlo import SweepTable
@@ -66,10 +65,21 @@ def render_csv(columns, records) -> str:
 
 
 def write_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    The temp file is created with mode 0o666 less the umask, the mode a
+    plain ``open(path, "w")`` gives a new file (`tempfile.mkstemp` would
+    give 0o600 whatever the umask).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -377,6 +377,22 @@ class TestAtomicity:
             write_atomic(target, "replacement")
         assert target.read_text() == "original"
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_files_get_the_mode_open_gives_under_the_umask(self, tmp_path, umask):
+        out = tmp_path / "r.json"
+        old = os.umask(umask)
+        try:
+            assert run_cli("affinity", "--model", "normal", "--theta0", "0", "--theta1", "1",
+                           "--out", str(out)) == 0
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        expected = (tmp_path / "plain").stat().st_mode
+        assert expected & 0o777 == 0o666 & ~umask
+        assert out.stat().st_mode == expected
+        assert (tmp_path / "r.json.manifest.json").stat().st_mode == expected
+
 
 def test_cli_run_does_not_import_scipy(tmp_path):
     src = str(Path(pxkit.__file__).resolve().parents[1])

@@ -3,7 +3,9 @@
 The sha256 digests below are of ``repr`` of the `ErrorProbEstimate` that
 `estimate_phi_errors` or `estimate_psi_errors` returns.  Any change to the
 sampled streams, the log densities the decisions read or the rejection
-rule moves at least one of them.
+rule moves at least one of them.  ``MULTI_BLOCK_DIGESTS`` pins calls that
+span several blocks, where the theta1 arm runs on a worker thread; they
+were computed with the single-threaded block loop.
 """
 
 import hashlib
@@ -55,10 +57,21 @@ DIGESTS = {
     ('psi-variance-4', 2): "74f1520885df2d1f5d17ad4e2d7d205143c74f3f6e3c274535ff3c151c467d95",
 }
 
+MULTI_BLOCK_REPLICATES = 3 * 2**16 + 7
+MULTI_BLOCK_DIGESTS = {
+    "phi-exponential": "025146d0ecb73b486126d87325294b60b826fd43b4bebfd7acba498e1c9fa44e",
+    "phi-normal": "256828f01b460a9d8dfb4b4c46a005ea1a1d194756b793a5a764425ec857e96e",
+    "phi-variance-2": "f5a84dbcaac3d282439d336ccb7a27edace143ea1da3d0d894b9e94e9ba4b897",
+    "phi-variance-4": "168bf9de026c255b6ce257cd0d3622ee0f612ac522d91920e6a38867eb4bfa7e",
+    "psi-two-stage": "b354a034d58085a2e4ef5e49677dc5017f83257fcd5540dbad1750a5bf4a8cd5",
+    "psi-variance-2": "a9ba11f82f0df47bacada0a1795feb93367349b8f217eef9df9d6388df2a4536",
+    "psi-variance-4": "ce05bcfa10076a79e2a179073f11e19267659b10ca8e400bd96312926554c749",
+}
 
-def _estimate(case, seed):
+
+def _estimate(case, seed, replicates=REPLICATES):
     estimator, model, hyp = CASES[case]
-    return estimator(model, hyp, REPLICATES, seed)
+    return estimator(model, hyp, replicates, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -66,3 +79,9 @@ def _estimate(case, seed):
 def test_estimates_are_pinned(case, seed):
     got = hashlib.sha256(repr(_estimate(case, seed)).encode()).hexdigest()
     assert got == DIGESTS[case, seed]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_multi_block_estimates_are_pinned(case):
+    got = hashlib.sha256(repr(_estimate(case, 1, MULTI_BLOCK_REPLICATES)).encode()).hexdigest()
+    assert got == MULTI_BLOCK_DIGESTS[case]

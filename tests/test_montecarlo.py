@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.stats import norm
 
 from pxkit import (
     ErrorProbEstimate,
+    MarginalFamily,
     SimpleHypotheses,
     check_bound,
     derive_seed,
@@ -24,7 +27,7 @@ from pxkit import (
     row_seed,
     sweep,
 )
-from pxkit.densities import make_rng
+from pxkit.densities import make_rng, normal_density
 from pxkit.kraft import decide
 from pxkit.models import joint_logpdf
 from pxkit.montecarlo import _CHUNK, check_replicates
@@ -153,7 +156,12 @@ class TestBlocks:
         ],
         ids=["phi-normal", "phi-exponential", "psi-two-stage", "psi-variance-2"],
     )
-    @pytest.mark.parametrize("replicates", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    # One block or fewer runs both arms on the caller's thread; the rest
+    # run the theta1 arm on a worker and cross block boundaries in both arms.
+    @pytest.mark.parametrize(
+        "replicates",
+        [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 6 * _CHUNK + 7],
+    )
     def test_blocked_estimate_equals_full_length_draw(self, estimator, model, hyp, replicates):
         est = estimator(model, hyp, replicates, seed=23)
         alpha, beta = _full_length_reference(estimator, model, hyp, replicates, 23)
@@ -172,6 +180,67 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 10**6 * np.dtype(np.float64).itemsize
+
+
+class _ArmError(RuntimeError):
+    pass
+
+
+def _recording_family(fail_theta=None):
+    """N(theta, 1) family whose sampler records the thread of each draw, by theta.
+
+    With ``fail_theta`` set, that arm raises `_ArmError` on its first draw
+    and the other arm's draws wait until it has raised.
+    """
+    threads = {HYP.theta0: [], HYP.theta1: []}
+    raised = threading.Event()
+
+    def density_at(theta, eta):
+        base = normal_density(theta, 1.0)
+
+        def sample(n, rng):
+            threads[theta].append(threading.current_thread())
+            if theta == fail_theta:
+                raised.set()
+                raise _ArmError(theta)
+            if fail_theta is not None:
+                assert raised.wait(timeout=30)
+            return base.sample(n, rng)
+
+        return replace(base, sample=sample)
+
+    return MarginalFamily(density_at), threads
+
+
+class TestArms:
+    def test_one_block_runs_both_arms_on_the_callers_thread(self):
+        family, threads = _recording_family()
+        estimate_phi_errors(family, HYP, _CHUNK, seed=5)
+        me = threading.current_thread()
+        assert threads == {HYP.theta0: [me], HYP.theta1: [me]}
+
+    def test_theta1_arm_runs_on_a_worker_past_one_block(self):
+        family, threads = _recording_family()
+        estimate_phi_errors(family, HYP, _CHUNK + 1, seed=5)
+        me = threading.current_thread()
+        assert threads[HYP.theta0] == [me, me]
+        worker = threads[HYP.theta1][0]
+        assert worker is not me
+        assert threads[HYP.theta1] == [worker, worker]
+        assert not worker.is_alive()
+
+    @pytest.mark.parametrize("fail_theta", [HYP.theta0, HYP.theta1], ids=["theta0", "theta1"])
+    def test_failing_arm_reaches_caller_and_stops_the_other(self, fail_theta):
+        family, threads = _recording_family(fail_theta)
+        blocks = 16
+        before = threading.active_count()
+        with pytest.raises(_ArmError) as info:
+            estimate_phi_errors(family, HYP, blocks * _CHUNK, seed=5)
+        assert info.value.args == (fail_theta,)
+        assert threading.active_count() == before
+        other = HYP.theta1 if fail_theta == HYP.theta0 else HYP.theta0
+        assert len(threads[fail_theta]) == 1
+        assert len(threads[other]) < blocks
 
 
 class TestCheckBound:
