@@ -93,6 +93,14 @@ class AccuracyModel:
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
 
 
+def _mean(x: np.ndarray) -> float:
+    """``float(np.mean(x))`` for a nonempty float64 array, without its Python layers.
+
+    np.mean divides the same pairwise sum by the count, so the bits agree.
+    """
+    return float(x.sum()) / len(x)
+
+
 @dataclass(frozen=True, eq=False)
 class Population:
     """A drawn population: ``units`` is a read-only `UNIT_DTYPE` array in stratum order."""
@@ -105,7 +113,7 @@ class Population:
     def true_mean(self) -> float:
         # A contiguous copy keeps numpy's pairwise summation on the same blocks
         # as for a plain float array; the strided field would shift last bits.
-        return float(np.mean(np.ascontiguousarray(self.units["value"])))
+        return _mean(np.ascontiguousarray(self.units["value"]))
 
 
 def generate_population(spec: PopulationSpec) -> Population:
@@ -125,8 +133,8 @@ def generate_population(spec: PopulationSpec) -> Population:
         block["stratum"] = k
         block["value"] = rng.normal(stratum.value_mean, stratum.value_sd, stratum.size)
         block["has_attribute"] = rng.random(stratum.size) < prob
-        holders = start + np.flatnonzero(block["has_attribute"])
-        non_holders = start + np.flatnonzero(~block["has_attribute"])
+        holders = start + block["has_attribute"].nonzero()[0]
+        non_holders = start + (~block["has_attribute"]).nonzero()[0]
         pairs = min(len(holders), len(non_holders))
         units["associate"][holders[:pairs]] = non_holders[:pairs]
         shortfall[stratum.label] = len(holders) - pairs
@@ -145,7 +153,7 @@ def collect_proxy_responses(pop: Population, acc: AccuracyModel, seed: int) -> n
     noise-sd units) otherwise.
     """
     units = pop.units
-    paired = np.flatnonzero(units["associate"] >= 0)
+    paired = (units["associate"] >= 0).nonzero()[0]
     n = len(paired)
     reports = np.empty(n, dtype=REPORT_DTYPE)
     if n == 0:
@@ -154,8 +162,7 @@ def collect_proxy_responses(pop: Population, acc: AccuracyModel, seed: int) -> n
     exact = rng.random(n) < acc.p_accurate
     noise = rng.normal(0.0, acc.noise_sd, n) if acc.noise_sd > 0 else np.zeros(n)
     corruption = np.where(exact, 0.0, noise)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        decayed = np.exp(-np.abs(corruption) / acc.noise_sd) if acc.noise_sd > 0 else np.ones(n)
+    decayed = np.exp(-np.abs(corruption) / acc.noise_sd) if acc.noise_sd > 0 else np.ones(n)
     reports["respondent"] = paired
     reports["target"] = units["associate"][paired]
     reports["reported_value"] = units["value"][reports["target"]] + corruption
@@ -177,17 +184,39 @@ def check_srs_size(srs_size: int, population_size: int) -> int:
     return int(srs_size)
 
 
+def _linear_quantile(x: np.ndarray, q: float) -> float:
+    """``float(np.quantile(x, q))`` for a nonempty NaN-free float64 array and q in [0, 1].
+
+    numpy's default "linear" rule (Hyndman & Fan method 7): the virtual
+    index (n - 1) q falls between order statistics a and b, found here by one
+    partition, and the cut is interpolated from the nearer end as
+    ``numpy.lib._function_base_impl._lerp`` does, so the bits agree.  An index
+    at or past n - 1 gives the maximum.
+    """
+    n = len(x)
+    v = (n - 1) * q
+    if v >= n - 1:
+        return float(x.max())
+    k = math.floor(v)
+    a, b = np.partition(x, (k, k + 1))[k : k + 2].tolist()
+    t = v - k
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
+
+
 def filter_most_accurate(responses: np.ndarray, quantile: float) -> np.ndarray:
     """Keep the top `quantile` share of proxy reports by accuracy score.
 
-    The cut is the (1 - quantile) empirical quantile of the scores; ties at
-    the cut are kept, input order is preserved.
+    The cut is numpy's linear (1 - quantile) empirical quantile of the
+    scores, computed with one partition; ties at the cut are kept, input
+    order is preserved.
     """
     if len(responses) == 0:
         raise ValueError("no responses to filter")
     quantile = check_quantile(quantile)
     scores = responses["accuracy_score"]
-    return responses[scores >= float(np.quantile(scores, 1.0 - quantile))]
+    return responses[scores >= _linear_quantile(scores, 1.0 - quantile)]
 
 
 def estimate_mean(
@@ -211,7 +240,7 @@ def estimate_mean(
         values = units["value"][respondents]
         if len(values) == 0:
             raise ValueError("no respondents: naive estimate undefined")
-        return float(np.mean(values))
+        return _mean(values)
 
     if scheme == "augmented":
         # Self-reports in unit order, then proxy reports in report order: the
@@ -226,12 +255,12 @@ def estimate_mean(
         covered = [(s.size / total, values[strata == k]) for k, s in enumerate(pop.spec.strata)]
         covered = [(share, vals) for share, vals in covered if len(vals)]
         share_sum = sum(share for share, _ in covered)
-        return sum(share * float(np.mean(vals)) for share, vals in covered) / share_sum
+        return sum(share * _mean(vals) for share, vals in covered) / share_sum
 
     if scheme == "srs_oracle":
         srs_size = check_srs_size(srs_size, len(units))
         idx = make_rng(seed).choice(len(units), size=srs_size, replace=False)
-        return float(np.mean(units["value"][idx]))
+        return _mean(units["value"][idx])
 
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
@@ -291,7 +320,8 @@ def compare_schemes(
     """Replicate the full pipeline and summarize per-scheme estimation error.
 
     Each replication regenerates the population, proxy responses and SRS
-    draw from seeds derived of (seed, replication index).  When
+    draw from three seeds derived of (seed, replication index, key) with
+    keys 0, 1 and 2; only srs_oracle reads the third.  When
     ``srs_size`` is not given, the benchmark sample matches the
     replication's respondent count.  The spec, the replication count,
     ``quantile`` and ``srs_size`` are validated before the first replication.
@@ -309,8 +339,9 @@ def compare_schemes(
         n_resp = int(np.count_nonzero(pop.units["has_attribute"]))
         size = srs_size if srs_size is not None else max(1, n_resp)
         truth = pop.true_mean
+        srs_seed = derive_seed(seed, rep, 2)
         for scheme in SCHEMES:
-            est = estimate_mean(pop, kept, scheme, srs_size=size, seed=derive_seed(seed, rep, 2))
+            est = estimate_mean(pop, kept, scheme, srs_size=size, seed=srs_seed)
             errors[scheme].append(est - truth)
     arrays = {s: np.array(v) for s, v in errors.items()}
     return SchemeComparison(

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pxkit import (
     AccuracyModel,
@@ -180,6 +182,38 @@ class TestFilter:
             filter_most_accurate(_resp([1.0]), 0.0)
 
 
+# Exact reports score 1 and noisy ones exp(-|z|), as collect_proxy_responses scores them.
+_ACCURACY_SCORES = st.lists(
+    st.one_of(st.just(1.0), st.floats(-40.0, 40.0).map(lambda z: float(np.exp(-abs(z))))),
+    min_size=1,
+    max_size=500,
+)
+_TIED_SCORES = st.lists(st.floats(0.0, 1.0).map(lambda x: round(x, 1)), min_size=1, max_size=500)
+_EQUAL_SCORES = st.builds(lambda x, n: [x] * n, st.floats(0.0, 1.0), st.integers(1, 500))
+_QUANTILES = st.one_of(
+    st.sampled_from([1.0, 0.5, 1.0 - 2.0**-52]),
+    st.floats(2.0**-1074, 1e-3),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+# The cut interpolates from a when its fractional index t < 0.5 (first
+# example: t = 0 at quantile 1, second: t = 3 * 2**-52), from b when t >= 0.5
+# (third: t = 0.5, fourth: t = 0.75) and is the maximum at index n - 1 (last two).
+@given(scores=st.one_of(_ACCURACY_SCORES, _TIED_SCORES, _EQUAL_SCORES), quantile=_QUANTILES)
+@example(scores=[0.4, 0.1, 0.3, 0.2], quantile=1.0)
+@example(scores=[0.4, 0.1, 0.3, 0.2], quantile=1.0 - 2.0**-52)
+@example(scores=[0.4, 0.1, 0.3, 0.2], quantile=0.5)
+@example(scores=[0.4, 0.1, 0.3, 0.2, 1.0], quantile=0.8125)
+@example(scores=[0.4, 0.1, 0.3, 0.2], quantile=1e-300)
+@example(scores=[0.3], quantile=0.5)
+def test_cut_is_numpys_linear_quantile(scores, quantile):
+    rs = _resp(scores)
+    reference = float(np.quantile(rs["accuracy_score"], 1.0 - quantile))
+    assert survey._linear_quantile(rs["accuracy_score"], 1.0 - quantile) == reference
+    assert np.array_equal(filter_most_accurate(rs, quantile), rs[rs["accuracy_score"] >= reference])
+
+
 class TestEstimators:
     def test_srs_census_is_exact(self):
         pop = generate_population(TWO_STRATA)
@@ -239,6 +273,17 @@ class TestCompareSchemes:
             strata_with_data |= set(pop.units["stratum"][responses["target"]])
             covered += strata_with_data == {0, 1}
         assert covered / reps >= 0.99
+
+    def test_three_derived_seeds_per_replication(self, monkeypatch):
+        calls = []
+
+        def counting(*key):
+            calls.append(key)
+            return derive_seed(*key)
+
+        monkeypatch.setattr(survey, "derive_seed", counting)
+        compare_schemes(TWO_STRATA, PERFECT, 1.0, 12, seed=4)
+        assert sorted(calls) == [(4, rep, key) for rep in range(12) for key in range(3)]
 
     def test_minimum_replications(self):
         with pytest.raises(ValueError):
