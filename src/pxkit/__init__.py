@@ -8,7 +8,14 @@ informative.  Seeded Monte Carlo simulation verifies the bounds
 empirically, and a survey-augmentation simulator shows how proxy reports
 from a non-representative respondent pool recover representative
 population information.
+
+``import pxkit`` loads the quadrature, density, model and affinity layers.
+The ``montecarlo`` and ``survey`` layers (and ``kraft``, which only
+``montecarlo`` uses) load on first access to one of their names, so each
+CLI subcommand loads only the layers it runs.
 """
+
+from importlib import import_module as _import_module
 
 from .affinity import (
     AffinityResult,
@@ -44,31 +51,62 @@ from .models import (
     make_two_stage_normal,
     verify_preservation,
 )
-from .montecarlo import (
-    BoundCheck,
-    ErrorProbEstimate,
-    SweepRow,
-    SweepTable,
-    check_bound,
-    estimate_phi_errors,
-    estimate_psi_errors,
-    row_seed,
-    sweep,
-)
 from .quadrature import QuadratureBudgetError, QuadratureConfig, QuadResult, integrate
 from .seeding import derive_seed
-from .survey import (
-    AccuracyModel,
-    Population,
-    PopulationSpec,
-    SchemeComparison,
-    Stratum,
-    collect_proxy_responses,
-    compare_schemes,
-    estimate_mean,
-    filter_most_accurate,
-    generate_population,
-    load_population_spec,
-)
+
+# Public name -> the submodule it is loaded from on first access; a
+# submodule's own name maps to itself.
+_LAZY = {
+    "kraft": "kraft",
+    "montecarlo": "montecarlo",
+    **dict.fromkeys(
+        (
+            "BoundCheck",
+            "ErrorProbEstimate",
+            "SweepRow",
+            "SweepTable",
+            "check_bound",
+            "estimate_phi_errors",
+            "estimate_psi_errors",
+            "row_seed",
+            "sweep",
+        ),
+        "montecarlo",
+    ),
+    "survey": "survey",
+    **dict.fromkeys(
+        (
+            "AccuracyModel",
+            "Population",
+            "PopulationSpec",
+            "SchemeComparison",
+            "Stratum",
+            "collect_proxy_responses",
+            "compare_schemes",
+            "estimate_mean",
+            "filter_most_accurate",
+            "generate_population",
+            "load_population_spec",
+        ),
+        "survey",
+    ),
+}
+
+# Every public name bound above (the submodules the eager imports bind too)
+# and every lazy one.
+__all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_LAZY))
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

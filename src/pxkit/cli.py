@@ -20,17 +20,17 @@ The PXKIT_OUT_DIR environment variable supplies the output directory when
 from __future__ import annotations
 
 import argparse
-import configparser
 import io
 import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .affinity import activation_measure, expanded_bound, marginal_bound
-from . import survey
 from .affinity import affinity as compute_affinity
 from .densities import load_tabulated_csv
 from .models import (
@@ -42,18 +42,17 @@ from .models import (
     make_normal_variance_expansion,
     make_two_stage_normal,
 )
-from .montecarlo import check_replicates, sweep
 from .quadrature import QuadratureBudgetError, QuadratureConfig
 from .reporting import emit_plot_data, render_record, render_table, write_atomic, write_manifest
-from .survey import (
-    AccuracyModel,
-    PopulationSpec,
-    check_population,
-    check_quantile,
-    check_replications,
-    check_srs_size,
-    compare_schemes,
-)
+
+if TYPE_CHECKING:
+    import configparser
+
+    from .survey import PopulationSpec
+
+# The montecarlo and survey layers, and configparser, are imported only by
+# the subcommands and config paths that use them, so that affinity, bound
+# and r-measure start without loading them.
 
 COMMANDS = ("affinity", "bound", "r-measure", "test", "mc-sweep", "survey")
 PLOT_COMMANDS = ("mc-sweep", "survey")
@@ -92,6 +91,11 @@ _MODELS = {
 }
 # The model types each command accepts; the others take both.
 _ACCEPTS = {"affinity": MarginalFamily, "r-measure": ExpandedModel}
+
+
+def _survey(name: str):
+    """``pxkit.survey.<name>``, looked up (and the module imported) when called."""
+    return lambda *args: getattr(import_module(".survey", __package__), name)(*args)
 
 
 def float_list(text: str) -> tuple[float, ...]:
@@ -154,9 +158,9 @@ class ExperimentConfig:
         "survey", None, int, "random-sample benchmark size (default: respondents)", flags=SURVEY
     )
     population: PopulationSpec | None = _option(
-        "population", None, survey.population_spec_from_section, key=None, flags=(),
-        show=survey.population_spec_to_section,
-        record=(survey.population_record, survey.population_spec_from_record),
+        "population", None, _survey("population_spec_from_section"), key=None, flags=(),
+        show=_survey("population_spec_to_section"),
+        record=(_survey("population_record"), _survey("population_spec_from_record")),
     )
 
 
@@ -166,6 +170,8 @@ _SECTIONS = {section for section, _ in _INI}
 
 
 def apply_config_file(config: ExperimentConfig, path: str | Path) -> ExperimentConfig:
+    import configparser
+
     cp = configparser.ConfigParser()
     try:
         read = cp.read(path, encoding="utf-8")
@@ -177,6 +183,8 @@ def apply_config_file(config: ExperimentConfig, path: str | Path) -> ExperimentC
 
 
 def parse_config_text(text: str, command: str | None = None) -> ExperimentConfig:
+    import configparser
+
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -215,6 +223,8 @@ def _apply_parsed(
 
 def to_ini(config: ExperimentConfig) -> str:
     """Serialize a config to INI text that re-parses to an equal config."""
+    import configparser
+
     cp = configparser.ConfigParser()
     for f in fields(config):
         value = getattr(config, f.name)
@@ -250,6 +260,14 @@ def _inputs(config: ExperimentConfig) -> SimpleNamespace:
     exits 2 as a configuration error, before numerical work could exit 1.
     """
     if config.command == "survey":
+        from .survey import (
+            AccuracyModel,
+            check_population,
+            check_quantile,
+            check_replications,
+            check_srs_size,
+        )
+
         _build(config, check_population, "population")
         size = config.srs_size
         if size is not None:
@@ -281,8 +299,11 @@ def _inputs(config: ExperimentConfig) -> SimpleNamespace:
         densities = [
             _build(config, marginal.density_at, *names, args=(t,)) for t in (theta1, config.theta0)
         ]
-    mc = config.command in ("test", "mc-sweep")
-    replicates = _build(config, check_replicates, "replicates") if mc else None
+    replicates = None
+    if config.command in ("test", "mc-sweep"):
+        from .montecarlo import check_replicates
+
+        replicates = _build(config, check_replicates, "replicates")
     return SimpleNamespace(
         quad=quad, model=model, hyp=hyp, densities=densities, replicates=replicates
     )
@@ -343,12 +364,16 @@ def _cmd_test(config: ExperimentConfig, inp: SimpleNamespace):
 
 
 def _cmd_mc_sweep(config: ExperimentConfig, inp: SimpleNamespace):
+    from .montecarlo import sweep
+
     return sweep(
         inp.model, config.theta0, config.theta1_list, inp.replicates, config.seed, inp.quad
     )
 
 
 def _cmd_survey(config: ExperimentConfig, inp: SimpleNamespace):
+    from .survey import compare_schemes
+
     return compare_schemes(
         config.population,
         inp.accuracy,
@@ -399,7 +424,8 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The ``pxkit`` parser; only the subcommands in ``commands`` get their flags."""
     parser = argparse.ArgumentParser(
         prog="pxkit",
         description="Affinity bounds for simple-hypothesis tests under parameter "
@@ -408,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         p = sub.add_parser(command)
+        if command not in commands:
+            continue
         p.add_argument("--config", help="INI config file; flags override its values")
         for f in _FIELDS.values():
             if command in f.metadata.get("flags", COMMANDS):
@@ -433,7 +461,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option but -h, so a subcommand, when given,
+    # is argv[0]; only its flags are built.
+    named = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
+    args = build_parser(named).parse_args(argv)
     try:
         config = _config_from_args(args)
         return run(config)

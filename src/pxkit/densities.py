@@ -15,7 +15,6 @@ draws one value per entry.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -219,6 +218,8 @@ def tabulated_density(grid, values) -> ScalarDensity:
 
 def load_tabulated_csv(path: str | Path) -> ScalarDensity:
     """Read a two-column (grid, value) CSV, header row optional."""
+    import csv
+
     grid: list[float] = []
     values: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:

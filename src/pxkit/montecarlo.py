@@ -230,8 +230,17 @@ class SweepTable:
         "satisfied",
     )
 
+    plot_columns: ClassVar[tuple[str, ...]] = ("theta1", "error_sum", "bound")
+
     def records(self) -> list[dict]:
         return [{c: getattr(r, c) for c in self.columns} for r in self.rows]
+
+    def plot_records(self) -> list[dict]:
+        """The error sum and the bound at each alternative, for `reporting.emit_plot_data`."""
+        return [
+            {"theta1": r.theta1, "error_sum": r.alpha_hat + r.beta_hat, "bound": r.bound}
+            for r in self.rows
+        ]
 
 
 def row_seed(base_seed: int, theta1: float) -> int:

@@ -12,9 +12,6 @@ import math
 import os
 from pathlib import Path
 
-from .montecarlo import SweepTable
-from .survey import SchemeComparison
-
 
 def format_real(x: float) -> str:
     if not math.isfinite(x):
@@ -107,23 +104,18 @@ def render_record(record: dict, fmt: str) -> str:
 
 
 def emit_plot_data(table, path: str | Path) -> None:
-    """Write a long-format x/y(/series) CSV projection of a results table."""
-    if isinstance(table, SweepTable):
-        if not table.rows:
-            raise ValueError("empty sweep table")
-        records = [
-            {"theta1": r.theta1, "error_sum": r.alpha_hat + r.beta_hat, "bound": r.bound}
-            for r in table.rows
-        ]
-        write_atomic(path, render_csv(("theta1", "error_sum", "bound"), records))
-        return
-    if isinstance(table, SchemeComparison):
-        records = [{"scheme": s, "rmse": table.rmse[s]} for s in table.rmse]
-        if not records:
-            raise ValueError("empty comparison table")
-        write_atomic(path, render_csv(("scheme", "rmse"), records))
-        return
-    raise TypeError(f"no plot projection for {type(table).__name__}")
+    """Write a long-format x/y(/series) CSV projection of a results table.
+
+    The table supplies it as ``plot_columns`` and ``plot_records()``
+    (`montecarlo.SweepTable`, `survey.SchemeComparison`), so this module
+    imports neither layer.
+    """
+    if not hasattr(table, "plot_records"):
+        raise TypeError(f"no plot projection for {type(table).__name__}")
+    records = table.plot_records()
+    if not records:
+        raise ValueError(f"empty {type(table).__name__}")
+    write_atomic(path, render_csv(table.plot_columns, records))
 
 
 def sha256_of(text: str) -> str:

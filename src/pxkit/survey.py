@@ -15,7 +15,6 @@ sample benchmark.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -277,6 +276,7 @@ class SchemeComparison:
     errors: dict[str, np.ndarray]
 
     columns: ClassVar[tuple[str, ...]] = ("scheme", "mean_error", "rmse", "replications", "seed")
+    plot_columns: ClassVar[tuple[str, ...]] = ("scheme", "rmse")
 
     def records(self) -> list[dict]:
         return [
@@ -289,6 +289,10 @@ class SchemeComparison:
             }
             for scheme in SCHEMES
         ]
+
+    def plot_records(self) -> list[dict]:
+        """The rmse of each scheme, for `reporting.emit_plot_data`."""
+        return [{"scheme": s, "rmse": self.rmse[s]} for s in self.rmse]
 
 
 def check_replications(replications: int) -> int:
@@ -347,11 +351,35 @@ def compare_schemes(
     return SchemeComparison(
         replications=replications,
         seed=int(seed),
-        mean_error={s: float(np.mean(a)) for s, a in arrays.items()},
-        rmse={s: float(np.sqrt(np.mean(a * a))) for s, a in arrays.items()},
-        stderr_mean={s: float(np.std(a, ddof=1) / math.sqrt(len(a))) for s, a in arrays.items()},
+        mean_error={s: _summary(np.mean, a) for s, a in arrays.items()},
+        rmse={s: _summary(_rms, a) for s, a in arrays.items()},
+        stderr_mean={s: _summary(_stderr, a) for s, a in arrays.items()},
         errors=arrays,
     )
+
+
+def _rms(a: np.ndarray) -> float:
+    return np.sqrt(np.mean(a * a))
+
+
+def _stderr(a: np.ndarray) -> float:
+    return np.std(a, ddof=1) / math.sqrt(len(a))
+
+
+def _summary(stat, a: np.ndarray) -> float:
+    """``stat(a)`` for a statistic with stat(c·a) = c·stat(a) for every c > 0.
+
+    When the plain form overflows on finite errors (it squares or sums before
+    it reduces), it is taken on ``a / max|a|`` and scaled back.  A finite
+    plain form is returned as is, so results that did not overflow are
+    unchanged to the bit.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(stat(a))
+    if math.isfinite(value) or not np.isfinite(a).all():
+        return value
+    scale = float(np.max(np.abs(a)))
+    return float(stat(a / scale)) * scale
 
 
 def load_population_spec(path: str | Path) -> PopulationSpec:
@@ -368,6 +396,8 @@ def load_population_spec(path: str | Path) -> PopulationSpec:
     Each stratum line is label, size, value mean, value sd, attribute
     probability.
     """
+    import configparser
+
     cp = configparser.ConfigParser()
     try:
         read = cp.read(path, encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -116,6 +117,19 @@ class TestSubcommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "scheme,mean_error,rmse,replications,seed"
         assert len(lines) == 4
+
+    def test_survey_with_large_finite_errors(self, tmp_path):
+        # Stratum A's values reach about 1e300, so squared errors overflow a double.
+        cfg = tmp_path / "survey.ini"
+        text = SURVEY_INI.replace("A, 50, 0.0, 1.0", "A, 100, 0.0, 1e300").replace("B, 50", "B, 100")
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "survey.json"
+        assert run_cli(
+            "survey", "--config", str(cfg), "--replications", "10", "--seed", "1",
+            "--out", str(out),
+        ) == 0
+        rows = json.loads(out.read_text())
+        assert all(math.isfinite(r["rmse"]) and r["rmse"] > 1e280 for r in rows)
 
     def test_singleton_sweep_matches_test_run(self, tmp_path):
         sweep_out = tmp_path / "s.json"
@@ -264,7 +278,7 @@ class TestExitCodes:
             raise AssertionError("computation started on rejected input")
 
         monkeypatch.setattr(importlib.import_module("pxkit.affinity"), "integrate", computation)
-        monkeypatch.setattr(importlib.import_module("pxkit.cli"), "compare_schemes", computation)
+        monkeypatch.setattr(importlib.import_module("pxkit.survey"), "compare_schemes", computation)
         inis = {
             "ok": SURVEY_INI,
             "nan_mean": SURVEY_INI.replace("A, 50, 0.0, 1.0", "A, 50, nan, 1.0"),
@@ -394,15 +408,45 @@ class TestAtomicity:
         assert (tmp_path / "r.json.manifest.json").stat().st_mode == expected
 
 
-def test_cli_run_does_not_import_scipy(tmp_path):
+# Each subcommand's arguments, and the modules it must not load: the layers it
+# does not run (and configparser, which only INI config paths use), and scipy,
+# which is not a runtime dependency.
+_NORMAL = ["--model", "normal", "--theta0", "0"]
+_IMPORT_GRAPH = {
+    "affinity": ([*_NORMAL, "--theta1", "1"], ("pxkit.montecarlo", "pxkit.survey", "configparser")),
+    "bound": ([*_NORMAL, "--theta1", "1"], ("pxkit.montecarlo", "pxkit.survey", "configparser")),
+    "r-measure": (
+        ["--model", "two-stage-normal", "--theta0", "0", "--theta1", "1"],
+        ("pxkit.montecarlo", "pxkit.survey", "configparser"),
+    ),
+    "test": ([*_NORMAL, "--theta1", "1", "--replicates", "1000"], ("pxkit.survey",)),
+    "mc-sweep": (
+        [*_NORMAL, "--theta1-list", "0.5,1", "--replicates", "1000", "--plot-data", "{tmp}/p.csv"],
+        ("pxkit.survey",),
+    ),
+    "survey": (
+        ["--config", "{tmp}/survey.ini", "--replications", "10", "--plot-data", "{tmp}/p.csv"],
+        ("pxkit.montecarlo",),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_IMPORT_GRAPH))
+def test_cli_run_imports_only_its_layers(command, tmp_path):
+    args, not_loaded = _IMPORT_GRAPH[command]
+    (tmp_path / "survey.ini").write_text(SURVEY_INI, encoding="utf-8")
+    argv = [command, *[a.format(tmp=tmp_path) for a in args], "--out", str(tmp_path / "r.json")]
     src = str(Path(pxkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, pxkit\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pxkit\n"
         "from pxkit.cli import main\n"
-        "assert main(['affinity', '--model', 'normal', '--theta0', '0', '--theta1', '1',"
-        f" '--out', {str(tmp_path / 'a.json')!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        f"assert main({argv!r}) == 0\n"
+        "loaded = sorted(m for m in set(sys.modules) - before\n"
+        f"                if m in {not_loaded!r} or m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

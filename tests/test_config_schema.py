@@ -93,6 +93,19 @@ def test_flag_sets_per_subcommand():
         assert flags == FLAGS[command], command
 
 
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_parser_of_one_subcommand_is_the_full_parsers(command):
+    """`main` builds only the named subcommand's flags; its parser is unchanged by that."""
+    full, one = _subparsers(build_parser()), _subparsers(build_parser((command,)))
+    assert set(one) == set(full)
+    assert one[command].format_help() == full[command].format_help()
+    assert all(
+        {s for a in sub._actions for s in a.option_strings} == {"-h", "--help"}
+        for name, sub in one.items()
+        if name != command
+    )
+
+
 def test_ini_key_sets_per_section():
     cp = configparser.ConfigParser()
     cp.read_string(to_ini(ExperimentConfig(**NON_DEFAULT)))

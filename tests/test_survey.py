@@ -1,6 +1,8 @@
 """Survey-augmentation pipeline: pairing, proxy quality, estimators, recovery."""
 
 import math
+import statistics
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -284,6 +286,22 @@ class TestCompareSchemes:
         monkeypatch.setattr(survey, "derive_seed", counting)
         compare_schemes(TWO_STRATA, PERFECT, 1.0, 12, seed=4)
         assert sorted(calls) == [(4, rep, key) for rep in range(12) for key in range(3)]
+
+    def test_large_finite_errors_give_finite_summaries(self):
+        # Stratum A's values reach about 1e300, so squared errors overflow a double.
+        spec = replace(TWO_STRATA, strata=(Stratum("A", 100, 0.0, 1e300), TWO_STRATA.strata[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comp = compare_schemes(spec, PERFECT, 1.0, 10, seed=1)
+        for scheme, errors in comp.errors.items():
+            assert np.isfinite(errors).all()
+            scale = np.max(np.abs(errors))
+            n = len(errors)
+            rms = float(np.hypot.reduce(errors)) / math.sqrt(n)
+            stderr = statistics.stdev(errors / scale) * float(scale) / math.sqrt(n)
+            assert comp.rmse[scheme] == pytest.approx(rms, rel=1e-12)
+            assert comp.stderr_mean[scheme] == pytest.approx(stderr, rel=1e-12)
+            assert comp.mean_error[scheme] == pytest.approx(statistics.fmean(errors), rel=1e-12)
 
     def test_minimum_replications(self):
         with pytest.raises(ValueError):
