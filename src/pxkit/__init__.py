@@ -86,7 +86,6 @@ _LAZY = {
             "estimate_mean",
             "filter_most_accurate",
             "generate_population",
-            "load_population_spec",
         ),
         "survey",
     ),

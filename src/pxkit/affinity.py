@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import check_count
 from .densities import ScalarDensity
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses
 from .quadrature import MIN_EVALUATIONS, QuadratureBudgetError, QuadratureConfig, integrate
@@ -250,9 +251,8 @@ def product_affinity_iid(
     grows the value decays geometrically toward 0, which is what makes
     consistent testing possible.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    return affinity(f, g, cfg).value ** int(n)
+    n = check_count("n", n, 1)
+    return affinity(f, g, cfg).value ** n
 
 
 def total_mass(d: ScalarDensity, cfg: QuadratureConfig | None = None):

@@ -20,7 +20,6 @@ The PXKIT_OUT_DIR environment variable supplies the output directory when
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 import time
@@ -46,8 +45,6 @@ from .quadrature import QuadratureBudgetError, QuadratureConfig
 from .reporting import emit_plot_data, render_record, render_table, write_atomic, write_manifest
 
 if TYPE_CHECKING:
-    import configparser
-
     from .survey import PopulationSpec
 
 # The montecarlo and survey layers, and configparser, are imported only by
@@ -110,9 +107,9 @@ def _option(section, default=MISSING, parse=str, help=None, **meta):
     """A config field: INI ``[section] key``, and ``--name`` on the ``flags`` subcommands.
 
     Optional ``meta``: ``key`` (default: the field name; None makes the field
-    the whole section), ``flags`` (default: every subcommand), ``show``
-    (writes INI text; default: str), ``record`` (the (to, from) pair for the
-    JSON manifest form; default: stored as is) and argparse ``choices``.
+    the whole section), ``flags`` (default: every subcommand), ``record`` (the
+    (to, from) pair for the JSON manifest form; default: stored as is) and
+    argparse ``choices``.
     ``parse`` reads INI or flag text; ``help`` is the flag's help.
     """
     return field(default=default, metadata=dict(meta, section=section, parse=parse, help=help))
@@ -143,8 +140,7 @@ class ExperimentConfig:
     theta0: float | None = _option("hypotheses", None, float, "null parameter value")
     theta1: float | None = _option("hypotheses", None, float, "alternative parameter value")
     theta1_list: tuple[float, ...] | None = _option(
-        "hypotheses", None, float_list, "comma-separated alternatives",
-        show=lambda v: ", ".join(map(str, v)), record=(list, tuple),
+        "hypotheses", None, float_list, "comma-separated alternatives", record=(list, tuple)
     )
     abs_tol: float = _option("quadrature", 1e-9, float, "absolute quadrature tolerance")
     rel_tol: float = _option("quadrature", 1e-7, float, "relative quadrature tolerance")
@@ -159,7 +155,6 @@ class ExperimentConfig:
     )
     population: PopulationSpec | None = _option(
         "population", None, _survey("population_spec_from_section"), key=None, flags=(),
-        show=_survey("population_spec_to_section"),
         record=(_survey("population_record"), _survey("population_spec_from_record")),
     )
 
@@ -170,6 +165,7 @@ _SECTIONS = {section for section, _ in _INI}
 
 
 def apply_config_file(config: ExperimentConfig, path: str | Path) -> ExperimentConfig:
+    """``config`` updated from an INI file; a bad section, key or value is a ConfigError."""
     import configparser
 
     cp = configparser.ConfigParser()
@@ -179,62 +175,26 @@ def apply_config_file(config: ExperimentConfig, path: str | Path) -> ExperimentC
         raise ConfigError(f"config: {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    return _apply_parsed(config, cp, where=str(path))
-
-
-def parse_config_text(text: str, command: str | None = None) -> ExperimentConfig:
-    import configparser
-
-    cp = configparser.ConfigParser()
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config: {exc}") from None
-    cmd = command or cp.get("run", "command", fallback=None)
-    if cmd is None:
-        raise ConfigError("run.command is required")
-    return _apply_parsed(ExperimentConfig(command=cmd), cp, where="config")
-
-
-def _apply_parsed(
-    config: ExperimentConfig, cp: configparser.ConfigParser, where: str
-) -> ExperimentConfig:
     for section in cp.sections():
         if section not in _SECTIONS:
-            raise ConfigError(f"{where}: unknown section [{section}]")
+            raise ConfigError(f"{path}: unknown section [{section}]")
         # A field keyed None takes the whole section and checks its keys itself.
         whole = (section, None) in _INI
         for key, raw in [(None, dict(cp[section]))] if whole else cp[section].items():
             if (section, key) not in _INI:
-                raise ConfigError(f"{where}: unknown key {section}.{key}")
+                raise ConfigError(f"{path}: unknown key {section}.{key}")
             f = _INI[section, key]
             try:
                 value = f.metadata["parse"](raw)
             except ValueError as exc:
                 name = section if whole else f"{section}.{key}"
-                raise ConfigError(f"{where}: {name}: {exc}") from None
+                raise ConfigError(f"{path}: {name}: {exc}") from None
             if f.name == "command" and value != config.command:
                 raise ConfigError(
-                    f"{where}: run.command {raw!r} does not match subcommand {config.command!r}"
+                    f"{path}: run.command {raw!r} does not match subcommand {config.command!r}"
                 )
             setattr(config, f.name, value)
     return config
-
-
-def to_ini(config: ExperimentConfig) -> str:
-    """Serialize a config to INI text that re-parses to an equal config."""
-    import configparser
-
-    cp = configparser.ConfigParser()
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if value is not None:
-            key = f.metadata.get("key", f.name)
-            text = f.metadata.get("show", str)(value)
-            cp.read_dict({f.metadata["section"]: text if key is None else {key: text}})
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 def config_record(config: ExperimentConfig) -> dict:

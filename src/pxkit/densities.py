@@ -217,21 +217,23 @@ def tabulated_density(grid, values) -> ScalarDensity:
 
 
 def load_tabulated_csv(path: str | Path) -> ScalarDensity:
-    """Read a two-column (grid, value) CSV, header row optional."""
+    """Read a two-column (grid, value) CSV; the first non-blank row may be a header."""
     import csv
 
     grid: list[float] = []
     values: list[float] = []
+    rows = 0  # non-blank rows read so far
     with open(path, newline="", encoding="utf-8") as fh:
         for i, row in enumerate(csv.reader(fh)):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            rows += 1
             if len(row) < 2:
                 raise ValueError(f"{path}: line {i + 1}: expected two columns, got {len(row)}")
             try:
                 g, v = float(row[0]), float(row[1])
             except ValueError:
-                if i == 0:
+                if rows == 1:
                     continue  # header row
                 raise ValueError(f"{path}: line {i + 1}: non-numeric entry") from None
             grid.append(g)

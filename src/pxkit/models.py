@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import check_count
 from .densities import ScalarDensity, gamma_density, normal_density, exponential_density
 
 
@@ -117,8 +118,7 @@ def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:
     expanded model genuinely tightens the testing bound.  eta plays no
     role; eta0 = 0 by convention.
     """
-    if int(n1) != n1 or int(n2) != n2 or n1 < 1 or n2 < 1:
-        raise ValueError(f"observation counts must be integers >= 1, got ({n1}, {n2})")
+    n1, n2 = check_count("n1", n1, 1), check_count("n2", n2, 1)
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     sd1 = sigma / math.sqrt(n1)
@@ -147,9 +147,7 @@ def make_normal_variance_expansion(n: int) -> ExpandedModel:
     conditional does not involve theta, the expansion cannot improve the
     testing bound: the activation measure is zero.
     """
-    if int(n) != n or n < 2:
-        raise ValueError(f"sample size must be an integer >= 2, got {n}")
-    n = int(n)
+    n = check_count("n", n, 2)
     shape = (n - 1) / 2.0
 
     def marginal_at(theta: float, eta: float) -> ScalarDensity:

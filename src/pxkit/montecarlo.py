@@ -16,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import densities
+from ._checks import check_count
 from .affinity import expanded_bound, marginal_bound
 from .kraft import decide
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses, joint_logpdf
@@ -67,9 +68,7 @@ def _half_width(p_hat: float, n: int) -> float:
 
 def check_replicates(replicates: int) -> int:
     """The replicate count as an int; raises ValueError unless an integer >= 100."""
-    if not (replicates >= 100 and replicates % 1 == 0):
-        raise ValueError(f"replicates must be an integer >= 100, got {replicates}")
-    return int(replicates)
+    return check_count("replicates", replicates, 100)
 
 
 def _estimate_errors(
@@ -219,16 +218,7 @@ class SweepTable:
     seed: int
     rows: tuple[SweepRow, ...]
 
-    columns: ClassVar[tuple[str, ...]] = (
-        "theta1",
-        "alpha_hat",
-        "beta_hat",
-        "half_width_alpha",
-        "half_width_beta",
-        "bound",
-        "slack",
-        "satisfied",
-    )
+    columns: ClassVar[tuple[str, ...]] = tuple(f.name for f in fields(SweepRow))
 
     plot_columns: ClassVar[tuple[str, ...]] = ("theta1", "error_sum", "bound")
 

@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import check_count
+
 # 15-point Kronrod nodes on [-1, 1] (ascending) with Kronrod weights; the
 # odd-indexed nodes form the embedded 7-point Gauss rule.
 _XK = np.array([
@@ -88,11 +90,8 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if not (self.max_evaluations >= MIN_EVALUATIONS and self.max_evaluations % 1 == 0):
-            raise ValueError(
-                f"max_evaluations must be an integer >= {MIN_EVALUATIONS}, "
-                f"got {self.max_evaluations}"
-            )
+        budget = check_count("max_evaluations", self.max_evaluations, MIN_EVALUATIONS)
+        object.__setattr__(self, "max_evaluations", budget)
 
 
 @dataclass(frozen=True)

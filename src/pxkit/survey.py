@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
+from ._checks import check_count
 from .densities import make_rng
 from .seeding import derive_seed
 
@@ -36,8 +36,7 @@ class Stratum:
     value_sd: float
 
     def __post_init__(self) -> None:
-        if int(self.size) != self.size or self.size <= 0:
-            raise ValueError(f"stratum {self.label!r}: size must be a positive integer")
+        object.__setattr__(self, "size", check_count(f"stratum {self.label!r}: size", self.size, 1))
         if not math.isfinite(self.value_mean):
             raise ValueError(f"stratum {self.label!r}: value_mean must be finite")
         if not 0 <= self.value_sd < math.inf:
@@ -46,6 +45,12 @@ class Stratum:
 
 @dataclass(frozen=True)
 class PopulationSpec:
+    """Strata, one attribute probability per stratum, and the seed `generate_population` uses.
+
+    `compare_schemes` replaces ``seed`` in every replication with one derived
+    from its own seed, so the spec's seed does not change its results.
+    """
+
     strata: tuple[Stratum, ...]
     attribute_prob: tuple[float, ...]
     seed: int
@@ -178,9 +183,7 @@ def check_quantile(quantile: float) -> float:
 
 def check_srs_size(srs_size: int, population_size: int) -> int:
     """The sample size as an int; raises ValueError unless an integer in [1, population_size]."""
-    if not (1 <= srs_size <= population_size and srs_size % 1 == 0):
-        raise ValueError(f"srs_size must be an integer in [1, {population_size}], got {srs_size}")
-    return int(srs_size)
+    return check_count("srs_size", srs_size, 1, population_size)
 
 
 def _linear_quantile(x: np.ndarray, q: float) -> float:
@@ -297,9 +300,7 @@ class SchemeComparison:
 
 def check_replications(replications: int) -> int:
     """The replication count as an int; raises ValueError unless an integer >= 10."""
-    if not (replications >= 10 and replications % 1 == 0):
-        raise ValueError(f"replications must be an integer >= 10, got {replications}")
-    return int(replications)
+    return check_count("replications", replications, 10)
 
 
 def check_population(spec: PopulationSpec) -> PopulationSpec:
@@ -325,7 +326,8 @@ def compare_schemes(
 
     Each replication regenerates the population, proxy responses and SRS
     draw from three seeds derived of (seed, replication index, key) with
-    keys 0, 1 and 2; only srs_oracle reads the third.  When
+    keys 0, 1 and 2; only srs_oracle reads the third.  The population seed
+    is the key-0 seed, so ``spec.seed`` does not change the result.  When
     ``srs_size`` is not given, the benchmark sample matches the
     replication's respondent count.  The spec, the replication count,
     ``quantile`` and ``srs_size`` are validated before the first replication.
@@ -382,8 +384,8 @@ def _summary(stat, a: np.ndarray) -> float:
     return float(stat(a / scale)) * scale
 
 
-def load_population_spec(path: str | Path) -> PopulationSpec:
-    """Read a PopulationSpec from a config file.
+def population_spec_from_section(section: dict) -> PopulationSpec:
+    """Parse the keys of a ``[population]`` INI section.
 
     Expected layout::
 
@@ -394,27 +396,9 @@ def load_population_spec(path: str | Path) -> PopulationSpec:
             B, 100, 10.0, 1.0, 0.1
 
     Each stratum line is label, size, value mean, value sd, attribute
-    probability.
+    probability.  ``seed`` is the spec's own seed (default 0); `compare_schemes`
+    does not read it.
     """
-    import configparser
-
-    cp = configparser.ConfigParser()
-    try:
-        read = cp.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not read:
-        raise ValueError(f"cannot read config file {path}")
-    if "population" not in cp:
-        raise ValueError(f"{path}: missing [population] section")
-    try:
-        return population_spec_from_section(dict(cp["population"]))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def population_spec_from_section(section: dict) -> PopulationSpec:
-    """Parse the keys of a ``[population]`` INI section (see `load_population_spec`)."""
     unknown = set(section) - {"seed", "strata"}
     if unknown:
         raise ValueError(f"unknown population key(s): {', '.join(sorted(unknown))}")
@@ -436,12 +420,6 @@ def population_spec_from_section(section: dict) -> PopulationSpec:
         probs.append(float(prob))
     seed = int(section.get("seed", 0))
     return PopulationSpec(strata=tuple(strata), attribute_prob=tuple(probs), seed=seed)
-
-
-def population_spec_to_section(spec: PopulationSpec) -> dict[str, str]:
-    """Inverse of `population_spec_from_section`: one stratum line per stratum."""
-    lines = [", ".join(str(v) for v in row.values()) for row in population_record(spec)["strata"]]
-    return {"seed": str(spec.seed), "strata": "\n" + "\n".join(lines)}
 
 
 def population_record(spec: PopulationSpec) -> dict:

@@ -16,11 +16,10 @@ import pxkit
 from pxkit.cli import (
     ConfigError,
     ExperimentConfig,
+    apply_config_file,
     config_from_record,
     main,
-    parse_config_text,
     run,
-    to_ini,
 )
 from pxkit.reporting import write_atomic
 from pxkit.survey import PopulationSpec, Stratum
@@ -172,6 +171,18 @@ class TestExitCodes:
         cfg.write_text("[run]\ncommand = survey\n", encoding="utf-8")
         assert run_cli("affinity", "--config", str(cfg), "--theta0", "0", "--theta1", "1") == 2
 
+    def test_config_command_must_match_subcommand(self, tmp_path, capsys):
+        """The mismatch alone exits 2: the same flags with a matching command run."""
+        out = tmp_path / "b.json"
+        args = ["--model", "normal", "--theta0", "0", "--theta1", "1", "--out", str(out)]
+        for command, code in [("survey", 2), ("bound", 0)]:
+            cfg = tmp_path / f"{command}.ini"
+            cfg.write_text(f"[run]\ncommand = {command}\n", encoding="utf-8")
+            assert run_cli("bound", "--config", str(cfg), *args) == code
+            assert out.exists() == (code == 0)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "run.command" in err and "survey" in err
+
     def test_numerical_failure(self, tmp_path, capsys):
         code = run_cli(
             "affinity", "--model", "normal", "--theta0", "0", "--theta1", "1",
@@ -294,7 +305,18 @@ class TestExitCodes:
 
 
 class TestConfigRoundTrip:
-    def test_full_round_trip(self):
+    def test_full_round_trip(self, tmp_path):
+        path = tmp_path / "sweep.ini"
+        path.write_text(
+            "[run]\ncommand = mc-sweep\nseed = 42\nformat = csv\n\n"
+            "[model]\nkind = two-stage-normal\nsigma = 1.5\nn1 = 2\nn2 = 3\n\n"
+            "[hypotheses]\ntheta0 = 0.25\ntheta1_list = 0.5, 1.0, 2.0\n\n"
+            "[quadrature]\nabs_tol = 1e-10\n\n"
+            "[monte_carlo]\nreplicates = 5000\n\n"
+            "[population]\nseed = 3\n"
+            "strata =\n    A, 10, 0.5, 1.0, 0.25\n    B, 20, -1.0, 2.0, 0.75\n",
+            encoding="utf-8",
+        )
         config = ExperimentConfig(
             command="mc-sweep",
             seed=42,
@@ -313,15 +335,13 @@ class TestConfigRoundTrip:
                 seed=3,
             ),
         )
-        assert parse_config_text(to_ini(config)) == config
+        assert apply_config_file(ExperimentConfig(command="mc-sweep"), path) == config
 
-    def test_parse_requires_command(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("[quadrature]\nabs_tol = 1e-9\n")
-
-    def test_parse_rejects_text_without_section_header(self):
+    def test_parse_rejects_text_without_section_header(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("kind = x\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="section header"):
-            parse_config_text("kind = x\n", "bound")
+            apply_config_file(ExperimentConfig(command="bound"), path)
 
     def test_manifest_reproduces_results_bit_exactly(self, tmp_path):
         out = tmp_path / "sweep.csv"

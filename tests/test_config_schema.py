@@ -11,11 +11,10 @@ from pxkit.cli import (
     ConfigError,
     ExperimentConfig,
     _config_from_args,
+    apply_config_file,
     build_parser,
     config_from_record,
     config_record,
-    parse_config_text,
-    to_ini,
 )
 from pxkit.reporting import render_json
 from pxkit.survey import PopulationSpec, Stratum
@@ -79,6 +78,37 @@ NON_DEFAULT = {
     "population": POPULATION,
 }
 
+# Each NON_DEFAULT value as INI text, written out by hand.
+NON_DEFAULT_INI = {
+    "command": "[run]\ncommand = survey\n",
+    "seed": "[run]\nseed = 42\n",
+    "out": "[run]\nout = results.csv\n",
+    "format": "[run]\nformat = csv\n",
+    "plot_data": "[run]\nplot_data = plot.csv\n",
+    "model": "[model]\nkind = two-stage-normal\n",
+    "sigma": "[model]\nsigma = 1.5\n",
+    "n1": "[model]\nn1 = 2\n",
+    "n2": "[model]\nn2 = 3\n",
+    "n": "[model]\nn = 5\n",
+    "csv_f": "[model]\ncsv_f = f.csv\n",
+    "csv_g": "[model]\ncsv_g = g.csv\n",
+    "theta0": "[hypotheses]\ntheta0 = 0.25\n",
+    "theta1": "[hypotheses]\ntheta1 = -0.75\n",
+    "theta1_list": "[hypotheses]\ntheta1_list = 0.5, 1.0; 2\n",
+    "abs_tol": "[quadrature]\nabs_tol = 1e-10\n",
+    "rel_tol": "[quadrature]\nrel_tol = 1e-6\n",
+    "max_evaluations": "[quadrature]\nmax_evaluations = 5000\n",
+    "replicates": "[monte_carlo]\nreplicates = 5000\n",
+    "quantile": "[survey]\nquantile = 0.5\n",
+    "p_accurate": "[survey]\np_accurate = 0.8\n",
+    "noise_sd": "[survey]\nnoise_sd = 0.3\n",
+    "replications": "[survey]\nreplications = 20\n",
+    "srs_size": "[survey]\nsrs_size = 40\n",
+    "population": (
+        "[population]\nseed = 3\nstrata =\n    A, 10, 0.5, 1.0, 0.25\n    B, 20, -1.0, 2.0, 0.75\n"
+    ),
+}
+
 
 def _subparsers(parser):
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -106,25 +136,38 @@ def test_parser_of_one_subcommand_is_the_full_parsers(command):
     )
 
 
-def test_ini_key_sets_per_section():
+def _apply_ini(tmp_path, text, command):
+    path = tmp_path / "config.ini"
+    path.write_text(text, encoding="utf-8")
+    return apply_config_file(ExperimentConfig(command=command), path)
+
+
+def test_ini_key_sets_per_section(tmp_path):
+    """One file holding every key of INI_KEYS sets every field to its NON_DEFAULT value."""
     cp = configparser.ConfigParser()
-    cp.read_string(to_ini(ExperimentConfig(**NON_DEFAULT)))
+    for text in NON_DEFAULT_INI.values():
+        cp.read_string(text)
     assert {s: set(cp[s]) for s in cp.sections()} == INI_KEYS
+    with open(tmp_path / "all.ini", "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    config = apply_config_file(ExperimentConfig(command="survey"), tmp_path / "all.ini")
+    assert config == ExperimentConfig(**NON_DEFAULT)
 
 
 @pytest.mark.parametrize("section", sorted(INI_KEYS))
-def test_unknown_key_rejected_in_every_section(section):
+def test_unknown_key_rejected_in_every_section(section, tmp_path):
     with pytest.raises(ConfigError, match="bogus"):
-        parse_config_text(f"[{section}]\nbogus = 1\n", command="affinity")
+        _apply_ini(tmp_path, f"[{section}]\nbogus = 1\n", "affinity")
 
 
-def test_unknown_section_rejected():
+def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError, match="extra"):
-        parse_config_text("[extra]\nseed = 1\n", command="affinity")
+        _apply_ini(tmp_path, "[extra]\nseed = 1\n", "affinity")
 
 
 def test_non_default_values_cover_every_field():
     assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)}
+    assert set(NON_DEFAULT_INI) == set(NON_DEFAULT)
     defaults = ExperimentConfig(command="affinity")
     for name, value in NON_DEFAULT.items():
         assert getattr(defaults, name) != value, name
@@ -137,13 +180,13 @@ def _flag_text(value):
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
-def test_every_field_round_trips(name):
+def test_every_field_round_trips(name, tmp_path):
     """A non-default value of each field survives the INI, manifest-record and flag paths."""
     value = NON_DEFAULT[name]
     config = ExperimentConfig(command=value if name == "command" else "survey")
     setattr(config, name, value)
 
-    assert parse_config_text(to_ini(config)) == config
+    assert _apply_ini(tmp_path, NON_DEFAULT_INI[name], config.command) == config
     assert config_from_record(json.loads(render_json(config_record(config)))) == config
 
     flag = "--" + name.replace("_", "-")

@@ -140,6 +140,16 @@ class TestTabulated:
         d = load_tabulated_csv(path)
         assert float(d.pdf(0.25)) == pytest.approx(1.0, abs=1e-15)
 
+    def test_csv_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "density.csv"
+        path.write_text("\n , \ngrid,value\n0,0\n1,2\n2,0\n", encoding="utf-8")
+        d = load_tabulated_csv(path)
+        assert float(d.pdf(1.0)) == pytest.approx(1.0, abs=1e-15)
+        # Only the first non-blank row may be a header.
+        path.write_text("\ngrid,value\ngrid,value\n0,0\n1,2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3: non-numeric"):
+            load_tabulated_csv(path)
+
     def test_csv_bad_rows(self, tmp_path):
         path = tmp_path / "density.csv"
         path.write_text("0\n1\n", encoding="utf-8")

@@ -20,11 +20,10 @@ PUBLIC = [
     "derive_seed", "estimate_mean", "estimate_phi_errors", "estimate_psi_errors",
     "expanded_bound", "exponential_density", "filter_most_accurate", "gamma_density",
     "generate_population", "hellinger_sq", "integrate", "joint_logpdf", "kraft",
-    "load_population_spec", "load_tabulated_csv", "make_exponential_rate",
-    "make_normal_location", "make_normal_variance_expansion", "make_two_stage_normal",
-    "marginal_bound", "models", "montecarlo", "normal_density", "product_affinity_iid",
-    "quadrature", "row_seed", "seeding", "survey", "sweep", "tabulated_density", "total_mass",
-    "verify_preservation",
+    "load_tabulated_csv", "make_exponential_rate", "make_normal_location",
+    "make_normal_variance_expansion", "make_two_stage_normal", "marginal_bound", "models",
+    "montecarlo", "normal_density", "product_affinity_iid", "quadrature", "row_seed", "seeding",
+    "survey", "sweep", "tabulated_density", "total_mass", "verify_preservation",
 ]
 SUBMODULES = {"densities", "kraft", "models", "montecarlo", "quadrature", "seeding", "survey"}
 

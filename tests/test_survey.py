@@ -20,9 +20,9 @@ from pxkit import (
     estimate_mean,
     filter_most_accurate,
     generate_population,
-    load_population_spec,
 )
 from pxkit import survey
+from pxkit.cli import ExperimentConfig, apply_config_file
 from pxkit.survey import REPORT_DTYPE
 
 TWO_STRATA = PopulationSpec(
@@ -248,6 +248,23 @@ class TestCompareSchemes:
         assert a.mean_error == b.mean_error
         assert a.rmse == b.rmse
 
+    def test_integral_float_stratum_size_is_the_integer(self):
+        as_float = PopulationSpec(
+            strata=(Stratum("A", 10.0, 0.0, 1.0), Stratum("B", 20.0, 10.0, 1.0)),
+            attribute_prob=(0.9, 0.1),
+            seed=7,
+        )
+        as_int = PopulationSpec(
+            strata=(Stratum("A", 10, 0.0, 1.0), Stratum("B", 20, 10.0, 1.0)),
+            attribute_prob=(0.9, 0.1),
+            seed=7,
+        )
+        assert [type(s.size) for s in as_float.strata] == [int, int]
+        a = compare_schemes(as_float, PERFECT, 1.0, 10, seed=1)
+        b = compare_schemes(as_int, PERFECT, 1.0, 10, seed=1)
+        for scheme in a.errors:
+            np.testing.assert_array_equal(a.errors[scheme], b.errors[scheme])
+
     def test_accuracy_assumption_is_necessary(self):
         clean = compare_schemes(TWO_STRATA, PERFECT, 1.0, 100, seed=2)
         noisy = compare_schemes(TWO_STRATA, AccuracyModel(0.0, 100.0), 1.0, 100, seed=2)
@@ -331,13 +348,18 @@ class TestCompareSchemes:
             compare_schemes(spec, PERFECT, 1.0, 10, seed=0)
 
 
+def population_from_config(path):
+    """The ``[population]`` spec of a config file, read as ``pxkit survey --config`` reads it."""
+    return apply_config_file(ExperimentConfig(command="survey"), path).population
+
+
 def test_population_spec_config_roundtrip(tmp_path):
     path = tmp_path / "pop.ini"
     path.write_text(
         "[population]\nseed = 7\nstrata =\n    A, 100, 0.0, 1.0, 0.9\n    B, 100, 10.0, 1.0, 0.1\n",
         encoding="utf-8",
     )
-    spec = load_population_spec(path)
+    spec = population_from_config(path)
     assert spec == TWO_STRATA
 
 
@@ -345,13 +367,13 @@ def test_population_spec_config_errors(tmp_path):
     path = tmp_path / "pop.ini"
     path.write_text("[population]\nseed = 7\n", encoding="utf-8")
     with pytest.raises(ValueError, match="strata"):
-        load_population_spec(path)
+        population_from_config(path)
     path.write_text("[population]\nstrata =\n    A, 100, 0.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="stratum line"):
-        load_population_spec(path)
+        population_from_config(path)
     path.write_text("[population]\nbogus = 1\nstrata =\n    A, 10, 0, 1, 0.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bogus"):
-        load_population_spec(path)
+        population_from_config(path)
 
 
 @pytest.mark.parametrize(
@@ -361,4 +383,4 @@ def test_unparsable_population_file_is_value_error_naming_it(tmp_path, content):
     path = tmp_path / "pop.ini"
     path.write_bytes(content)
     with pytest.raises(ValueError, match="pop.ini"):
-        load_population_spec(path)
+        population_from_config(path)
