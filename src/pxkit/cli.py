@@ -4,7 +4,10 @@ Subcommands: affinity, bound, r-measure, test, mc-sweep, survey.  Values
 come from defaults, then an INI config file (--config), then command-line
 flags, in increasing precedence.  Results are written atomically and every
 results file gets a ``<name>.manifest.json`` recording the resolved
-configuration, seed, library versions and wall time.
+configuration, seed, library versions and wall time.  Every file layout
+lives in this module: the rows of each results file, the --plot-data
+projections, the INI sections and the manifest's config record.  The
+library returns plain result objects and `reporting` renders lists of dicts.
 
 Monte Carlo subcommands derive the per-scenario stream from (seed, theta1),
 and a test run is a singleton mc-sweep, so both report identical numbers
@@ -12,7 +15,8 @@ for the same inputs.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error (including
 model parameters, hypotheses, replicate counts or survey settings the
-library rejects, and input files that cannot be read or parsed).
+library rejects, input files that cannot be read or parsed, and output
+paths that name a directory or lie under a regular file).
 The PXKIT_OUT_DIR environment variable supplies the output directory when
 --out is omitted.
 """
@@ -24,7 +28,6 @@ import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -42,7 +45,7 @@ from .models import (
     make_two_stage_normal,
 )
 from .quadrature import QuadratureBudgetError, QuadratureConfig
-from .reporting import emit_plot_data, render_record, render_table, write_atomic, write_manifest
+from .reporting import render_record, render_table, write_atomic, write_manifest
 
 if TYPE_CHECKING:
     from .survey import PopulationSpec
@@ -52,7 +55,14 @@ if TYPE_CHECKING:
 # and r-measure start without loading them.
 
 COMMANDS = ("affinity", "bound", "r-measure", "test", "mc-sweep", "survey")
-PLOT_COMMANDS = ("mc-sweep", "survey")
+# Subcommand -> the long-format x/y(/series) row --plot-data writes for each results row.
+_PLOTS = {
+    "mc-sweep": lambda r: {
+        "theta1": r["theta1"], "error_sum": r["alpha_hat"] + r["beta_hat"], "bound": r["bound"]
+    },
+    "survey": lambda r: {"scheme": r["scheme"], "rmse": r["rmse"]},
+}
+PLOT_COMMANDS = tuple(_PLOTS)
 SURVEY = ("survey",)
 OUT_DIR_ENV = "PXKIT_OUT_DIR"
 
@@ -90,17 +100,67 @@ _MODELS = {
 _ACCEPTS = {"affinity": MarginalFamily, "r-measure": ExpandedModel}
 
 
-def _survey(name: str):
-    """``pxkit.survey.<name>``, looked up (and the module imported) when called."""
-    return lambda *args: getattr(import_module(".survey", __package__), name)(*args)
-
-
 def float_list(text: str) -> tuple[float, ...]:
     """Floats separated by commas or semicolons, as in ``theta1_list``."""
     parts = [p.strip() for p in text.replace(";", ",").split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list")
     return tuple(float(p) for p in parts)
+
+
+def population_spec_from_section(section: dict) -> PopulationSpec:
+    """Parse the keys of a ``[population]`` INI section.
+
+    Expected layout::
+
+        [population]
+        seed = 1
+        strata =
+            A, 100, 0.0, 1.0, 0.9
+            B, 100, 10.0, 1.0, 0.1
+
+    Each stratum line is label, size, value mean, value sd, attribute
+    probability.  ``seed`` is the spec's own seed (default 0); `compare_schemes`
+    does not read it.
+    """
+    from .survey import PopulationSpec, Stratum
+
+    unknown = set(section) - {"seed", "strata"}
+    if unknown:
+        raise ValueError(f"unknown population key(s): {', '.join(sorted(unknown))}")
+    if "strata" not in section:
+        raise ValueError("population.strata is required")
+    strata = []
+    probs = []
+    for line in str(section["strata"]).strip().splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 5:
+            raise ValueError(
+                f"stratum line needs label, size, mean, sd, attribute_prob: {line!r}"
+            )
+        label, size, mean, sd, prob = parts
+        strata.append(Stratum(label, int(size), float(mean), float(sd)))
+        probs.append(float(prob))
+    seed = int(section.get("seed", 0))
+    return PopulationSpec(strata=tuple(strata), attribute_prob=tuple(probs), seed=seed)
+
+
+def population_record(spec: PopulationSpec) -> dict:
+    """JSON-ready form of a spec: its seed and per stratum `Stratum`'s fields and attribute_prob."""
+    strata = [{**asdict(s), "attribute_prob": p} for s, p in zip(spec.strata, spec.attribute_prob)]
+    return {"seed": spec.seed, "strata": strata}
+
+
+def population_spec_from_record(record: dict) -> PopulationSpec:
+    """Inverse of `population_record`."""
+    from .survey import PopulationSpec, Stratum
+
+    rows = [dict(r) for r in record["strata"]]
+    probs = tuple(r.pop("attribute_prob") for r in rows)
+    return PopulationSpec(tuple(Stratum(**r) for r in rows), probs, record["seed"])
 
 
 def _option(section, default=MISSING, parse=str, help=None, **meta):
@@ -113,6 +173,9 @@ def _option(section, default=MISSING, parse=str, help=None, **meta):
     ``parse`` reads INI or flag text; ``help`` is the flag's help.
     """
     return field(default=default, metadata=dict(meta, section=section, parse=parse, help=help))
+
+
+_QUAD = QuadratureConfig()  # the integrator's default tolerances and budget
 
 
 @dataclass
@@ -142,9 +205,11 @@ class ExperimentConfig:
     theta1_list: tuple[float, ...] | None = _option(
         "hypotheses", None, float_list, "comma-separated alternatives", record=(list, tuple)
     )
-    abs_tol: float = _option("quadrature", 1e-9, float, "absolute quadrature tolerance")
-    rel_tol: float = _option("quadrature", 1e-7, float, "relative quadrature tolerance")
-    max_evaluations: int = _option("quadrature", 1_000_000, int, "integrand evaluation budget")
+    abs_tol: float = _option("quadrature", _QUAD.abs_tol, float, "absolute quadrature tolerance")
+    rel_tol: float = _option("quadrature", _QUAD.rel_tol, float, "relative quadrature tolerance")
+    max_evaluations: int = _option(
+        "quadrature", _QUAD.max_evaluations, int, "integrand evaluation budget"
+    )
     replicates: int = _option("monte_carlo", 100_000, int, "Monte Carlo replicates per hypothesis")
     quantile: float = _option("survey", 1.0, float, "share of proxy reports kept", flags=SURVEY)
     p_accurate: float = _option("survey", 1.0, float, "share of exact proxy reports", flags=SURVEY)
@@ -154,8 +219,8 @@ class ExperimentConfig:
         "survey", None, int, "random-sample benchmark size (default: respondents)", flags=SURVEY
     )
     population: PopulationSpec | None = _option(
-        "population", None, _survey("population_spec_from_section"), key=None, flags=(),
-        record=(_survey("population_record"), _survey("population_spec_from_record")),
+        "population", None, population_spec_from_section, key=None, flags=(),
+        record=(population_record, population_spec_from_record),
     )
 
 
@@ -168,7 +233,10 @@ def apply_config_file(config: ExperimentConfig, path: str | Path) -> ExperimentC
     """``config`` updated from an INI file; a bad section, key or value is a ConfigError."""
     import configparser
 
-    cp = configparser.ConfigParser()
+    # Values are read literally, without %-interpolation.  No section header
+    # can name "\n", so a [DEFAULT] section is an unknown section like any
+    # other instead of keys copied into every section.
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         read = cp.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -305,7 +373,7 @@ def _cmd_r_measure(config: ExperimentConfig, inp: SimpleNamespace):
 
 def _cmd_test(config: ExperimentConfig, inp: SimpleNamespace):
     """A one-row mc-sweep, so both report the same numbers for the same theta1."""
-    table = _cmd_mc_sweep(replace(config, theta1_list=(inp.hyp.theta1,)), inp)
+    table = _sweep(replace(config, theta1_list=(inp.hyp.theta1,)), inp)
     row = table.rows[0]
     return {
         "test": table.kind,
@@ -323,7 +391,7 @@ def _cmd_test(config: ExperimentConfig, inp: SimpleNamespace):
     }
 
 
-def _cmd_mc_sweep(config: ExperimentConfig, inp: SimpleNamespace):
+def _sweep(config: ExperimentConfig, inp: SimpleNamespace):
     from .montecarlo import sweep
 
     return sweep(
@@ -331,10 +399,15 @@ def _cmd_mc_sweep(config: ExperimentConfig, inp: SimpleNamespace):
     )
 
 
-def _cmd_survey(config: ExperimentConfig, inp: SimpleNamespace):
-    from .survey import compare_schemes
+def _cmd_mc_sweep(config: ExperimentConfig, inp: SimpleNamespace):
+    return [asdict(row) for row in _sweep(config, inp).rows]
 
-    return compare_schemes(
+
+def _cmd_survey(config: ExperimentConfig, inp: SimpleNamespace):
+    """One row per scheme, in `survey.SCHEMES` order."""
+    from .survey import SCHEMES, compare_schemes
+
+    comp = compare_schemes(
         config.population,
         inp.accuracy,
         inp.quantile,
@@ -342,6 +415,11 @@ def _cmd_survey(config: ExperimentConfig, inp: SimpleNamespace):
         config.seed,
         srs_size=inp.srs_size,
     )
+    return [
+        {"scheme": s, "mean_error": comp.mean_error[s], "rmse": comp.rmse[s],
+         "replications": comp.replications, "seed": comp.seed}
+        for s in SCHEMES
+    ]
 
 
 _RUNNERS = {
@@ -362,24 +440,39 @@ def _out_path(config: ExperimentConfig) -> Path:
     return Path(base) / name
 
 
+def _check_writable(name: str, path: Path) -> None:
+    """A ConfigError naming field ``name`` when no file can be written at ``path``.
+
+    That is when ``path`` names a directory, or when its nearest existing
+    ancestor is not a directory, so that its parent cannot be created.
+    """
+    if os.path.isdir(path):
+        raise ConfigError(f"{name}: {path} is a directory")
+    ancestor = next((p for p in path.parents if os.path.exists(p)), path.parent)
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"{name}: {ancestor} is not a directory")
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute one configured experiment; returns the process exit code."""
     if config.format not in ("csv", "json"):
         raise ConfigError(f"field 'format' must be csv or json, got {config.format!r}")
     if config.plot_data is not None and config.command not in PLOT_COMMANDS:
         raise ConfigError(f"field 'plot_data' is not supported for {config.command!r}")
-    started = time.perf_counter()
-    result = _RUNNERS[config.command](config, _inputs(config))
-    if isinstance(result, dict):
-        text = render_record(result, config.format)
-    else:
-        text = render_table(result, config.format)
     out = _out_path(config)
+    _check_writable("out", out)
+    if config.plot_data is not None:
+        _check_writable("plot_data", Path(config.plot_data))
+    started = time.perf_counter()
+    # A record (dict) or, for mc-sweep and survey, a list of row records.
+    result = _RUNNERS[config.command](config, _inputs(config))
+    text = (render_record if isinstance(result, dict) else render_table)(result, config.format)
     write_atomic(out, text)
     wall = time.perf_counter() - started
     write_manifest(out, text, config_record(config), wall)
     if config.plot_data is not None:
-        emit_plot_data(result, config.plot_data)
+        plot = [_PLOTS[config.command](row) for row in result]
+        write_atomic(config.plot_data, render_table(plot, "csv"))
     print(f"wrote {out}")
     return 0
 

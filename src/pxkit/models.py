@@ -99,14 +99,8 @@ def make_normal_location(sigma: float) -> MarginalFamily:
 
 
 def make_exponential_rate() -> MarginalFamily:
-    """Exponential family: theta is the rate, eta unused."""
-
-    def density_at(theta: float, eta: float) -> ScalarDensity:
-        if not theta > 0:
-            raise ValueError(f"exponential rate must be positive, got {theta}")
-        return exponential_density(theta)
-
-    return MarginalFamily(density_at, eta0=0.0)
+    """Exponential family: theta is the rate, which `exponential_density` checks; eta unused."""
+    return MarginalFamily(lambda theta, eta: exponential_density(theta), eta0=0.0)
 
 
 def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:

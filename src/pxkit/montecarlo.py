@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, fields
-from typing import ClassVar, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -206,10 +206,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """One bound-check row per alternative value.
+    """One bound-check row per alternative value, as plain data.
 
     Row seeds are derived from the base seed and the theta1 value itself,
-    so permuting the input list permutes the rows and nothing else.
+    so permuting the input list permutes the rows and nothing else.  The
+    CLI decides how a table is written (`pxkit.cli`).
     """
 
     kind: str
@@ -217,20 +218,6 @@ class SweepTable:
     replicates: int
     seed: int
     rows: tuple[SweepRow, ...]
-
-    columns: ClassVar[tuple[str, ...]] = tuple(f.name for f in fields(SweepRow))
-
-    plot_columns: ClassVar[tuple[str, ...]] = ("theta1", "error_sum", "bound")
-
-    def records(self) -> list[dict]:
-        return [{c: getattr(r, c) for c in self.columns} for r in self.rows]
-
-    def plot_records(self) -> list[dict]:
-        """The error sum and the bound at each alternative, for `reporting.emit_plot_data`."""
-        return [
-            {"theta1": r.theta1, "error_sum": r.alpha_hat + r.beta_hat, "bound": r.bound}
-            for r in self.rows
-        ]
 
 
 def row_seed(base_seed: int, theta1: float) -> int:

@@ -54,7 +54,9 @@ def _cell(v) -> str:
     return str(v)
 
 
-def render_csv(columns, records) -> str:
+def render_csv(records: list[dict]) -> str:
+    """One CSV row per record under a header of the first record's keys."""
+    columns = list(records[0])
     lines = [",".join(columns)]
     for rec in records:
         lines.append(",".join(_cell(rec[c]) for c in columns))
@@ -87,35 +89,20 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def render_table(table, fmt: str) -> str:
+def render_table(records: list[dict], fmt: str) -> str:
     if fmt == "csv":
-        return render_csv(table.columns, table.records())
+        return render_csv(records)
     if fmt == "json":
-        return render_json(table.records()) + "\n"
+        return render_json(records) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def render_record(record: dict, fmt: str) -> str:
     if fmt == "csv":
-        return render_csv(list(record), [record])
+        return render_csv([record])
     if fmt == "json":
         return render_json(record) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit_plot_data(table, path: str | Path) -> None:
-    """Write a long-format x/y(/series) CSV projection of a results table.
-
-    The table supplies it as ``plot_columns`` and ``plot_records()``
-    (`montecarlo.SweepTable`, `survey.SchemeComparison`), so this module
-    imports neither layer.
-    """
-    if not hasattr(table, "plot_records"):
-        raise TypeError(f"no plot projection for {type(table).__name__}")
-    records = table.plot_records()
-    if not records:
-        raise ValueError(f"empty {type(table).__name__}")
-    write_atomic(path, render_csv(table.plot_columns, records))
 
 
 def sha256_of(text: str) -> str:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar
 
 import numpy as np
 
@@ -269,7 +268,11 @@ def estimate_mean(
 
 @dataclass(frozen=True)
 class SchemeComparison:
-    """Replicated end-to-end comparison of the three estimation schemes."""
+    """Replicated end-to-end comparison of the three estimation schemes, as plain data.
+
+    Each summary dict maps every scheme of `SCHEMES` to its value, in that
+    order.  The CLI decides how a comparison is written (`pxkit.cli`).
+    """
 
     replications: int
     seed: int
@@ -277,25 +280,6 @@ class SchemeComparison:
     rmse: dict[str, float]
     stderr_mean: dict[str, float]
     errors: dict[str, np.ndarray]
-
-    columns: ClassVar[tuple[str, ...]] = ("scheme", "mean_error", "rmse", "replications", "seed")
-    plot_columns: ClassVar[tuple[str, ...]] = ("scheme", "rmse")
-
-    def records(self) -> list[dict]:
-        return [
-            {
-                "scheme": scheme,
-                "mean_error": self.mean_error[scheme],
-                "rmse": self.rmse[scheme],
-                "replications": self.replications,
-                "seed": self.seed,
-            }
-            for scheme in SCHEMES
-        ]
-
-    def plot_records(self) -> list[dict]:
-        """The rmse of each scheme, for `reporting.emit_plot_data`."""
-        return [{"scheme": s, "rmse": self.rmse[s]} for s in self.rmse]
 
 
 def check_replications(replications: int) -> int:
@@ -382,68 +366,3 @@ def _summary(stat, a: np.ndarray) -> float:
         return value
     scale = float(np.max(np.abs(a)))
     return float(stat(a / scale)) * scale
-
-
-def population_spec_from_section(section: dict) -> PopulationSpec:
-    """Parse the keys of a ``[population]`` INI section.
-
-    Expected layout::
-
-        [population]
-        seed = 1
-        strata =
-            A, 100, 0.0, 1.0, 0.9
-            B, 100, 10.0, 1.0, 0.1
-
-    Each stratum line is label, size, value mean, value sd, attribute
-    probability.  ``seed`` is the spec's own seed (default 0); `compare_schemes`
-    does not read it.
-    """
-    unknown = set(section) - {"seed", "strata"}
-    if unknown:
-        raise ValueError(f"unknown population key(s): {', '.join(sorted(unknown))}")
-    if "strata" not in section:
-        raise ValueError("population.strata is required")
-    strata = []
-    probs = []
-    for line in str(section["strata"]).strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 5:
-            raise ValueError(
-                f"stratum line needs label, size, mean, sd, attribute_prob: {line!r}"
-            )
-        label, size, mean, sd, prob = parts
-        strata.append(Stratum(label, int(size), float(mean), float(sd)))
-        probs.append(float(prob))
-    seed = int(section.get("seed", 0))
-    return PopulationSpec(strata=tuple(strata), attribute_prob=tuple(probs), seed=seed)
-
-
-def population_record(spec: PopulationSpec) -> dict:
-    """JSON-ready form of a spec: its seed and one column dict per stratum."""
-    return {
-        "seed": spec.seed,
-        "strata": [
-            {
-                "label": s.label,
-                "size": s.size,
-                "value_mean": s.value_mean,
-                "value_sd": s.value_sd,
-                "attribute_prob": p,
-            }
-            for s, p in zip(spec.strata, spec.attribute_prob)
-        ],
-    }
-
-
-def population_spec_from_record(record: dict) -> PopulationSpec:
-    """Inverse of `population_record`."""
-    rows = record["strata"]
-    return PopulationSpec(
-        strata=tuple(Stratum(r["label"], r["size"], r["value_mean"], r["value_sd"]) for r in rows),
-        attribute_prob=tuple(r["attribute_prob"] for r in rows),
-        seed=record["seed"],
-    )

@@ -239,6 +239,10 @@ class TestExitCodes:
              "config"),
             # No unit can hold the attribute, so no replication has a respondent.
             (["survey", "--config", "{tmp}/no_attribute.ini"], "population"),
+            # A plot path under a regular file, and one naming a directory.
+            (["mc-sweep", "--model", "normal", "--theta0", "0", "--theta1-list", "0.5,1",
+              "--replicates", "1000", "--plot-data", "{tmp}/ok.ini/p.csv"], "plot_data"),
+            (["survey", "--config", "{tmp}/ok.ini", "--plot-data", "{tmp}"], "plot_data"),
         ],
     )
     def test_input_rejected_by_library_is_config_error(self, args, field, tmp_path, capsys):
@@ -264,6 +268,17 @@ class TestExitCodes:
         assert field in named
         assert not (tmp_path / "x.json").exists()
 
+
+    @pytest.mark.parametrize("out", ["{tmp}", "{tmp}/afile/s.json", "{tmp}/afile/sub/s.json"])
+    def test_unwritable_out_is_config_error(self, out, tmp_path, capsys):
+        """A directory, or a path under a regular file (the test above sets its own --out)."""
+        (tmp_path / "afile").write_text("a regular file\n", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        args = ["mc-sweep", "--model", "normal", "--theta0", "0", "--theta1-list", "0.5,1",
+                "--replicates", "1000", "--out", out.format(tmp=tmp_path)]
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.startswith("config error: out: ")
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "args, field",

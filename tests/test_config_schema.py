@@ -165,6 +165,17 @@ def test_unknown_section_rejected(tmp_path):
         _apply_ini(tmp_path, "[extra]\nseed = 1\n", "affinity")
 
 
+@pytest.mark.parametrize("out", ["res%1.json", "%(seed)s.json", "100%%.json"])
+def test_values_are_read_without_interpolation(out, tmp_path):
+    assert _apply_ini(tmp_path, f"[run]\nseed = 5\nout = {out}\n", "bound").out == out
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\n"])
+def test_default_section_is_an_unknown_section(text, tmp_path):
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        _apply_ini(tmp_path, text, "bound")
+
+
 def test_non_default_values_cover_every_field():
     assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)}
     assert set(NON_DEFAULT_INI) == set(NON_DEFAULT)

@@ -74,6 +74,11 @@ class TestExponentialRate:
         with pytest.raises(ValueError):
             fam.density_at(-1.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_rate_is_named(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            make_exponential_rate().density_at(rate)
+
 
 class TestTwoStageNormal:
     def test_joint_is_product_of_normals(self):

@@ -1,8 +1,7 @@
 """The README's quick tour and command-line examples run as written.
 
-Quadrature output files are not pinned byte for byte: the last bit of a
-libm call may differ between CPUs.  The survey CSV is pinned by
-`tests/test_survey_digests.py`.
+The output files are pinned byte for byte by `tests/test_cli_digests.py`,
+and the survey CSV also by `tests/test_survey_digests.py`.
 """
 
 import re
