@@ -165,7 +165,10 @@ def expanded_bound(
 
     The outer integral has a budget of ``max_evaluations``, and the inner
     integrals share another.  When either runs out, the raised
-    QuadratureBudgetError counts the evaluations of both levels.  Its value
+    QuadratureBudgetError counts the evaluations of both levels, with every
+    outer node of the pass being evaluated: the outer integrand gets a whole
+    pass at once (240 nodes on the first pass) before any of its inner
+    integrals runs.  Its value
     is the outer partial sum if the outer integral ran out, and NaN if an
     inner one did: a node without its inner affinity leaves no estimate.
     """

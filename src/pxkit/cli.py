@@ -45,7 +45,7 @@ from .models import (
     make_two_stage_normal,
 )
 from .quadrature import QuadratureBudgetError, QuadratureConfig
-from .reporting import render_record, render_table, write_atomic, write_manifest
+from .reporting import manifest_path, render_record, render_table, write_atomic, write_manifest
 
 if TYPE_CHECKING:
     from .survey import PopulationSpec
@@ -440,17 +440,27 @@ def _out_path(config: ExperimentConfig) -> Path:
     return Path(base) / name
 
 
-def _check_writable(name: str, path: Path) -> None:
-    """A ConfigError naming field ``name`` when no file can be written at ``path``.
+def _check_writable(out: Path, plot_data: str | None) -> None:
+    """A ConfigError naming the field when a file of the run cannot be written.
 
-    That is when ``path`` names a directory, or when its nearest existing
-    ancestor is not a directory, so that its parent cannot be created.
+    That is when the results file, its manifest or the plot file names a
+    directory, or lies under a nearest existing ancestor that is not a
+    directory, so that its parent cannot be created; or when the plot file
+    is the results file or its manifest, which it would overwrite.
     """
-    if os.path.isdir(path):
-        raise ConfigError(f"{name}: {path} is a directory")
-    ancestor = next((p for p in path.parents if os.path.exists(p)), path.parent)
-    if not os.path.isdir(ancestor):
-        raise ConfigError(f"{name}: {ancestor} is not a directory")
+    results = [out, manifest_path(out)]
+    paths = [("out", path) for path in results]
+    if plot_data is not None:
+        plot = Path(plot_data)
+        if plot.resolve() in {path.resolve() for path in results}:
+            raise ConfigError(f"plot_data: {plot} would overwrite the results file or its manifest")
+        paths.append(("plot_data", plot))
+    for name, path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"{name}: {path} is a directory")
+        ancestor = next((p for p in path.parents if os.path.exists(p)), path.parent)
+        if not os.path.isdir(ancestor):
+            raise ConfigError(f"{name}: {ancestor} is not a directory")
 
 
 def run(config: ExperimentConfig) -> int:
@@ -460,9 +470,7 @@ def run(config: ExperimentConfig) -> int:
     if config.plot_data is not None and config.command not in PLOT_COMMANDS:
         raise ConfigError(f"field 'plot_data' is not supported for {config.command!r}")
     out = _out_path(config)
-    _check_writable("out", out)
-    if config.plot_data is not None:
-        _check_writable("plot_data", Path(config.plot_data))
+    _check_writable(out, config.plot_data)
     started = time.perf_counter()
     # A record (dict) or, for mc-sweep and survey, a list of row records.
     result = _RUNNERS[config.command](config, _inputs(config))

@@ -3,8 +3,13 @@
 Each panel is evaluated with a 15-point Kronrod rule; the embedded 7-point
 Gauss rule supplies the error estimate.  The panel with the largest error
 estimate is bisected until the summed error meets the tolerance or the
-evaluation budget runs out.  Infinite intervals are mapped onto finite ones
-with rational substitutions before any panel is created:
+evaluation budget runs out.  The integrand is called once per pass, on the
+15*k nodes of all k panels of that pass at once (k = 16 for the first pass,
+then 2 per bisection), so it must be elementwise: its value at a point may
+not depend on the other points of the array.
+
+Infinite intervals are mapped onto finite ones with rational substitutions
+before any panel is created:
 
     (-inf, inf):  x = c + s*t/(1-t^2),  t in (-1, 1)
     (a,    inf):  x = a + s*t/(1-t),    t in (0, 1)
@@ -73,7 +78,8 @@ _WG = np.array([
     0.129484966168869693270611432679082,
 ])
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_TINY_RESABS = float(np.finfo(float).tiny) / (50.0 * _EPS)
 _INITIAL_PANELS = 16  # equal panels the interval is cut into before adaptive bisection
 # The first pass over the initial panels always runs, so no smaller budget can hold.
 MIN_EVALUATIONS = _INITIAL_PANELS * 15
@@ -117,25 +123,31 @@ class QuadratureBudgetError(RuntimeError):
         self.evaluations = evaluations
 
 
-def _panel(fn: Callable, a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and error estimate for f on [a, b] (QUADPACK qk15)."""
-    half = 0.5 * (float(b) - float(a))
-    mid = 0.5 * (float(a) + float(b))
-    fx = np.asarray(fn(mid + half * _XK), dtype=float)
-    resk = float(_WK @ fx)
-    resg = float(_WG @ fx[_GAUSS_IDX])
-    resabs = float(_WK @ np.abs(fx))
-    reskh = 0.5 * resk
-    resasc = float(_WK @ np.abs(fx - reskh))
-    value = resk * half
-    resabs *= abs(half)
-    resasc *= abs(half)
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > np.finfo(float).tiny / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return value, err
+def _panels(fn: Callable, lefts, rights) -> list[tuple[float, float]]:
+    """Kronrod value and error estimate of f on each [lefts[i], rights[i]] (QUADPACK qk15).
+
+    ``fn`` is called once, on the 15 nodes of every panel.  The rows are
+    reduced with ``np.vecdot``, and the error heuristic runs on Python
+    floats, so each panel's result is bit-identical to a one-panel call.
+    """
+    half = 0.5 * np.subtract(rights, lefts, dtype=float)
+    mid = 0.5 * np.add(lefts, rights, dtype=float)
+    fx = np.asarray(fn((mid[:, None] + half[:, None] * _XK).ravel()), dtype=float).reshape(-1, 15)
+    resk = np.vecdot(fx, _WK)
+    resg = np.vecdot(np.ascontiguousarray(fx[:, _GAUSS_IDX]), _WG)
+    resabs = np.vecdot(np.abs(fx), _WK)
+    resasc = np.vecdot(np.abs(fx - 0.5 * resk[:, None]), _WK)
+    out = []
+    for k, g, rabs, rasc, h in zip(*(v.tolist() for v in (resk, resg, resabs, resasc, half))):
+        rabs *= abs(h)
+        rasc *= abs(h)
+        err = abs((k - g) * h)
+        if rasc != 0.0 and err != 0.0:
+            err = rasc * min(1.0, (200.0 * err / rasc) ** 1.5)
+        if rabs > _TINY_RESABS:
+            err = max(50.0 * _EPS * rabs, err)
+        out.append((k * h, err))
+    return out
 
 
 def _transform(fn: Callable, lower: float, upper: float, center: float, scale: float):
@@ -180,6 +192,10 @@ def integrate(
 ) -> QuadResult:
     """Integrate a vectorized function over (lower, upper).
 
+    ``fn`` is called with a 1-D array of 15*k points at once (240 on the
+    first pass, 30 per bisection) and must return an array of the same
+    shape whose entries each depend only on their own point.
+
     Converges when the summed panel error is below
     max(cfg.abs_tol, cfg.rel_tol * |integral|).  There is no per-call
     override: an iterated integral passes each level a config that holds
@@ -193,19 +209,17 @@ def integrate(
 
     a, b, g = _transform(fn, lower, upper, center, scale)
 
-    edges = np.linspace(a, b, _INITIAL_PANELS + 1)
+    edges = np.linspace(a, b, _INITIAL_PANELS + 1).tolist()
+    first = _panels(g, edges[:-1], edges[1:])
     heap: list = []
-    seq = 0
     total = 0.0
     err_total = 0.0
-    evals = 0
-    for left, right in zip(edges[:-1], edges[1:]):
-        v, e = _panel(g, left, right)
-        evals += 15
+    for seq, (left, right, (v, e)) in enumerate(zip(edges, edges[1:], first)):
         total += v
         err_total += e
         heapq.heappush(heap, (-e, seq, left, right, v, e))
-        seq += 1
+    seq = len(heap)
+    evals = MIN_EVALUATIONS
 
     splits = 0
     while err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
@@ -213,8 +227,7 @@ def integrate(
             raise QuadratureBudgetError(total, err_total, evals)
         neg_e, _, left, right, v, e = heapq.heappop(heap)
         mid = 0.5 * (left + right)
-        v1, e1 = _panel(g, left, mid)
-        v2, e2 = _panel(g, mid, right)
+        (v1, e1), (v2, e2) = _panels(g, (left, mid), (mid, right))
         evals += 30
         total += v1 + v2 - v
         err_total += e1 + e2 - e

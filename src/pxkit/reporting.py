@@ -109,6 +109,12 @@ def sha256_of(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def manifest_path(results_path: str | Path) -> Path:
+    """Where ``write_manifest`` puts the manifest of ``results_path``."""
+    results_path = Path(results_path)
+    return results_path.with_name(results_path.name + ".manifest.json")
+
+
 def write_manifest(
     results_path: str | Path, results_text: str, config_record: dict, wall_time_s: float
 ) -> Path:
@@ -131,6 +137,6 @@ def write_manifest(
         },
         "wall_time_s": wall_time_s,
     }
-    manifest_path = results_path.with_name(results_path.name + ".manifest.json")
-    write_atomic(manifest_path, render_json(manifest) + "\n")
-    return manifest_path
+    path = manifest_path(results_path)
+    write_atomic(path, render_json(manifest) + "\n")
+    return path

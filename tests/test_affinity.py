@@ -334,22 +334,23 @@ class TestBudget:
         assert math.isfinite(err.value.value)
 
     def test_expanded_bound_inner_budget_error_has_no_estimate(self):
-        # 15 outer nodes of the first panel, and 8 inner integrals of 240
+        # The 240 outer nodes of the first pass, and 8 inner integrals of 240
         # evaluations before fewer than 240 remain for the ninth.
         cfg = QuadratureConfig(max_evaluations=2000)
         with pytest.raises(QuadratureBudgetError) as err:
             expanded_bound(T1_DEPENDENT, SimpleHypotheses(0, 1), cfg)
-        assert err.value.evaluations == 1935
+        assert err.value.evaluations == 2160
         assert math.isnan(err.value.value)
         assert err.value.abs_error == math.inf
 
     def test_expanded_bound_starts_no_inner_integral_it_cannot_finish(self):
-        # After 8 inner integrals of 240, the 180 evaluations left are fewer
-        # than any integral's first pass, so the ninth is never started.
+        # After the 240 outer nodes of the first pass and 8 inner integrals of
+        # 240, the 180 evaluations left are fewer than any integral's first
+        # pass, so the ninth is never started.
         cfg = QuadratureConfig(max_evaluations=2100)
         with pytest.raises(QuadratureBudgetError) as err:
             expanded_bound(T1_DEPENDENT, SimpleHypotheses(0, 1), cfg)
-        assert err.value.evaluations == 15 + 1920
+        assert err.value.evaluations == 240 + 1920
 
     def test_expanded_bound_outer_budget_error_carries_partial_sum(self, monkeypatch):
         # With every conditional affinity 1/2 at no cost, only the outer

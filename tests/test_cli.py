@@ -202,8 +202,8 @@ class TestExitCodes:
         )
         assert code == 1
         err = capsys.readouterr().err
-        # The first outer panel's 15 nodes, then the one inner integral runs out at 990.
-        assert "after 1005 evaluations: estimate nan" in err
+        # The 240 outer nodes of the first pass, then the one inner integral runs out at 990.
+        assert "after 1230 evaluations: estimate nan" in err
         assert "estimate 0.0" not in err
         assert not (tmp_path / "r.json").exists()
 
@@ -243,6 +243,10 @@ class TestExitCodes:
             (["mc-sweep", "--model", "normal", "--theta0", "0", "--theta1-list", "0.5,1",
               "--replicates", "1000", "--plot-data", "{tmp}/ok.ini/p.csv"], "plot_data"),
             (["survey", "--config", "{tmp}/ok.ini", "--plot-data", "{tmp}"], "plot_data"),
+            # A plot path that would overwrite the results file, or its manifest.
+            (["survey", "--config", "{tmp}/ok.ini", "--plot-data", "{tmp}/x.json"], "plot_data"),
+            (["mc-sweep", "--model", "normal", "--theta0", "0", "--theta1-list", "0.5,1",
+              "--replicates", "1000", "--plot-data", "{tmp}/x.json.manifest.json"], "plot_data"),
         ],
     )
     def test_input_rejected_by_library_is_config_error(self, args, field, tmp_path, capsys):
@@ -269,10 +273,14 @@ class TestExitCodes:
         assert not (tmp_path / "x.json").exists()
 
 
-    @pytest.mark.parametrize("out", ["{tmp}", "{tmp}/afile/s.json", "{tmp}/afile/sub/s.json"])
+    @pytest.mark.parametrize(
+        "out", ["{tmp}", "{tmp}/afile/s.json", "{tmp}/afile/sub/s.json", "{tmp}/t.json"]
+    )
     def test_unwritable_out_is_config_error(self, out, tmp_path, capsys):
-        """A directory, or a path under a regular file (the test above sets its own --out)."""
+        """A directory, a path under a regular file, or one whose manifest path is a
+        directory (the test above sets its own --out)."""
         (tmp_path / "afile").write_text("a regular file\n", encoding="utf-8")
+        (tmp_path / "t.json.manifest.json").mkdir()
         before = sorted(tmp_path.rglob("*"))
         args = ["mc-sweep", "--model", "normal", "--theta0", "0", "--theta1-list", "0.5,1",
                 "--replicates", "1000", "--out", out.format(tmp=tmp_path)]

@@ -4,10 +4,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import integrate as sciint
 
 from pxkit import QuadratureBudgetError, QuadratureConfig, integrate
-from pxkit.quadrature import _WG, _WK, _panel
+from pxkit.quadrature import _GAUSS_IDX, _WG, _WK, _XK, _panels
+
+_EPS = np.finfo(float).eps
+
+
+def _panel(fn, a, b):
+    """One qk15 panel per integrand call: the reference ``_panels`` must equal bit for bit."""
+    half = 0.5 * (float(b) - float(a))
+    mid = 0.5 * (float(a) + float(b))
+    fx = np.asarray(fn(mid + half * _XK), dtype=float)
+    resk = float(_WK @ fx)
+    resg = float(_WG @ fx[_GAUSS_IDX])
+    resabs = float(_WK @ np.abs(fx))
+    reskh = 0.5 * resk
+    resasc = float(_WK @ np.abs(fx - reskh))
+    value = resk * half
+    resabs *= abs(half)
+    resasc *= abs(half)
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > np.finfo(float).tiny / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return value, err
 
 
 def test_rule_weights_sum_to_interval_length():
@@ -18,8 +43,65 @@ def test_rule_weights_sum_to_interval_length():
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 8, 13, 20])
 def test_polynomial_exactness(degree):
     # K15 integrates polynomials up to degree 22 exactly; compare on [0, 1].
-    value, _ = _panel(lambda x: (degree + 1) * x**degree, 0.0, 1.0)
+    [(value, _)] = _panels(lambda x: (degree + 1) * x**degree, [0.0], [1.0])
     assert value == pytest.approx(1.0, abs=1e-13)
+
+
+_SHAPES = {
+    "bump": lambda x, p: np.exp(-x * x) * np.cos(p * x),
+    "kink": lambda x, p: np.sqrt(np.abs(x - p)),
+    "cubic": lambda x, p: 1.0 + p * x - x**3,
+    "constant": lambda x, p: np.full_like(x, p),
+}
+
+
+@st.composite
+def _batches(draw):
+    k = draw(st.sampled_from([1, 2, 16]))
+    lefts = draw(st.lists(st.floats(-20.0, 20.0), min_size=k, max_size=k))
+    widths = draw(st.lists(st.floats(1e-3, 4.0), min_size=k, max_size=k))
+    return lefts, [a + w for a, w in zip(lefts, widths)]
+
+
+_EDGES = np.linspace(-1.0, 1.0, 17).tolist()
+
+
+# The qk15 error heuristic applies when resasc and the Kronrod-Gauss gap are
+# both nonzero (first example), is skipped for a constant whose resasc is 0
+# (second) or whose gap is 0 (third), and the 50*eps*resabs floor is skipped
+# when resabs is below tiny/(50*eps) (fourth) or the integrand is 0 (fifth).
+@given(
+    shape=st.sampled_from(sorted(_SHAPES)),
+    p=st.floats(-5.0, 5.0),
+    amp=st.one_of(st.sampled_from([0.0, 1e-300, 1.0]), st.floats(-1e6, 1e6)),
+    batch=_batches(),
+)
+@example(shape="bump", p=3.0, amp=1.0, batch=([0.0], [1.0]))
+@example(shape="constant", p=1.0, amp=1.0, batch=([0.0], [1.0]))
+@example(shape="constant", p=3.0, amp=1.0, batch=([0.0, -1.0], [1.0, 0.5]))
+@example(shape="bump", p=3.0, amp=1e-300, batch=([0.0], [1.0]))
+@example(shape="kink", p=0.3, amp=0.0, batch=(_EDGES[:-1], _EDGES[1:]))
+@example(shape="kink", p=0.3, amp=1.0, batch=(_EDGES[:-1], _EDGES[1:]))
+def test_batched_panels_equal_one_panel_calls(shape, p, amp, batch):
+    fn = lambda x: amp * _SHAPES[shape](x, p)
+    lefts, rights = batch
+    assert _panels(fn, lefts, rights) == [_panel(fn, a, b) for a, b in zip(lefts, rights)]
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, 2.0), (-math.inf, math.inf), (0.0, math.inf),
+                                          (-math.inf, 0.0)])
+def test_one_integrand_call_per_pass(lower, upper):
+    # The kink at 0.3 forces bisections on every interval kind.
+    sizes = []
+
+    def fn(x):
+        sizes.append(len(x))
+        return np.exp(-np.abs(x - 0.3))
+
+    res = integrate(fn, lower, upper, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12))
+    bisections = (res.evaluations - 240) // 30
+    assert bisections > 0
+    assert sizes == [240] + [30] * bisections
 
 
 def test_known_definite_integrals():
