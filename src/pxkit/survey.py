@@ -11,12 +11,18 @@ itself is badly unrepresentative.
 Three estimators of the population mean are compared: the naive mean over
 respondents only, the augmented post-stratified mean, and a simple random
 sample benchmark.
+
+A `Population` is a set of contiguous read-only columns (values, stratum
+bounds, respondents, pairing); the stages read those columns and slice
+strata at their bounds.  Proxy reports are a `REPORT_DTYPE` record array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,8 +76,9 @@ class PopulationSpec:
         return sum(s.size for s in self.strata)
 
 
-# One record per population unit: its stratum (index into ``spec.strata``),
-# true value, attribute flag and paired unit (index, or -1 when unpaired).
+# One record per population unit, as `Population.units` lays it out: its
+# stratum (index into ``spec.strata``), true value, attribute flag and paired
+# unit (index, or -1 when unpaired).
 UNIT_DTYPE = np.dtype(
     [("stratum", "i8"), ("value", "f8"), ("has_attribute", "?"), ("associate", "i8")]
 )
@@ -106,17 +113,46 @@ def _mean(x: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """A drawn population: ``units`` is a read-only `UNIT_DTYPE` array in stratum order."""
+    """A drawn population as read-only columns, units in stratum order.
+
+    - ``value``: float64, the true value of each unit.
+    - ``edges``: int64 stratum bounds, ``len(spec.strata) + 1`` of them from 0
+      to the population size; stratum k holds units ``edges[k]:edges[k + 1]``.
+    - ``respondents``: ascending int64 indices of the attribute holders.
+    - ``pair_respondents``, ``pair_targets``: the 1:1 pairing of holders with
+      non-holders of their own stratum, both ascending, stratum by stratum.
+    - ``pairing_shortfall``: holders left unpaired, by stratum label.
+    """
 
     spec: PopulationSpec
-    units: np.ndarray
+    value: np.ndarray
+    edges: np.ndarray
+    respondents: np.ndarray
+    pair_respondents: np.ndarray
+    pair_targets: np.ndarray
     pairing_shortfall: dict[str, int]
 
     @property
     def true_mean(self) -> float:
-        # A contiguous copy keeps numpy's pairwise summation on the same blocks
-        # as for a plain float array; the strided field would shift last bits.
-        return _mean(np.ascontiguousarray(self.units["value"]))
+        return _mean(self.value)
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The same population as a read-only `UNIT_DTYPE` record array, built on first access."""
+        units = np.empty(len(self.value), dtype=UNIT_DTYPE)
+        units["stratum"] = np.repeat(np.arange(len(self.edges) - 1), np.diff(self.edges))
+        units["value"] = self.value
+        units["has_attribute"] = False
+        units["has_attribute"][self.respondents] = True
+        units["associate"] = -1
+        units["associate"][self.pair_respondents] = self.pair_targets
+        units.flags.writeable = False
+        return units
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
 
 
 def generate_population(spec: PopulationSpec) -> Population:
@@ -127,23 +163,29 @@ def generate_population(spec: PopulationSpec) -> Population:
     non-holders stay unpaired and the per-stratum shortfall is recorded.
     """
     rng = make_rng(spec.seed)
-    units = np.empty(spec.total_size, dtype=UNIT_DTYPE)
-    units["associate"] = -1
+    edges = list(accumulate((s.size for s in spec.strata), initial=0))
+    value = np.empty(edges[-1])
+    holders, pair_respondents, pair_targets = [], [], []
     shortfall: dict[str, int] = {}
-    start = 0
-    for k, (stratum, prob) in enumerate(zip(spec.strata, spec.attribute_prob)):
-        block = units[start : start + stratum.size]
-        block["stratum"] = k
-        block["value"] = rng.normal(stratum.value_mean, stratum.value_sd, stratum.size)
-        block["has_attribute"] = rng.random(stratum.size) < prob
-        holders = start + block["has_attribute"].nonzero()[0]
-        non_holders = start + (~block["has_attribute"]).nonzero()[0]
-        pairs = min(len(holders), len(non_holders))
-        units["associate"][holders[:pairs]] = non_holders[:pairs]
-        shortfall[stratum.label] = len(holders) - pairs
-        start += stratum.size
-    units.flags.writeable = False
-    return Population(spec=spec, units=units, pairing_shortfall=shortfall)
+    for stratum, prob, start, stop in zip(spec.strata, spec.attribute_prob, edges, edges[1:]):
+        value[start:stop] = rng.normal(stratum.value_mean, stratum.value_sd, stratum.size)
+        has_attribute = rng.random(stratum.size) < prob
+        own = start + has_attribute.nonzero()[0]
+        others = start + (~has_attribute).nonzero()[0]
+        pairs = min(len(own), len(others))
+        holders.append(own)
+        pair_respondents.append(own[:pairs])
+        pair_targets.append(others[:pairs])
+        shortfall[stratum.label] = len(own) - pairs
+    return Population(
+        spec=spec,
+        value=_read_only(value),
+        edges=_read_only(np.array(edges, dtype=np.int64)),
+        respondents=_read_only(np.concatenate(holders)),
+        pair_respondents=_read_only(np.concatenate(pair_respondents)),
+        pair_targets=_read_only(np.concatenate(pair_targets)),
+        pairing_shortfall=shortfall,
+    )
 
 
 def collect_proxy_responses(pop: Population, acc: AccuracyModel, seed: int) -> np.ndarray:
@@ -155,9 +197,7 @@ def collect_proxy_responses(pop: Population, acc: AccuracyModel, seed: int) -> n
     reports and decays exponentially in the absolute corruption (in
     noise-sd units) otherwise.
     """
-    units = pop.units
-    paired = (units["associate"] >= 0).nonzero()[0]
-    n = len(paired)
+    n = len(pop.pair_respondents)
     reports = np.empty(n, dtype=REPORT_DTYPE)
     if n == 0:
         return reports
@@ -166,9 +206,9 @@ def collect_proxy_responses(pop: Population, acc: AccuracyModel, seed: int) -> n
     noise = rng.normal(0.0, acc.noise_sd, n) if acc.noise_sd > 0 else np.zeros(n)
     corruption = np.where(exact, 0.0, noise)
     decayed = np.exp(-np.abs(corruption) / acc.noise_sd) if acc.noise_sd > 0 else np.ones(n)
-    reports["respondent"] = paired
-    reports["target"] = units["associate"][paired]
-    reports["reported_value"] = units["value"][reports["target"]] + corruption
+    reports["respondent"] = pop.pair_respondents
+    reports["target"] = pop.pair_targets
+    reports["reported_value"] = pop.value[pop.pair_targets] + corruption
     reports["accuracy_score"] = np.where(corruption == 0.0, 1.0, decayed)
     return reports
 
@@ -235,33 +275,42 @@ def estimate_mean(
     over covered strata); srs_oracle averages a seeded simple random
     sample of the whole population.
     """
-    units = pop.units
-    respondents = units["has_attribute"]
     if scheme == "naive_attribute_only":
-        values = units["value"][respondents]
-        if len(values) == 0:
+        if len(pop.respondents) == 0:
             raise ValueError("no respondents: naive estimate undefined")
-        return _mean(values)
+        return _mean(pop.value[pop.respondents])
 
     if scheme == "augmented":
-        # Self-reports in unit order, then proxy reports in report order: the
-        # pooled order fixes the summation order, and so the last bits, of each mean.
-        strata = np.concatenate(
-            [units["stratum"][respondents], units["stratum"][responses["target"]]]
-        )
-        values = np.concatenate([units["value"][respondents], responses["reported_value"]])
-        if len(values) == 0:
+        # Each stratum pools its self-reports in unit order, then its proxy
+        # reports in report order: the pooled order fixes the summation order,
+        # and so the last bits, of each mean.  The stable sort groups the
+        # reports by their target's stratum and keeps report order within one.
+        own = pop.value[pop.respondents]
+        own_edges = pop.respondents.searchsorted(pop.edges).tolist()
+        target_strata = pop.edges.searchsorted(responses["target"], "right") - 1
+        order = target_strata.argsort(kind="stable")
+        sorted_strata = target_strata[order]
+        if len(order) and not 0 <= sorted_strata[0] <= sorted_strata[-1] < len(pop.spec.strata):
+            raise ValueError("a proxy report targets a unit outside the population")
+        reported = responses["reported_value"][order]
+        reported_edges = sorted_strata.searchsorted(np.arange(len(pop.edges))).tolist()
+        total = len(pop.value)
+        covered = []
+        for k, stratum in enumerate(pop.spec.strata):
+            own_k = own[own_edges[k] : own_edges[k + 1]]
+            reported_k = reported[reported_edges[k] : reported_edges[k + 1]]
+            vals = np.concatenate((own_k, reported_k))
+            if len(vals):
+                covered.append((stratum.size / total, vals))
+        if not covered:
             raise ValueError("no respondents or proxy reports: augmented estimate undefined")
-        total = pop.spec.total_size
-        covered = [(s.size / total, values[strata == k]) for k, s in enumerate(pop.spec.strata)]
-        covered = [(share, vals) for share, vals in covered if len(vals)]
         share_sum = sum(share for share, _ in covered)
         return sum(share * _mean(vals) for share, vals in covered) / share_sum
 
     if scheme == "srs_oracle":
-        srs_size = check_srs_size(srs_size, len(units))
-        idx = make_rng(seed).choice(len(units), size=srs_size, replace=False)
-        return _mean(units["value"][idx])
+        srs_size = check_srs_size(srs_size, len(pop.value))
+        idx = make_rng(seed).choice(len(pop.value), size=srs_size, replace=False)
+        return _mean(pop.value[idx])
 
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
@@ -326,8 +375,7 @@ def compare_schemes(
         pop = generate_population(replace(spec, seed=derive_seed(seed, rep, 0)))
         responses = collect_proxy_responses(pop, acc, derive_seed(seed, rep, 1))
         kept = filter_most_accurate(responses, quantile) if len(responses) else responses
-        n_resp = int(np.count_nonzero(pop.units["has_attribute"]))
-        size = srs_size if srs_size is not None else max(1, n_resp)
+        size = srs_size if srs_size is not None else max(1, len(pop.respondents))
         truth = pop.true_mean
         srs_seed = derive_seed(seed, rep, 2)
         for scheme in SCHEMES:

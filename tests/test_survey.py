@@ -107,6 +107,14 @@ class TestGeneratePopulation:
         a, b = generate_population(TWO_STRATA), generate_population(TWO_STRATA)
         assert np.array_equal(a.units, b.units)
 
+    def test_columns_and_record_view_are_read_only(self):
+        pop = generate_population(TWO_STRATA)
+        columns = (pop.value, pop.edges, pop.respondents, pop.pair_respondents, pop.pair_targets)
+        assert not any(column.flags.writeable for column in columns)
+        assert not pop.units.flags.writeable
+        assert pop.units is pop.units
+        assert np.array_equal(pop.edges, [0, 100, 200])
+
 
 class TestProxyResponses:
     def test_perfect_information(self):
@@ -221,6 +229,14 @@ class TestEstimators:
         pop = generate_population(TWO_STRATA)
         est = estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=len(pop.units), seed=3)
         assert est == pytest.approx(pop.true_mean, abs=1e-12)
+
+    @pytest.mark.parametrize("target", [-1, 200])
+    def test_report_on_a_unit_outside_the_population_rejected(self, target):
+        pop = generate_population(TWO_STRATA)
+        reports = _resp([1.0])
+        reports["target"] = target
+        with pytest.raises(ValueError, match="outside the population"):
+            estimate_mean(pop, reports, "augmented")
 
     def test_unknown_scheme(self):
         pop = generate_population(TWO_STRATA)
