@@ -27,7 +27,6 @@ from .affinity import (
     hellinger_sq,
     marginal_bound,
     product_affinity_iid,
-    total_mass,
 )
 from .densities import (
     Interval,
@@ -42,14 +41,12 @@ from .models import (
     ConditionalFamily,
     ExpandedModel,
     MarginalFamily,
-    PreservationReport,
     SimpleHypotheses,
     joint_logpdf,
     make_exponential_rate,
     make_normal_location,
     make_normal_variance_expansion,
     make_two_stage_normal,
-    verify_preservation,
 )
 from .quadrature import QuadratureBudgetError, QuadratureConfig, QuadResult, integrate
 from .seeding import derive_seed

@@ -20,19 +20,6 @@ from .densities import ScalarDensity
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses
 from .quadrature import MIN_EVALUATIONS, QuadratureBudgetError, QuadratureConfig, integrate
 
-__all__ = [
-    "AffinityResult",
-    "BoundComparison",
-    "affinity",
-    "hellinger_sq",
-    "marginal_bound",
-    "conditional_affinity",
-    "expanded_bound",
-    "activation_measure",
-    "product_affinity_iid",
-    "total_mass",
-]
-
 
 @dataclass(frozen=True)
 class AffinityResult:
@@ -256,15 +243,3 @@ def product_affinity_iid(
     """
     n = check_count("n", n, 1)
     return affinity(f, g, cfg).value ** n
-
-
-def total_mass(d: ScalarDensity, cfg: QuadratureConfig | None = None):
-    """Integral of the density over its support (should be 1)."""
-    return integrate(
-        d.pdf,
-        d.support.lower,
-        d.support.upper,
-        cfg,
-        center=d.center,
-        scale=max(d.scale, 1e-12),
-    )

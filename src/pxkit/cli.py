@@ -238,7 +238,7 @@ def apply_config_file(config: ExperimentConfig, path: str | Path) -> ExperimentC
     # other instead of keys copied into every section.
     cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        read = cp.read(path, encoding="utf-8")
+        read = cp.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: {path}: {exc}") from None
     if not read:

@@ -88,7 +88,9 @@ def normal_density(mean: float, sd: float) -> ScalarDensity:
 
     def logpdf(x):
         z = (np.asarray(x, dtype=float) - mean) / sd
-        return -0.5 * z * z - log_norm
+        # z * z overflows to inf only where the density underflows to 0 anyway.
+        with np.errstate(over="ignore"):
+            return -0.5 * z * z - log_norm
 
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(mean, sd, size=int(n))
@@ -113,7 +115,9 @@ def exponential_density(rate: float) -> ScalarDensity:
         x = np.asarray(x, dtype=float)
         inside = x >= 0.0
         safe = np.where(inside, x, 0.0)
-        return np.where(inside, log_rate - rate * safe, -math.inf)
+        # rate * x overflows to inf only where the density underflows to 0 anyway.
+        with np.errstate(over="ignore"):
+            return np.where(inside, log_rate - rate * safe, -math.inf)
 
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(1.0 / rate, size=int(n))
@@ -223,7 +227,7 @@ def load_tabulated_csv(path: str | Path) -> ScalarDensity:
     grid: list[float] = []
     values: list[float] = []
     rows = 0  # non-blank rows read so far
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for i, row in enumerate(csv.reader(fh)):
             if not row or all(not cell.strip() for cell in row):
                 continue

@@ -5,7 +5,7 @@ conditional family gives the density of the second statistic t2 given t1.
 Together with the baseline value eta0 of the expansion parameter they form
 an expanded model whose joint density factorizes as marginal times
 conditional.  At eta = eta0 the marginal must coincide with the original,
-un-expanded model; ``verify_preservation`` checks exactly that.
+un-expanded model.
 """
 
 from __future__ import annotations
@@ -70,16 +70,10 @@ class ConditionalFamily:
 
 @dataclass(frozen=True)
 class ExpandedModel:
-    """Joint model for (t1, t2) with expansion baseline eta0.
-
-    ``base_marginal`` is the original family before expansion, kept so the
-    eta = eta0 preservation identity can be checked against an independent
-    construction instead of against the expanded marginal itself.
-    """
+    """Joint model for (t1, t2) with expansion baseline eta0."""
 
     marginal: MarginalFamily
     conditional: ConditionalFamily
-    base_marginal: Callable[[float], ScalarDensity] | None = None
 
     @property
     def eta0(self) -> float:
@@ -127,7 +121,6 @@ def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:
     return ExpandedModel(
         marginal=MarginalFamily(marginal_at, eta0=0.0),
         conditional=ConditionalFamily(conditional_at, t1_free=True),
-        base_marginal=lambda theta: normal_density(theta, sd1),
     )
 
 
@@ -153,7 +146,6 @@ def make_normal_variance_expansion(n: int) -> ExpandedModel:
     return ExpandedModel(
         marginal=MarginalFamily(marginal_at, eta0=1.0),
         conditional=ConditionalFamily(conditional_at, t1_free=True),
-        base_marginal=lambda theta: normal_density(theta, 1.0 / math.sqrt(n)),
     )
 
 
@@ -164,33 +156,3 @@ def joint_logpdf(em: ExpandedModel, t1, t2, theta: float, eta: float | None = No
     t1 = np.asarray(t1, dtype=float)
     lm = em.marginal.density_at(theta, eta).logpdf(t1)
     return lm + em.conditional.density_at(t1, theta, eta).logpdf(t2)
-
-
-@dataclass(frozen=True)
-class PreservationReport:
-    preserved: bool
-    max_deviation: float
-
-
-def verify_preservation(
-    em: ExpandedModel,
-    theta: float,
-    probe_points,
-    original: Callable[[float], ScalarDensity] | None = None,
-    tol: float = 1e-9,
-) -> PreservationReport:
-    """Check that the expanded marginal at eta0 reproduces the original model.
-
-    Compares pointwise density values at the probe points against the
-    un-expanded family (``original`` argument, or the model's own
-    ``base_marginal``).
-    """
-    if original is None:
-        original = em.base_marginal
-    if original is None:
-        raise ValueError("no original family available; pass `original` explicitly")
-    probes = np.asarray(probe_points, dtype=float)
-    expanded = em.marginal.density_at(theta, em.eta0).pdf(probes)
-    base = original(theta).pdf(probes)
-    dev = float(np.max(np.abs(expanded - base))) if probes.size else 0.0
-    return PreservationReport(preserved=dev <= tol, max_deviation=dev)

@@ -366,6 +366,11 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="section header"):
             apply_config_file(ExperimentConfig(command="bound"), path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_header(self, tmp_path):
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf[run]\ncommand = bound\nseed = 42\n")
+        assert apply_config_file(ExperimentConfig(command="bound"), path).seed == 42
+
     def test_manifest_reproduces_results_bit_exactly(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run_cli(
@@ -493,3 +498,37 @@ def test_cli_run_imports_only_its_layers(command, tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Arguments whose densities overflow to inf inside logpdf where the density is
+# 0 anyway, and the results they give.
+_OVERFLOW = {
+    "bound": (
+        ["--model", "normal", "--sigma", "1e-300", "--theta0", "0", "--theta1", "1"],
+        {"bound": 0, "abs_error_estimate": 0},
+    ),
+    "test": (
+        ["--model", "normal", "--sigma", "1e-300", "--theta0", "0", "--theta1", "1",
+         "--replicates", "1000"],
+        {"alpha_hat": 0, "beta_hat": 0, "bound": 0, "satisfied": True},
+    ),
+    "affinity": (
+        ["--model", "exponential", "--theta0", "1e-300", "--theta1", "1e300"],
+        {"affinity": 0, "raw_value": 0, "abs_error_estimate": 0, "hellinger_sq": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_OVERFLOW))
+def test_harmless_overflow_prints_no_warning(command, tmp_path):
+    args, expected = _OVERFLOW[command]
+    out = tmp_path / "r.json"
+    src = str(Path(pxkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pxkit.cli", command, *args, "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = json.loads(out.read_text())
+    assert {key: data[key] for key in expected} == expected

@@ -9,12 +9,12 @@ from scipy import stats
 from pxkit import (
     Interval,
     QuadratureConfig,
+    affinity,
     exponential_density,
     gamma_density,
     load_tabulated_csv,
     normal_density,
     tabulated_density,
-    total_mass,
 )
 from pxkit.densities import make_rng
 
@@ -66,14 +66,16 @@ class TestEvaluation:
 
 
 class TestNormalization:
+    # A density's self-affinity is its total mass: sqrt(f * f) = f.
     @pytest.mark.parametrize("name", sorted(ALL_BUILTINS))
     def test_unit_mass(self, name):
-        res = total_mass(ALL_BUILTINS[name], QuadratureConfig(abs_tol=1e-10))
-        assert abs(res.value - 1.0) < 1e-6
+        d = ALL_BUILTINS[name]
+        res = affinity(d, d, QuadratureConfig(abs_tol=1e-10))
+        assert abs(res.raw_value - 1.0) < 1e-6
 
     def test_requested_normal_instance(self):
-        res = total_mass(normal_density(3.0, 2.0))
-        assert abs(res.value - 1.0) < 1e-6
+        d = normal_density(3.0, 2.0)
+        assert abs(affinity(d, d).raw_value - 1.0) < 1e-6
 
 
 class TestValidation:
@@ -149,6 +151,14 @@ class TestTabulated:
         path.write_text("\ngrid,value\ngrid,value\n0,0\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 3: non-numeric"):
             load_tabulated_csv(path)
+
+    def test_csv_byte_order_mark_is_not_data(self, tmp_path):
+        # A UTF-8 byte-order mark must not turn the first data row into a header.
+        path = tmp_path / "density.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,0\n1,2\n2,0\n")
+        d = load_tabulated_csv(path)
+        assert (d.support.lower, d.support.upper) == (0.0, 2.0)
+        assert float(d.pdf(1.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_csv_bad_rows(self, tmp_path):
         path = tmp_path / "density.csv"

@@ -13,7 +13,7 @@ import pxkit
 PUBLIC = [
     "AccuracyModel", "AffinityResult", "BoundCheck", "BoundComparison", "ConditionalFamily",
     "ErrorProbEstimate", "ExpandedModel", "Interval", "MarginalFamily", "Population",
-    "PopulationSpec", "PreservationReport", "QuadResult", "QuadratureBudgetError",
+    "PopulationSpec", "QuadResult", "QuadratureBudgetError",
     "QuadratureConfig", "ScalarDensity", "SchemeComparison", "SimpleHypotheses", "Stratum",
     "SweepRow", "SweepTable", "activation_measure", "affinity", "check_bound",
     "collect_proxy_responses", "compare_schemes", "conditional_affinity", "densities",
@@ -23,7 +23,7 @@ PUBLIC = [
     "load_tabulated_csv", "make_exponential_rate", "make_normal_location",
     "make_normal_variance_expansion", "make_two_stage_normal", "marginal_bound", "models",
     "montecarlo", "normal_density", "product_affinity_iid", "quadrature", "row_seed", "seeding",
-    "survey", "sweep", "tabulated_density", "total_mass", "verify_preservation",
+    "survey", "sweep", "tabulated_density",
 ]
 SUBMODULES = {"densities", "kraft", "models", "montecarlo", "quadrature", "seeding", "survey"}
 
