@@ -141,23 +141,20 @@ def expanded_bound(
 ) -> AffinityResult:
     """Upper bound on the error-probability sum of the joint-statistic test.
 
-    Computed as an iterated integral: the affinity of the two t2
-    conditionals at t1 is found by an inner adaptive quadrature at one
-    tenth of the outer tolerance, then weighted by sqrt of the product of
-    the marginal densities and integrated over t1.  When the conditional
-    family is declared ``t1_free`` there is one inner integral, at the
-    first outer node of nonzero weight, and its value serves every node;
-    otherwise there is one inner integral per such node.  The reported
-    error adds the inner tolerance budget to the outer quadrature estimate.
+    An iterated integral: at each outer node t1 of nonzero weight, the
+    affinity c(t1) of the two t2 conditionals is an inner adaptive
+    quadrature at one tenth of the outer tolerance, and sqrt of the product
+    of the marginal densities times c is integrated over t1.  A ``t1_free``
+    conditional gets one inner integral, at the first such node, and its
+    value serves every node.  The reported error adds the inner tolerance to
+    the outer estimate.
 
-    The outer integral has a budget of ``max_evaluations``, and the inner
+    The outer integral has a budget of ``max_evaluations`` and the inner
     integrals share another.  When either runs out, the raised
-    QuadratureBudgetError counts the evaluations of both levels, with every
-    outer node of the pass being evaluated: the outer integrand gets a whole
-    pass at once (240 nodes on the first pass) before any of its inner
-    integrals runs.  Its value
-    is the outer partial sum if the outer integral ran out, and NaN if an
-    inner one did: a node without its inner affinity leaves no estimate.
+    QuadratureBudgetError counts both levels, every node of the outer pass
+    in progress included (240 on the first pass).  Its value is the outer
+    partial sum when the outer integral ran out, and NaN when an inner one
+    did: a node without its inner affinity leaves no estimate.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -166,52 +163,43 @@ def expanded_bound(
     outer_tol = 0.5 * cfg.abs_tol
     inner_tol = outer_tol / 10.0
     weight = _sqrt_product_integrand(m1, m0)
-    outer_evals = inner_evals = 0
-    inner_ran_out = False
-    shared = None  # the one inner value of a t1-free conditional, once computed
+    evals = [0, 0]  # outer nodes evaluated, inner evaluations
+    shared = []  # the one inner value of a t1-free conditional, once computed
 
     def inner_value(t1: float) -> float:
-        nonlocal inner_evals, inner_ran_out
-        remaining = cfg.max_evaluations - inner_evals
+        if shared:
+            return shared[0]
+        remaining = cfg.max_evaluations - evals[1]
+        if remaining < MIN_EVALUATIONS:
+            raise QuadratureBudgetError(math.nan, math.inf, 0)
+        inner_cfg = replace(cfg, abs_tol=inner_tol, max_evaluations=remaining)
         try:
-            if remaining < MIN_EVALUATIONS:
-                raise QuadratureBudgetError(math.nan, math.inf, 0)
-            inner_cfg = replace(cfg, abs_tol=inner_tol, max_evaluations=remaining)
             inner = conditional_affinity(em, hyp, t1, inner_cfg)
         except QuadratureBudgetError as exc:
-            inner_evals += exc.evaluations
-            inner_ran_out = True
-            raise
-        inner_evals += inner.evaluations
+            evals[1] += exc.evaluations
+            raise QuadratureBudgetError(math.nan, math.inf, 0) from None
+        evals[1] += inner.evaluations
+        if em.conditional.t1_free:
+            shared.append(inner.raw_value)
         return inner.raw_value
 
     def outer_integrand(t1_values):
-        nonlocal outer_evals, shared
-        t1_values = np.atleast_1d(np.asarray(t1_values, dtype=float))
-        outer_evals += len(t1_values)
+        evals[0] += t1_values.size
         w = weight(t1_values)
         live = np.flatnonzero(w)
-        if em.conditional.t1_free:
-            if shared is None and live.size:
-                shared = inner_value(float(t1_values[live[0]]))
-            return w if shared is None else w * shared
-        out = np.zeros_like(w)
-        for i in live:
-            out[i] = w[i] * inner_value(float(t1_values[i]))
-        return out
+        nodes = live[:1] if em.conditional.t1_free else live
+        c = np.zeros_like(w)
+        c[live] = [inner_value(t1) for t1 in t1_values[nodes].tolist()]
+        return w * c
 
     try:
         res = _integrate_overlap(outer_integrand, m1, m0, replace(cfg, abs_tol=outer_tol))
     except QuadratureBudgetError as exc:
-        partial = (math.nan, math.inf) if inner_ran_out else (exc.value, exc.abs_error + inner_tol)
-        raise QuadratureBudgetError(*partial, outer_evals + inner_evals) from None
+        raise QuadratureBudgetError(exc.value, exc.abs_error + inner_tol, sum(evals)) from None
     if res.evaluations == 0:
         return res  # disjoint supports: no integral, so no inner tolerance either
-    return replace(
-        res,
-        abs_error_estimate=res.abs_error_estimate + inner_tol,
-        evaluations=res.evaluations + inner_evals,
-    )
+    err = res.abs_error_estimate + inner_tol
+    return replace(res, abs_error_estimate=err, evaluations=res.evaluations + evals[1])
 
 
 def activation_measure(

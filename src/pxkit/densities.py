@@ -87,9 +87,9 @@ def normal_density(mean: float, sd: float) -> ScalarDensity:
     log_norm = math.log(sd * _SQRT_2PI)
 
     def logpdf(x):
-        z = (np.asarray(x, dtype=float) - mean) / sd
-        # z * z overflows to inf only where the density underflows to 0 anyway.
+        # z and z * z overflow to inf only where the density underflows to 0 anyway.
         with np.errstate(over="ignore"):
+            z = (np.asarray(x, dtype=float) - mean) / sd
             return -0.5 * z * z - log_norm
 
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:

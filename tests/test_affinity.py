@@ -161,14 +161,15 @@ class TestExpandedBound:
         assert eb.value == pytest.approx(mb.value, abs=1e-8)
         assert eb.value == pytest.approx(gaussian_affinity(0, 1, 1 / math.sqrt(n)), abs=1e-8)
 
-    def test_disjoint_marginal_supports(self):
+    @pytest.mark.parametrize("t1_free", [False, True])
+    def test_disjoint_marginal_supports(self, t1_free):
         # t1 is uniform on [theta, theta + 1], so theta = 0 and 5 never overlap.
         def conditional_at(t1, theta, eta):
             raise AssertionError("no conditional is needed when the marginals are disjoint")
 
         em = ExpandedModel(
             MarginalFamily(lambda theta, eta: tabulated_density([theta, theta + 1.0], [1.0, 1.0])),
-            ConditionalFamily(conditional_at),
+            ConditionalFamily(conditional_at, t1_free=t1_free),
         )
         assert expanded_bound(em, SimpleHypotheses(0, 5)) == AffinityResult(0.0, 0.0, 0.0, 0)
 
@@ -352,16 +353,20 @@ class TestBudget:
             expanded_bound(T1_DEPENDENT, SimpleHypotheses(0, 1), cfg)
         assert err.value.evaluations == 240 + 1920
 
-    def test_expanded_bound_outer_budget_error_carries_partial_sum(self, monkeypatch):
+    @pytest.mark.parametrize("t1_free", [True, False])
+    def test_expanded_bound_outer_budget_error_carries_partial_sum(self, monkeypatch, t1_free):
         # With every conditional affinity 1/2 at no cost, only the outer
-        # integral spends the budget, and its partial sum is exp(-1/8) / 2.
+        # integral spends the budget, and its partial sum is exp(-1/8) / 2,
+        # whether one inner value serves every node or each node has its own.
         module = importlib.import_module("pxkit.affinity")
         monkeypatch.setattr(
             module, "conditional_affinity", lambda *args: AffinityResult(0.5, 0.5, 0.0, 0)
         )
+        em = make_two_stage_normal(1, 1, 1.0)
+        em = replace(em, conditional=replace(em.conditional, t1_free=t1_free))
         cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-16, max_evaluations=300)
         with pytest.raises(QuadratureBudgetError) as err:
-            expanded_bound(make_two_stage_normal(1, 1, 1.0), SimpleHypotheses(0, 1), cfg)
+            expanded_bound(em, SimpleHypotheses(0, 1), cfg)
         assert err.value.evaluations == 300
         assert err.value.value == pytest.approx(0.5 * gaussian_affinity(0, 1, 1.0), abs=1e-12)
         assert 0 < err.value.abs_error < 1e-9

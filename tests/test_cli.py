@@ -500,28 +500,42 @@ def test_cli_run_imports_only_its_layers(command, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# Arguments whose densities overflow to inf inside logpdf where the density is
-# 0 anyway, and the results they give.
+# Inputs whose densities overflow to inf inside logpdf where the density is 0
+# anyway, by id: the subcommand, its arguments and the results they give.
 _OVERFLOW = {
     "bound": (
+        "bound",
         ["--model", "normal", "--sigma", "1e-300", "--theta0", "0", "--theta1", "1"],
         {"bound": 0, "abs_error_estimate": 0},
     ),
     "test": (
+        "test",
         ["--model", "normal", "--sigma", "1e-300", "--theta0", "0", "--theta1", "1",
          "--replicates", "1000"],
         {"alpha_hat": 0, "beta_hat": 0, "bound": 0, "satisfied": True},
     ),
     "affinity": (
+        "affinity",
         ["--model", "exponential", "--theta0", "1e-300", "--theta1", "1e300"],
         {"affinity": 0, "raw_value": 0, "abs_error_estimate": 0, "hellinger_sq": 2},
+    ),
+    # (x - mean) / sd itself overflows here, not only its square.
+    "affinity-normal": (
+        "affinity",
+        ["--model", "normal", "--sigma", "1e-10", "--theta0", "0", "--theta1", "1e300"],
+        {"affinity": 0, "hellinger_sq": 2},
+    ),
+    "r-measure": (
+        "r-measure",
+        ["--model", "two-stage-normal", "--sigma", "1e-10", "--theta0", "0", "--theta1", "1e300"],
+        {"marginal_bound": 0, "expanded_bound": 0, "strict": False},
     ),
 }
 
 
-@pytest.mark.parametrize("command", list(_OVERFLOW))
-def test_harmless_overflow_prints_no_warning(command, tmp_path):
-    args, expected = _OVERFLOW[command]
+@pytest.mark.parametrize("case", list(_OVERFLOW))
+def test_harmless_overflow_prints_no_warning(case, tmp_path):
+    command, args, expected = _OVERFLOW[case]
     out = tmp_path / "r.json"
     src = str(Path(pxkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

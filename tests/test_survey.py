@@ -34,6 +34,11 @@ PERFECT = AccuracyModel(p_accurate=1.0, noise_sd=0.0)
 NO_REPORTS = np.empty(0, dtype=REPORT_DTYPE)
 
 
+def stratum_of(pop, units):
+    """Stratum index of each unit, read off the population's stratum bounds."""
+    return np.searchsorted(pop.edges, units, side="right") - 1
+
+
 class TestSpecValidation:
     def test_rejects_mismatched_probabilities(self):
         with pytest.raises(ValueError):
@@ -70,34 +75,34 @@ class TestGeneratePopulation:
         counts = {"A": [], "B": []}
         for s in range(50):
             pop = generate_population(replace(TWO_STRATA, seed=s))
+            holders = stratum_of(pop, pop.respondents)
             for k, label in enumerate(counts):
-                in_stratum = pop.units["stratum"] == k
-                counts[label].append(np.count_nonzero(in_stratum & pop.units["has_attribute"]))
+                counts[label].append(np.count_nonzero(holders == k))
         assert np.mean(counts["A"]) == pytest.approx(90, abs=2)
         assert np.mean(counts["B"]) == pytest.approx(10, abs=2)
 
     def test_pairing_is_one_to_one_within_stratum(self):
-        units = generate_population(TWO_STRATA).units
-        paired = np.flatnonzero(units["associate"] >= 0)
-        targets = units["associate"][paired]
+        pop = generate_population(TWO_STRATA)
+        paired, targets = pop.pair_respondents, pop.pair_targets
         assert len(paired)
-        assert np.all(units["associate"][units["associate"] < 0] == -1)
-        assert np.all(units["has_attribute"][paired])
-        assert np.array_equal(units["stratum"][targets], units["stratum"][paired])
-        assert not np.any(units["has_attribute"][targets])
+        assert len(np.unique(paired)) == len(paired) == len(targets)
+        assert np.all((0 <= targets) & (targets < len(pop.value)))
+        assert np.all(np.isin(paired, pop.respondents))
+        assert np.array_equal(stratum_of(pop, targets), stratum_of(pop, paired))
+        assert not np.any(np.isin(targets, pop.respondents))
         assert len(np.unique(targets)) == len(targets)
 
     def test_shortfall_reported_not_fatal(self):
         spec = PopulationSpec((Stratum("A", 20, 0.0, 1.0),), (0.95,), seed=3)
         pop = generate_population(spec)
-        holders = np.count_nonzero(pop.units["has_attribute"])
+        holders = len(pop.respondents)
         expected = max(0, holders - (20 - holders))
         assert pop.pairing_shortfall["A"] == expected
 
     def test_no_attribute_means_no_respondents(self):
         spec = replace(TWO_STRATA, attribute_prob=(0.0, 0.0))
         pop = generate_population(spec)
-        assert not np.any(pop.units["has_attribute"])
+        assert not len(pop.respondents)
         with pytest.raises(ValueError):
             estimate_mean(pop, NO_REPORTS, "naive_attribute_only")
         with pytest.raises(ValueError):
@@ -105,7 +110,9 @@ class TestGeneratePopulation:
 
     def test_determinism(self):
         a, b = generate_population(TWO_STRATA), generate_population(TWO_STRATA)
-        assert np.array_equal(a.units, b.units)
+        for name in ("value", "edges", "respondents", "pair_respondents", "pair_targets"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.pairing_shortfall == b.pairing_shortfall
 
     def test_columns_and_record_view_are_read_only(self):
         pop = generate_population(TWO_STRATA)
@@ -121,7 +128,7 @@ class TestProxyResponses:
         pop = generate_population(TWO_STRATA)
         responses = collect_proxy_responses(pop, PERFECT, seed=1)
         assert len(responses)
-        assert np.array_equal(responses["reported_value"], pop.units["value"][responses["target"]])
+        assert np.array_equal(responses["reported_value"], pop.value[responses["target"]])
         assert np.all(responses["accuracy_score"] == 1.0)
 
     def test_fully_noisy_reports_match_folded_normal_mean(self):
@@ -134,15 +141,14 @@ class TestProxyResponses:
         for s in range(60):
             pop = generate_population(replace(spec, seed=s))
             r = collect_proxy_responses(pop, acc, seed=1000 + s)
-            errs.extend(np.abs(r["reported_value"] - pop.units["value"][r["target"]]))
+            errs.extend(np.abs(r["reported_value"] - pop.value[r["target"]]))
         assert np.mean(errs) == pytest.approx(math.sqrt(2 / math.pi), abs=0.02)
 
     def test_unpaired_respondents_emit_nothing(self):
         pop = generate_population(TWO_STRATA)
-        paired = np.flatnonzero(pop.units["has_attribute"] & (pop.units["associate"] >= 0))
         responses = collect_proxy_responses(pop, PERFECT, seed=2)
-        assert np.array_equal(responses["respondent"], paired)
-        assert np.array_equal(responses["target"], pop.units["associate"][paired])
+        assert np.array_equal(responses["respondent"], pop.pair_respondents)
+        assert np.array_equal(responses["target"], pop.pair_targets)
 
     def test_determinism(self):
         pop = generate_population(TWO_STRATA)
@@ -227,7 +233,7 @@ def test_cut_is_numpys_linear_quantile(scores, quantile):
 class TestEstimators:
     def test_srs_census_is_exact(self):
         pop = generate_population(TWO_STRATA)
-        est = estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=len(pop.units), seed=3)
+        est = estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=len(pop.value), seed=3)
         assert est == pytest.approx(pop.true_mean, abs=1e-12)
 
     @pytest.mark.parametrize("target", [-1, 200])
@@ -304,8 +310,8 @@ class TestCompareSchemes:
         for rep in range(reps):
             pop = generate_population(replace(TWO_STRATA, seed=derive_seed(8, rep)))
             responses = collect_proxy_responses(pop, PERFECT, seed=derive_seed(9, rep))
-            strata_with_data = set(pop.units["stratum"][pop.units["has_attribute"]])
-            strata_with_data |= set(pop.units["stratum"][responses["target"]])
+            strata_with_data = set(stratum_of(pop, pop.respondents).tolist())
+            strata_with_data |= set(stratum_of(pop, responses["target"]).tolist())
             covered += strata_with_data == {0, 1}
         assert covered / reps >= 0.99
 
