@@ -7,7 +7,8 @@ results file gets a ``<name>.manifest.json`` recording the resolved
 configuration, seed, library versions and wall time.  Every file layout
 lives in this module: the rows of each results file, the --plot-data
 projections, the INI sections and the manifest's config record.  The
-library returns plain result objects and `reporting` renders lists of dicts.
+library returns plain result objects and `reporting` renders records and
+lists of records.
 
 Monte Carlo subcommands derive the per-scenario stream from (seed, theta1),
 and a test run is a singleton mc-sweep, so both report identical numbers
@@ -45,7 +46,7 @@ from .models import (
     make_two_stage_normal,
 )
 from .quadrature import QuadratureBudgetError, QuadratureConfig
-from .reporting import manifest_path, render_record, render_table, write_atomic, write_manifest
+from .reporting import FORMATS, manifest_path, render_table, write_atomic, write_manifest
 
 if TYPE_CHECKING:
     from .survey import PopulationSpec
@@ -187,7 +188,7 @@ class ExperimentConfig:
     out: str | None = _option(
         "run", None, str, "output path (default: $PXKIT_OUT_DIR/<command>.<format>)"
     )
-    format: str = _option("run", "json", str, "output format", choices=["csv", "json"])
+    format: str = _option("run", "json", str, "output format", choices=FORMATS)
     plot_data: str | None = _option(
         "run", None, str, "also write an x/y CSV projection", flags=PLOT_COMMANDS
     )
@@ -465,7 +466,7 @@ def _check_writable(out: Path, plot_data: str | None) -> None:
 
 def run(config: ExperimentConfig) -> int:
     """Execute one configured experiment; returns the process exit code."""
-    if config.format not in ("csv", "json"):
+    if config.format not in FORMATS:
         raise ConfigError(f"field 'format' must be csv or json, got {config.format!r}")
     if config.plot_data is not None and config.command not in PLOT_COMMANDS:
         raise ConfigError(f"field 'plot_data' is not supported for {config.command!r}")
@@ -474,7 +475,7 @@ def run(config: ExperimentConfig) -> int:
     started = time.perf_counter()
     # A record (dict) or, for mc-sweep and survey, a list of row records.
     result = _RUNNERS[config.command](config, _inputs(config))
-    text = (render_record if isinstance(result, dict) else render_table)(result, config.format)
+    text = render_table(result, config.format)
     write_atomic(out, text)
     wall = time.perf_counter() - started
     write_manifest(out, text, config_record(config), wall)

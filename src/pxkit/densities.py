@@ -221,7 +221,10 @@ def tabulated_density(grid, values) -> ScalarDensity:
 
 
 def load_tabulated_csv(path: str | Path) -> ScalarDensity:
-    """Read a two-column (grid, value) CSV; the first non-blank row may be a header."""
+    """Read a two-column (grid, value) CSV; the first non-blank row may be a header.
+
+    A row with a non-blank third cell (such as a pandas index column) is an error.
+    """
     import csv
 
     grid: list[float] = []
@@ -232,7 +235,9 @@ def load_tabulated_csv(path: str | Path) -> ScalarDensity:
             if not row or all(not cell.strip() for cell in row):
                 continue
             rows += 1
-            if len(row) < 2:
+            while not row[-1].strip():  # trailing blank cells are not columns
+                row.pop()
+            if len(row) != 2:
                 raise ValueError(f"{path}: line {i + 1}: expected two columns, got {len(row)}")
             try:
                 g, v = float(row[0]), float(row[1])

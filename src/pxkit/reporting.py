@@ -1,7 +1,11 @@
 """Result serialization: atomic file writes, JSON/CSV rendering, run manifests.
 
-Reals are rendered with 17 significant digits everywhere so written numbers
-round-trip to the exact double that produced them.
+`render_table` writes every results file: a record (one CSV row under a
+header, or one JSON object) or a list of records, in one of `FORMATS`.
+Both formats encode scalars by one rule, `render_json`: reals with 17
+significant digits, so written numbers round-trip to the exact double that
+produced them, and every other scalar as `json.dumps` writes it.  A CSV cell
+that is a string is written as is.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import json
 import math
 import os
 from pathlib import Path
+
+FORMATS = ("csv", "json")  # the results-file formats `render_table` writes
 
 
 def format_real(x: float) -> str:
@@ -33,34 +39,13 @@ def render_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, float):
         return format_real(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return json.dumps(obj)
 
 
 def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format_real(v)
-    return str(v)
-
-
-def render_csv(records: list[dict]) -> str:
-    """One CSV row per record under a header of the first record's keys."""
-    columns = list(records[0])
-    lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(_cell(rec[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    return v if isinstance(v, str) else render_json(v)
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -89,24 +74,16 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def render_table(records: list[dict], fmt: str) -> str:
-    if fmt == "csv":
-        return render_csv(records)
+def render_table(result: dict | list[dict], fmt: str) -> str:
+    """A record or a list of records: JSON, or CSV rows under the first record's keys."""
     if fmt == "json":
-        return render_json(records) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def render_record(record: dict, fmt: str) -> str:
-    if fmt == "csv":
-        return render_csv([record])
-    if fmt == "json":
-        return render_json(record) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def sha256_of(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return render_json(result) + "\n"
+    if fmt != "csv":
+        raise ValueError(f"unknown format {fmt!r}")
+    records = [result] if isinstance(result, dict) else result
+    columns = list(records[0])
+    lines = [",".join(columns)] + [",".join(_cell(rec[c]) for c in columns) for rec in records]
+    return "\n".join(lines) + "\n"
 
 
 def manifest_path(results_path: str | Path) -> Path:
@@ -117,7 +94,7 @@ def manifest_path(results_path: str | Path) -> Path:
 
 def write_manifest(
     results_path: str | Path, results_text: str, config_record: dict, wall_time_s: float
-) -> Path:
+) -> None:
     """Write the reproducibility manifest next to a results file."""
     import platform
 
@@ -128,7 +105,7 @@ def write_manifest(
     results_path = Path(results_path)
     manifest = {
         "results_file": results_path.name,
-        "results_sha256": sha256_of(results_text),
+        "results_sha256": hashlib.sha256(results_text.encode("utf-8")).hexdigest(),
         "config": config_record,
         "versions": {
             "pxkit": __version__,
@@ -137,6 +114,4 @@ def write_manifest(
         },
         "wall_time_s": wall_time_s,
     }
-    path = manifest_path(results_path)
-    write_atomic(path, render_json(manifest) + "\n")
-    return path
+    write_atomic(manifest_path(results_path), render_json(manifest) + "\n")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pxkit
@@ -21,7 +22,7 @@ from pxkit.cli import (
     main,
     run,
 )
-from pxkit.reporting import write_atomic
+from pxkit.reporting import FORMATS, render_table, write_atomic
 from pxkit.survey import PopulationSpec, Stratum
 
 SURVEY_INI = """
@@ -247,6 +248,9 @@ class TestExitCodes:
             (["survey", "--config", "{tmp}/ok.ini", "--plot-data", "{tmp}/x.json"], "plot_data"),
             (["mc-sweep", "--model", "normal", "--theta0", "0", "--theta1-list", "0.5,1",
               "--replicates", "1000", "--plot-data", "{tmp}/x.json.manifest.json"], "plot_data"),
+            # A pandas to_csv() file keeps its index as a third column.
+            (["affinity", "--model", "tabulated", "--csv-f", "{tmp}/indexed.csv",
+              "--csv-g", "{tmp}/plain.csv"], "csv_f"),
         ],
     )
     def test_input_rejected_by_library_is_config_error(self, args, field, tmp_path, capsys):
@@ -264,6 +268,10 @@ class TestExitCodes:
         for name, text in inis.items():
             # Latin-1 leaves the other files as they are and makes not_utf8 invalid UTF-8.
             (tmp_path / f"{name}.ini").write_bytes(text.encode("latin-1"))
+        plain = "grid,value\n0.0,0.0\n1.0,2.0\n2.0,0.0\n"
+        (tmp_path / "plain.csv").write_text(plain, encoding="utf-8")
+        indexed = ",grid,value\n0,0.0,0.0\n1,1.0,2.0\n2,2.0,0.0\n"
+        (tmp_path / "indexed.csv").write_text(indexed, encoding="utf-8")
         args = [a.format(tmp=tmp_path) for a in args]
         assert run_cli(*args, *extra, "--out", str(tmp_path / "x.json")) == 2
         err = capsys.readouterr().err
@@ -454,6 +462,24 @@ class TestAtomicity:
         assert expected & 0o777 == 0o666 & ~umask
         assert out.stat().st_mode == expected
         assert (tmp_path / "r.json.manifest.json").stat().st_mode == expected
+
+
+class TestRendering:
+    RECORD = {"strict": True, "replicates": 3, "value": 0.1, "scheme": "srs_oracle"}
+
+    def test_record_and_table_share_one_scalar_rule(self):
+        row = "true,3,0.10000000000000001,srs_oracle"
+        assert render_table(self.RECORD, "csv") == f"strict,replicates,value,scheme\n{row}\n"
+        assert render_table([self.RECORD] * 2, "csv").splitlines()[1:] == [row, row]
+        text = render_table(self.RECORD, "json")
+        assert '"strict": true' in text and '"value": 0.10000000000000001' in text
+        assert json.loads(text) == self.RECORD
+        assert json.loads(render_table([self.RECORD], "json")) == [self.RECORD]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_numpy_integer_is_not_serialized(self, fmt):
+        with pytest.raises(TypeError):
+            render_table({"replicates": np.int64(3)}, fmt)
 
 
 # Each subcommand's arguments, and the modules it must not load: the layers it

@@ -1,8 +1,9 @@
 """Bit-identity pins for the files the CLI writes.
 
 Each run below is one of the README's six commands (the survey reads the
-README's INI), or an mc-sweep or survey run that writes its table as JSON
-and its ``--plot-data`` CSV.  The sha256 digests are of the written bytes.
+README's INI), an r-measure or test run that writes its record as CSV, or
+an mc-sweep or survey run that writes its table as JSON and its
+``--plot-data`` CSV.  The sha256 digests are of the written bytes.
 Any change to a file's columns, their order, the number rendering or the
 values behind them moves at least one of them.  Each manifest must record
 the digest of its results file.
@@ -59,6 +60,15 @@ RUNS = {
         ["test", *TWO_STAGE, "--theta0", "0", "--theta1", "1", "--replicates", "100000",
          "--seed", "42"],
         {"test.json": "d0c5e146bbe90222e8235e0ebbf967ceaa087101e12f315189cc3e671f72f6b8"},
+    ),
+    "r-measure-csv": (
+        ["r-measure", *TWO_STAGE, "--theta0", "0", "--theta1", "1", "--format", "csv"],
+        {"r_measure.csv": "888fb8decd495169f22b40efdcc93f57e732157dce9ec15fed39e57f8e358444"},
+    ),
+    "test-csv": (
+        ["test", *TWO_STAGE, "--theta0", "0", "--theta1", "1", "--replicates", "100000",
+         "--seed", "42", "--format", "csv"],
+        {"test.csv": "81ed37e54dbab9e300cfbba9313868907320299372d2ddb386690e117bb8a24c"},
     ),
     "mc-sweep": (
         [*SWEEP, "--format", "csv", "--out", "sweep.csv"],

@@ -169,6 +169,19 @@ class TestTabulated:
         with pytest.raises(ValueError):
             load_tabulated_csv(path)
 
+    def test_csv_third_column_is_rejected(self, tmp_path):
+        # pandas' to_csv() keeps its index column, which would be read as the grid.
+        path = tmp_path / "density.csv"
+        path.write_text(",grid,value\n0,0.0,0.0\n1,1.0,2.0\n2,2.0,0.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1: expected two columns, got 3"):
+            load_tabulated_csv(path)
+        path.write_text("grid,value\n0,0\n1,2,5\n2,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3: expected two columns, got 3"):
+            load_tabulated_csv(path)
+        # Blank trailing cells are not columns.
+        path.write_text("grid,value,\n0,0,\n1,2, \n2,0,,\n", encoding="utf-8")
+        assert float(load_tabulated_csv(path).pdf(1.0)) == pytest.approx(1.0, abs=1e-15)
+
 
 def _triangle_cdf(x):
     # Exact CDF of the unit triangle on [0, 2]: quadratic on each half.

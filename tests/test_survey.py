@@ -370,6 +370,44 @@ class TestCompareSchemes:
             compare_schemes(spec, PERFECT, 1.0, 10, seed=0)
 
 
+
+# Two unequal strata for the exact oracles: 1,000 units, 50 drawn by srs_oracle.
+ORACLE_SPEC = PopulationSpec(
+    strata=(Stratum("A", 400, 0.0, 1.0), Stratum("B", 600, 5.0, 2.0)),
+    attribute_prob=(0.3, 0.6),
+    seed=0,
+)
+ORACLE_SRS_SIZE = 50
+ORACLE_REPLICATIONS = 2000
+
+
+# Seeds 1, 2 and 3 give srs_oracle ratios 0.983, 1.017 and 0.954 (-0.5, +0.6
+# and -1.5 SE).
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_naive_and_srs_errors_match_their_exact_oracles(seed):
+    """Each replication's naive error is its respondents' mean less its population
+    mean, exactly.  A simple random sample of n from N units without replacement
+    has E[(sample mean - population mean)^2] = (1 - n/N) S^2 / n, with S^2 the
+    population variance at ddof 1 (Cochran, 1977, ch. 2), so mean squared
+    srs_oracle error over mean (1 - n/N) S^2 / n is 1 up to sampling noise."""
+    comp = compare_schemes(
+        ORACLE_SPEC, PERFECT, 1.0, ORACLE_REPLICATIONS, seed, srs_size=ORACLE_SRS_SIZE
+    )
+    pops = [
+        generate_population(replace(ORACLE_SPEC, seed=derive_seed(seed, rep, 0)))
+        for rep in range(ORACLE_REPLICATIONS)
+    ]
+    naive = [survey._mean(p.value[p.respondents]) - survey._mean(p.value) for p in pops]
+    assert comp.errors["naive_attribute_only"].tolist() == naive
+
+    n, total = ORACLE_SRS_SIZE, ORACLE_SPEC.total_size
+    variance = np.array([(1 - n / total) * np.var(p.value, ddof=1) / n for p in pops])
+    squared = comp.errors["srs_oracle"] ** 2
+    ratio = squared.mean() / variance.mean()
+    # Delta-method standard error of a ratio of two means.
+    se = np.std(squared - ratio * variance, ddof=1) / (math.sqrt(len(pops)) * variance.mean())
+    assert abs(ratio - 1) < 4 * se, (ratio, se)
+
 def population_from_config(path):
     """The ``[population]`` spec of a config file, read as ``pxkit survey --config`` reads it."""
     return apply_config_file(ExperimentConfig(command="survey"), path).population
