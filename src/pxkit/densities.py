@@ -7,16 +7,19 @@ state of their own: they draw from the caller's `numpy.random.Generator`,
 so the generator's state fully determines the draw, and consecutive calls
 on one generator continue its stream (``n = a`` then ``n = b`` gives the
 same values as one call with ``n = a + b``).  `make_rng` builds the
-generator from an integer seed.  A density may also hold one law per entry
-of a parameter array (a conditional family at an array of t1): ``logpdf``
-then pairs its argument with those entries elementwise and ``sample``
-draws one value per entry.
+generator from an integer seed; `rng_from_key` builds the same generator
+from the Philox key that `seeding.derive_keys` computed for that seed.  No
+other pxkit module constructs a Philox generator.  A density may also hold
+one law per entry of a parameter array (a conditional family at an array of
+t1): ``logpdf`` then pairs its argument with those entries elementwise and
+``sample`` draws one value per entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -28,6 +31,34 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) for a non-negative integer seed."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) % (1 << 64))))
+
+
+def rng_from_key(key: np.ndarray) -> np.random.Generator:
+    """The generator `make_rng` builds, from its Philox key (a row of `seeding.derive_keys`).
+
+    Its state and draws equal ``make_rng``'s; no `SeedSequence` is built.
+    """
+    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
+
+
+@cache
+def _key_sequence() -> type:
+    """A seed sequence whose state is a fixed Philox key, defined on first use.
+
+    `numpy.random.bit_generator` loads `numpy.random`, which importing this
+    module (and so ``import pxkit.cli``) must not.  Philox asks its seed
+    sequence for exactly its key, two uint64 words, and nothing else.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySequence
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,26 @@ sample benchmark.
 A `Population` is a set of contiguous read-only columns (values, stratum
 bounds, respondents, pairing); the stages read those columns and slice
 strata at their bounds.  Proxy reports are a `REPORT_DTYPE` record array.
+
+The stages that draw (`generate_population`, `collect_proxy_responses` and
+the srs_oracle scheme of `estimate_mean`) take a `numpy.random.Generator`
+and advance it, as the density samplers do; `compare_schemes` builds each
+replication's three generators from keys `seeding.derive_keys` computes for
+the whole call at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from ._checks import check_count
-from .densities import make_rng
-from .seeding import derive_seed
+from .densities import rng_from_key
+from .seeding import derive_keys
 
 SCHEMES = ("naive_attribute_only", "augmented", "srs_oracle")
 
@@ -50,10 +56,12 @@ class Stratum:
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """Strata, one attribute probability per stratum, and the seed `generate_population` uses.
+    """Strata, one attribute probability per stratum, and a seed.
 
-    `compare_schemes` replaces ``seed`` in every replication with one derived
-    from its own seed, so the spec's seed does not change its results.
+    No library call reads ``seed``: `compare_schemes` derives every
+    replication's streams from its own seed, and a direct
+    `generate_population` call takes a generator, such as
+    ``densities.make_rng(spec.seed)``.
     """
 
     strata: tuple[Stratum, ...]
@@ -155,14 +163,13 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def generate_population(spec: PopulationSpec) -> Population:
-    """Draw a stratified population with attribute flags and 1:1 pairings.
+def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Population:
+    """Draw a stratified population with attribute flags and 1:1 pairings from ``rng``.
 
     Within each stratum, attribute holders are paired with distinct
     non-holders in unit order; holders beyond the number of available
     non-holders stay unpaired and the per-stratum shortfall is recorded.
     """
-    rng = make_rng(spec.seed)
     edges = list(accumulate((s.size for s in spec.strata), initial=0))
     value = np.empty(edges[-1])
     holders, pair_respondents, pair_targets = [], [], []
@@ -188,20 +195,21 @@ def generate_population(spec: PopulationSpec) -> Population:
     )
 
 
-def collect_proxy_responses(pop: Population, acc: AccuracyModel, seed: int) -> np.ndarray:
-    """One proxy report per paired respondent for its associated unit.
+def collect_proxy_responses(
+    pop: Population, acc: AccuracyModel, rng: np.random.Generator
+) -> np.ndarray:
+    """One proxy report per paired respondent for its associated unit, drawn from ``rng``.
 
     Returns a `REPORT_DTYPE` array in respondent order.  A report is the
     target's exact value with probability ``p_accurate``, otherwise the
     value plus centered normal noise.  The accuracy score is 1 for exact
     reports and decays exponentially in the absolute corruption (in
-    noise-sd units) otherwise.
+    noise-sd units) otherwise.  With no paired respondent nothing is drawn.
     """
     n = len(pop.pair_respondents)
     reports = np.empty(n, dtype=REPORT_DTYPE)
     if n == 0:
         return reports
-    rng = make_rng(seed)
     exact = rng.random(n) < acc.p_accurate
     noise = rng.normal(0.0, acc.noise_sd, n) if acc.noise_sd > 0 else np.zeros(n)
     corruption = np.where(exact, 0.0, noise)
@@ -265,15 +273,16 @@ def estimate_mean(
     responses: np.ndarray,
     scheme: str,
     srs_size: int = 0,
-    seed: int = 0,
+    rng: np.random.Generator | None = None,
 ) -> float:
     """Population-mean estimate under one of the three schemes.
 
     naive_attribute_only averages the respondents' own values; augmented
     post-stratifies the pooled respondent self-reports and proxy reports
     (`REPORT_DTYPE` array) using population stratum shares (renormalized
-    over covered strata); srs_oracle averages a seeded simple random
-    sample of the whole population.
+    over covered strata); srs_oracle averages a simple random sample of the
+    whole population drawn from ``rng``, and raises ValueError without one.
+    The other two schemes do not read ``rng``.
     """
     if scheme == "naive_attribute_only":
         if len(pop.respondents) == 0:
@@ -309,7 +318,9 @@ def estimate_mean(
 
     if scheme == "srs_oracle":
         srs_size = check_srs_size(srs_size, len(pop.value))
-        idx = make_rng(seed).choice(len(pop.value), size=srs_size, replace=False)
+        if rng is None:
+            raise ValueError("srs_oracle draws its sample from a generator; pass rng")
+        idx = rng.choice(len(pop.value), size=srs_size, replace=False)
         return _mean(pop.value[idx])
 
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -358,12 +369,15 @@ def compare_schemes(
     """Replicate the full pipeline and summarize per-scheme estimation error.
 
     Each replication regenerates the population, proxy responses and SRS
-    draw from three seeds derived of (seed, replication index, key) with
-    keys 0, 1 and 2; only srs_oracle reads the third.  The population seed
-    is the key-0 seed, so ``spec.seed`` does not change the result.  When
-    ``srs_size`` is not given, the benchmark sample matches the
-    replication's respondent count.  The spec, the replication count,
-    ``quantile`` and ``srs_size`` are validated before the first replication.
+    draw from three generators, each the one ``densities.make_rng`` builds
+    from ``derive_seed(seed, replication index, key)`` with keys 0, 1 and 2;
+    only srs_oracle reads the third.  `seeding.derive_keys` computes the
+    Philox keys of all of them in one pass, and each replication's
+    generators are built from those keys as it starts.  ``spec.seed`` is not
+    read, so it does not change the result.  When ``srs_size`` is not
+    given, the benchmark sample matches the replication's respondent count.
+    The spec, the replication count, ``quantile`` and ``srs_size`` are
+    validated before the first replication.
     """
     check_population(spec)
     replications = check_replications(replications)
@@ -371,15 +385,17 @@ def compare_schemes(
     if srs_size is not None:
         srs_size = check_srs_size(srs_size, spec.total_size)
     errors: dict[str, list[float]] = {s: [] for s in SCHEMES}
-    for rep in range(replications):
-        pop = generate_population(replace(spec, seed=derive_seed(seed, rep, 0)))
-        responses = collect_proxy_responses(pop, acc, derive_seed(seed, rep, 1))
+    # Row 3 * rep + key is (rep, key).
+    keys = derive_keys(seed, np.column_stack(np.divmod(np.arange(3 * replications), 3)))
+    for population_key, report_key, srs_key in keys.reshape(replications, 3, 2):
+        pop = generate_population(spec, rng_from_key(population_key))
+        responses = collect_proxy_responses(pop, acc, rng_from_key(report_key))
         kept = filter_most_accurate(responses, quantile) if len(responses) else responses
         size = srs_size if srs_size is not None else max(1, len(pop.respondents))
         truth = pop.true_mean
-        srs_seed = derive_seed(seed, rep, 2)
+        srs_rng = rng_from_key(srs_key)
         for scheme in SCHEMES:
-            est = estimate_mean(pop, kept, scheme, srs_size=size, seed=srs_seed)
+            est = estimate_mean(pop, kept, scheme, srs_size=size, rng=srs_rng)
             errors[scheme].append(est - truth)
     arrays = {s: np.array(v) for s, v in errors.items()}
     return SchemeComparison(

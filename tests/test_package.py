@@ -67,3 +67,17 @@ def test_bare_import_loads_montecarlo_and_survey_on_first_use():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # numpy loads numpy.random on first attribute access; importing it costs
+    # about a tenth of `import pxkit.cli`, which every CLI call pays.
+    src = str(Path(pxkit.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import pxkit.cli\n"
+        "assert 'numpy.random' not in sys.modules, [m for m in sys.modules if 'random' in m]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Survey-augmentation pipeline: pairing, proxy quality, estimators, recovery."""
 
+import inspect
 import math
 import statistics
 import warnings
@@ -23,6 +24,7 @@ from pxkit import (
 )
 from pxkit import survey
 from pxkit.cli import ExperimentConfig, apply_config_file
+from pxkit.densities import make_rng
 from pxkit.survey import REPORT_DTYPE
 
 TWO_STRATA = PopulationSpec(
@@ -74,7 +76,7 @@ class TestGeneratePopulation:
     def test_respondent_counts_track_attribute_probabilities(self):
         counts = {"A": [], "B": []}
         for s in range(50):
-            pop = generate_population(replace(TWO_STRATA, seed=s))
+            pop = generate_population(TWO_STRATA, make_rng(s))
             holders = stratum_of(pop, pop.respondents)
             for k, label in enumerate(counts):
                 counts[label].append(np.count_nonzero(holders == k))
@@ -82,7 +84,7 @@ class TestGeneratePopulation:
         assert np.mean(counts["B"]) == pytest.approx(10, abs=2)
 
     def test_pairing_is_one_to_one_within_stratum(self):
-        pop = generate_population(TWO_STRATA)
+        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
         paired, targets = pop.pair_respondents, pop.pair_targets
         assert len(paired)
         assert len(np.unique(paired)) == len(paired) == len(targets)
@@ -94,14 +96,14 @@ class TestGeneratePopulation:
 
     def test_shortfall_reported_not_fatal(self):
         spec = PopulationSpec((Stratum("A", 20, 0.0, 1.0),), (0.95,), seed=3)
-        pop = generate_population(spec)
+        pop = generate_population(spec, make_rng(spec.seed))
         holders = len(pop.respondents)
         expected = max(0, holders - (20 - holders))
         assert pop.pairing_shortfall["A"] == expected
 
     def test_no_attribute_means_no_respondents(self):
         spec = replace(TWO_STRATA, attribute_prob=(0.0, 0.0))
-        pop = generate_population(spec)
+        pop = generate_population(spec, make_rng(spec.seed))
         assert not len(pop.respondents)
         with pytest.raises(ValueError):
             estimate_mean(pop, NO_REPORTS, "naive_attribute_only")
@@ -109,13 +111,14 @@ class TestGeneratePopulation:
             estimate_mean(pop, NO_REPORTS, "augmented")
 
     def test_determinism(self):
-        a, b = generate_population(TWO_STRATA), generate_population(TWO_STRATA)
+        a = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
+        b = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
         for name in ("value", "edges", "respondents", "pair_respondents", "pair_targets"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.pairing_shortfall == b.pairing_shortfall
 
     def test_columns_and_record_view_are_read_only(self):
-        pop = generate_population(TWO_STRATA)
+        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
         columns = (pop.value, pop.edges, pop.respondents, pop.pair_respondents, pop.pair_targets)
         assert not any(column.flags.writeable for column in columns)
         assert not pop.units.flags.writeable
@@ -125,8 +128,8 @@ class TestGeneratePopulation:
 
 class TestProxyResponses:
     def test_perfect_information(self):
-        pop = generate_population(TWO_STRATA)
-        responses = collect_proxy_responses(pop, PERFECT, seed=1)
+        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
+        responses = collect_proxy_responses(pop, PERFECT, make_rng(1))
         assert len(responses)
         assert np.array_equal(responses["reported_value"], pop.value[responses["target"]])
         assert np.all(responses["accuracy_score"] == 1.0)
@@ -139,21 +142,22 @@ class TestProxyResponses:
         acc = AccuracyModel(p_accurate=0.0, noise_sd=1.0)
         errs = []
         for s in range(60):
-            pop = generate_population(replace(spec, seed=s))
-            r = collect_proxy_responses(pop, acc, seed=1000 + s)
+            pop = generate_population(spec, make_rng(s))
+            r = collect_proxy_responses(pop, acc, make_rng(1000 + s))
             errs.extend(np.abs(r["reported_value"] - pop.value[r["target"]]))
         assert np.mean(errs) == pytest.approx(math.sqrt(2 / math.pi), abs=0.02)
 
     def test_unpaired_respondents_emit_nothing(self):
-        pop = generate_population(TWO_STRATA)
-        responses = collect_proxy_responses(pop, PERFECT, seed=2)
+        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
+        responses = collect_proxy_responses(pop, PERFECT, make_rng(2))
         assert np.array_equal(responses["respondent"], pop.pair_respondents)
         assert np.array_equal(responses["target"], pop.pair_targets)
 
     def test_determinism(self):
-        pop = generate_population(TWO_STRATA)
+        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
         acc = AccuracyModel(0.5, 2.0)
-        a, b = collect_proxy_responses(pop, acc, 9), collect_proxy_responses(pop, acc, 9)
+        a = collect_proxy_responses(pop, acc, make_rng(9))
+        b = collect_proxy_responses(pop, acc, make_rng(9))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("noise_sd", [math.nan, math.inf])
@@ -232,20 +236,20 @@ def test_cut_is_numpys_linear_quantile(scores, quantile):
 
 class TestEstimators:
     def test_srs_census_is_exact(self):
-        pop = generate_population(TWO_STRATA)
-        est = estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=len(pop.value), seed=3)
+        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
+        est = estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=len(pop.value), rng=make_rng(3))
         assert est == pytest.approx(pop.true_mean, abs=1e-12)
 
     @pytest.mark.parametrize("target", [-1, 200])
     def test_report_on_a_unit_outside_the_population_rejected(self, target):
-        pop = generate_population(TWO_STRATA)
+        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
         reports = _resp([1.0])
         reports["target"] = target
         with pytest.raises(ValueError, match="outside the population"):
             estimate_mean(pop, reports, "augmented")
 
     def test_unknown_scheme(self):
-        pop = generate_population(TWO_STRATA)
+        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
         with pytest.raises(ValueError):
             estimate_mean(pop, NO_REPORTS, "bootstrap")
 
@@ -254,8 +258,8 @@ class TestEstimators:
         # post-stratified augmentation stays centered on the true mean 5.
         naive, aug = [], []
         for rep in range(300):
-            pop = generate_population(replace(TWO_STRATA, seed=derive_seed(5, rep)))
-            responses = collect_proxy_responses(pop, PERFECT, seed=derive_seed(6, rep))
+            pop = generate_population(TWO_STRATA, make_rng(derive_seed(5, rep)))
+            responses = collect_proxy_responses(pop, PERFECT, make_rng(derive_seed(6, rep)))
             naive.append(estimate_mean(pop, responses, "naive_attribute_only") - pop.true_mean)
             aug.append(estimate_mean(pop, responses, "augmented") - pop.true_mean)
         assert np.mean(naive) == pytest.approx(-4.0, abs=0.15)
@@ -308,23 +312,66 @@ class TestCompareSchemes:
         covered = 0
         reps = 200
         for rep in range(reps):
-            pop = generate_population(replace(TWO_STRATA, seed=derive_seed(8, rep)))
-            responses = collect_proxy_responses(pop, PERFECT, seed=derive_seed(9, rep))
+            pop = generate_population(TWO_STRATA, make_rng(derive_seed(8, rep)))
+            responses = collect_proxy_responses(pop, PERFECT, make_rng(derive_seed(9, rep)))
             strata_with_data = set(stratum_of(pop, pop.respondents).tolist())
             strata_with_data |= set(stratum_of(pop, responses["target"]).tolist())
             covered += strata_with_data == {0, 1}
         assert covered / reps >= 0.99
 
-    def test_three_derived_seeds_per_replication(self, monkeypatch):
-        calls = []
+    def test_each_stage_draws_from_its_derived_stream(self, monkeypatch):
+        # Replication rep's population, reports and SRS draw start from
+        # make_rng(derive_seed(seed, rep, key)) with keys 0, 1 and 2; each of
+        # the three estimate_mean calls of a replication gets the SRS stream.
+        stages = ("generate_population", "collect_proxy_responses", "estimate_mean")
+        entry_states = {stage: [] for stage in stages}
 
-        def counting(*key):
-            calls.append(key)
-            return derive_seed(*key)
+        def record(stage):
+            original = getattr(survey, stage)
+            signature = inspect.signature(original)
 
-        monkeypatch.setattr(survey, "derive_seed", counting)
+            def wrapper(*args, **kwargs):
+                rng = signature.bind(*args, **kwargs).arguments["rng"]
+                entry_states[stage].append(repr(rng.bit_generator.state))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(survey, stage, wrapper)
+
+        for stage in stages:
+            record(stage)
         compare_schemes(TWO_STRATA, PERFECT, 1.0, 12, seed=4)
-        assert sorted(calls) == [(4, rep, key) for rep in range(12) for key in range(3)]
+
+        def expected(key, calls=1):
+            return [
+                repr(make_rng(derive_seed(4, rep, key)).bit_generator.state)
+                for rep in range(12)
+                for _ in range(calls)
+            ]
+
+        assert entry_states["generate_population"] == expected(0)
+        assert entry_states["collect_proxy_responses"] == expected(1)
+        assert entry_states["estimate_mean"] == expected(2, calls=len(survey.SCHEMES))
+
+    def test_no_seed_sequence_per_stream(self, monkeypatch):
+        built = []
+
+        class Counting(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counting)
+        monkeypatch.setattr(np.random.bit_generator, "SeedSequence", Counting)
+        make_rng(derive_seed(1, 0, 0))
+        assert len(built) == 2  # the patch sees derive_seed's and make_rng's
+        built.clear()
+        compare_schemes(TWO_STRATA, AccuracyModel(0.5, 1.0), 0.5, 10, seed=1)
+        assert built == []
+
+    def test_srs_oracle_needs_a_generator(self):
+        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
+        with pytest.raises(ValueError, match="generator"):
+            estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=10)
 
     def test_large_finite_errors_give_finite_summaries(self):
         # Stratum A's values reach about 1e300, so squared errors overflow a double.
@@ -359,13 +406,13 @@ class TestCompareSchemes:
              "compare_srs_size"],
     )
     def test_non_integral_counts_rejected(self, call, count, monkeypatch):
-        monkeypatch.setattr(survey, "generate_population", lambda spec: pytest.fail("replicated"))
+        monkeypatch.setattr(survey, "generate_population", lambda *args: pytest.fail("replicated"))
         with pytest.raises(ValueError, match=f"{count} must be an integer"):
             call()
 
     def test_no_possible_respondent_rejected_before_replicating(self, monkeypatch):
         spec = replace(TWO_STRATA, attribute_prob=(0.0, 0.0))
-        monkeypatch.setattr(survey, "generate_population", lambda spec: pytest.fail("replicated"))
+        monkeypatch.setattr(survey, "generate_population", lambda *args: pytest.fail("replicated"))
         with pytest.raises(ValueError, match="attribute probability"):
             compare_schemes(spec, PERFECT, 1.0, 10, seed=0)
 
@@ -394,7 +441,7 @@ def test_naive_and_srs_errors_match_their_exact_oracles(seed):
         ORACLE_SPEC, PERFECT, 1.0, ORACLE_REPLICATIONS, seed, srs_size=ORACLE_SRS_SIZE
     )
     pops = [
-        generate_population(replace(ORACLE_SPEC, seed=derive_seed(seed, rep, 0)))
+        generate_population(ORACLE_SPEC, make_rng(derive_seed(seed, rep, 0)))
         for rep in range(ORACLE_REPLICATIONS)
     ]
     naive = [survey._mean(p.value[p.respondents]) - survey._mean(p.value) for p in pops]

@@ -123,8 +123,8 @@ def recorded_populations():
     """Collect every population `compare_schemes` draws, through its module global."""
     drawn = []
 
-    def recording(spec):
-        pop = generate_population(spec)
+    def recording(*args):
+        pop = generate_population(*args)
         drawn.append(pop)
         return pop
 
@@ -159,8 +159,8 @@ accuracies = st.builds(AccuracyModel, _PROBS, st.one_of(st.just(0.0), st.floats(
     keep=st.floats(0.0, 1.0),
 )
 def test_augmented_mean_ignores_report_order(spec, acc, report_seed, shuffle_seed, keep):
-    pop = generate_population(spec)
-    responses = collect_proxy_responses(pop, acc, report_seed)
+    pop = generate_population(spec, make_rng(spec.seed))
+    responses = collect_proxy_responses(pop, acc, make_rng(report_seed))
     rng = np.random.default_rng(shuffle_seed)
     shuffled = responses[rng.permutation(len(responses))]
     subset = shuffled[rng.random(len(shuffled)) < keep]
