@@ -60,7 +60,6 @@ _LAZY = {
         (
             "BoundCheck",
             "ErrorProbEstimate",
-            "SweepRow",
             "SweepTable",
             "check_bound",
             "estimate_phi_errors",

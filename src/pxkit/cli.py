@@ -28,7 +28,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -334,7 +334,8 @@ def _inputs(config: ExperimentConfig) -> SimpleNamespace:
 
         replicates = _build(config, check_replicates, "replicates")
     return SimpleNamespace(
-        quad=quad, model=model, hyp=hyp, densities=densities, replicates=replicates
+        quad=quad, model=model, hyp=hyp, densities=densities, alternatives=alternatives,
+        replicates=replicates,
     )
 
 
@@ -372,36 +373,36 @@ def _cmd_r_measure(config: ExperimentConfig, inp: SimpleNamespace):
     return {**asdict(comp), "hellinger_sq_gain": comp.hellinger_sq_gain}
 
 
-def _cmd_test(config: ExperimentConfig, inp: SimpleNamespace):
-    """A one-row mc-sweep, so both report the same numbers for the same theta1."""
-    table = _sweep(replace(config, theta1_list=(inp.hyp.theta1,)), inp)
-    row = table.rows[0]
-    return {
-        "test": table.kind,
-        "theta0": table.theta0,
-        "theta1": row.theta1,
-        "alpha_hat": row.alpha_hat,
-        "beta_hat": row.beta_hat,
-        "half_width_alpha": row.half_width_alpha,
-        "half_width_beta": row.half_width_beta,
-        "replicates": table.replicates,
-        "seed": table.seed,
-        "bound": row.bound,
-        "slack": row.slack,
-        "satisfied": row.satisfied,
-    }
-
-
 def _sweep(config: ExperimentConfig, inp: SimpleNamespace):
+    """The test kind ("phi" or "psi") and one mc-sweep row per alternative."""
     from .montecarlo import sweep
 
-    return sweep(
-        inp.model, config.theta0, config.theta1_list, inp.replicates, config.seed, inp.quad
+    table = sweep(
+        inp.model, config.theta0, inp.alternatives, inp.replicates, config.seed, inp.quad
     )
+    return table.kind, [
+        {"theta1": float(theta1), "alpha_hat": c.estimate.alpha_hat,
+         "beta_hat": c.estimate.beta_hat, "half_width_alpha": c.estimate.half_width_alpha,
+         "half_width_beta": c.estimate.half_width_beta, "bound": c.bound, "slack": c.slack,
+         "satisfied": c.satisfied}
+        for theta1, c in zip(inp.alternatives, table.checks)
+    ]
+
+
+def _cmd_test(config: ExperimentConfig, inp: SimpleNamespace):
+    """A one-row mc-sweep, so both report the same numbers for the same theta1.
+
+    The record puts the run's replicates and seed between the row's estimate
+    (its first five fields) and its bound check.
+    """
+    kind, [row] = _sweep(config, inp)
+    items = list(row.items())
+    return {"test": kind, "theta0": float(config.theta0), **dict(items[:5]),
+            "replicates": inp.replicates, "seed": int(config.seed), **dict(items[5:])}
 
 
 def _cmd_mc_sweep(config: ExperimentConfig, inp: SimpleNamespace):
-    return [asdict(row) for row in _sweep(config, inp).rows]
+    return _sweep(config, inp)[1]
 
 
 def _cmd_survey(config: ExperimentConfig, inp: SimpleNamespace):

@@ -182,7 +182,7 @@ def check_bound(estimate: ErrorProbEstimate, bound: float) -> BoundCheck:
     """
     if not 0.0 <= bound <= 1.0:
         raise ValueError(f"bound must lie in [0, 1], got {bound}")
-    total = estimate.alpha_hat + estimate.beta_hat
+    total = estimate.error_sum
     cushion = estimate.half_width_alpha + estimate.half_width_beta
     return BoundCheck(
         estimate=estimate,
@@ -193,35 +193,21 @@ def check_bound(estimate: ErrorProbEstimate, bound: float) -> BoundCheck:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    theta1: float
-    alpha_hat: float
-    beta_hat: float
-    half_width_alpha: float
-    half_width_beta: float
-    bound: float
-    slack: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class SweepTable:
-    """One bound-check row per alternative value, as plain data.
+    """One bound check per alternative value, in input order, as plain data.
 
-    Row seeds are derived from the base seed and the theta1 value itself,
-    so permuting the input list permutes the rows and nothing else.  The
-    CLI decides how a table is written (`pxkit.cli`).
+    ``kind`` is "phi" or "psi", the test `sweep` chose for the model.  Each
+    check's estimate is seeded from the base seed and the theta1 value itself
+    (`row_seed`), so permuting the input list permutes the checks and nothing
+    else.  The CLI decides how a table is written (`pxkit.cli`).
     """
 
     kind: str
-    theta0: float
-    replicates: int
-    seed: int
-    rows: tuple[SweepRow, ...]
+    checks: tuple[BoundCheck, ...]
 
 
 def row_seed(base_seed: int, theta1: float) -> int:
-    """Seed used for the sweep row at this alternative value."""
+    """Seed of the sweep's estimate at this alternative value."""
     return derive_seed(base_seed, float(theta1))
 
 
@@ -237,7 +223,9 @@ def sweep(
 
     A `MarginalFamily` gets the first-statistic (phi) test and its marginal
     bound, an `ExpandedModel` the joint-statistic (psi) test and its
-    expanded bound; the table's ``kind`` says which.
+    expanded bound; the table's ``kind`` says which.  Every bound is
+    computed before the first estimate, so a quadrature failure raises
+    before any drawing.
     """
     if isinstance(model, MarginalFamily):
         kind, estimate, bound_of = "phi", estimate_phi_errors, marginal_bound
@@ -247,24 +235,10 @@ def sweep(
         raise ValueError(f"sweep needs a model, got {type(model).__name__}")
     if len(theta1_list) == 0:
         raise ValueError("theta1_list must be nonempty")
-    rows = []
-    for theta1 in theta1_list:
-        hyp = SimpleHypotheses(theta0, float(theta1))
-        est = estimate(model, hyp, replicates, row_seed(seed, float(theta1)))
-        bound = bound_of(model, hyp, cfg).value
-        chk = check_bound(est, bound)
-        rows.append(
-            SweepRow(
-                theta1=float(theta1),
-                alpha_hat=est.alpha_hat,
-                beta_hat=est.beta_hat,
-                half_width_alpha=est.half_width_alpha,
-                half_width_beta=est.half_width_beta,
-                bound=bound,
-                slack=chk.slack,
-                satisfied=chk.satisfied,
-            )
-        )
-    return SweepTable(
-        kind=kind, theta0=float(theta0), replicates=int(replicates), seed=int(seed), rows=tuple(rows)
+    hyps = [SimpleHypotheses(theta0, float(theta1)) for theta1 in theta1_list]
+    bounds = [bound_of(model, hyp, cfg).value for hyp in hyps]
+    checks = (
+        check_bound(estimate(model, hyp, replicates, row_seed(seed, hyp.theta1)), bound)
+        for hyp, bound in zip(hyps, bounds)
     )
+    return SweepTable(kind, tuple(checks))

@@ -140,9 +140,10 @@ class TestSubcommands:
         assert run_cli("test", *common, "--theta1", "1.0", "--out", str(test_out)) == 0
         row = json.loads(sweep_out.read_text())[0]
         single = json.loads(test_out.read_text())
-        assert row["alpha_hat"] == single["alpha_hat"]
-        assert row["beta_hat"] == single["beta_hat"]
-        assert row["bound"] == single["bound"]
+        shared = ["theta1", "alpha_hat", "beta_hat", "half_width_alpha", "half_width_beta",
+                  "bound", "slack", "satisfied"]
+        assert list(row) == shared
+        assert {name: single[name] for name in shared} == row
 
     def test_default_out_uses_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PXKIT_OUT_DIR", str(tmp_path))

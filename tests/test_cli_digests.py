@@ -92,6 +92,16 @@ RUNS = {
             "survey_plot.csv": "2772be3d4f9348a2877d687296be9e7169ce075489f19a0102b31d15b4242a24",
         },
     ),
+    "mc-sweep-psi-json": (
+        ["mc-sweep", *TWO_STAGE, "--theta0", "0", "--theta1-list", "0.5,1", "--replicates",
+         "100000", "--seed", "42", "--out", "sweep_psi.json"],
+        {"sweep_psi.json": "957ab5590f359283cd3364dc835bd6f87ec16c140a32a45ca16192569b48f61d"},
+    ),
+    "test-phi-csv": (
+        ["test", "--model", "normal", "--sigma", "1", "--theta0", "0", "--theta1", "1",
+         "--replicates", "100000", "--seed", "42", "--format", "csv"],
+        {"test.csv": "6bfba1a124c761a57bebc5d4786db63d57688d14663fa022ac9c2ea8e5d4393a"},
+    ),
 }
 
 

@@ -13,6 +13,8 @@ from scipy.stats import norm
 from pxkit import (
     ErrorProbEstimate,
     MarginalFamily,
+    QuadratureBudgetError,
+    QuadratureConfig,
     SimpleHypotheses,
     check_bound,
     derive_seed,
@@ -24,6 +26,7 @@ from pxkit import (
     make_normal_variance_expansion,
     make_two_stage_normal,
     marginal_bound,
+    montecarlo,
     row_seed,
     sweep,
 )
@@ -270,36 +273,43 @@ class TestSweep:
     def test_rows_have_positive_slack(self):
         table = sweep(NORMAL, 0.0, [0.5, 1.0, 2.0], 10**4, seed=99)
         assert table.kind == "phi"
-        assert len(table.rows) == 3
-        for row in table.rows:
-            assert row.slack > 0
-            assert row.satisfied
+        assert len(table.checks) == 3
+        for chk in table.checks:
+            assert chk.slack > 0
+            assert chk.satisfied
 
     def test_singleton_reproduces_single_estimate(self):
         table = sweep(NORMAL, 0.0, [1.0], 10**4, seed=123)
         est = estimate_phi_errors(NORMAL, HYP, 10**4, seed=row_seed(123, 1.0))
-        row = table.rows[0]
-        assert row.alpha_hat == est.alpha_hat
-        assert row.beta_hat == est.beta_hat
+        assert table.checks == (check_bound(est, marginal_bound(NORMAL, HYP).value),)
 
     def test_reordering_permutes_rows_only(self):
-        fwd = sweep(NORMAL, 0.0, [0.5, 1.0, 2.0], 5000, seed=7)
-        rev = sweep(NORMAL, 0.0, [2.0, 1.0, 0.5], 5000, seed=7)
-        key = lambda r: r.theta1
-        assert sorted(fwd.rows, key=key) == sorted(rev.rows, key=key)
+        fwd_thetas, rev_thetas = [0.5, 1.0, 2.0], [2.0, 1.0, 0.5]
+        fwd = sweep(NORMAL, 0.0, fwd_thetas, 5000, seed=7)
+        rev = sweep(NORMAL, 0.0, rev_thetas, 5000, seed=7)
+        assert dict(zip(fwd_thetas, fwd.checks)) == dict(zip(rev_thetas, rev.checks))
 
     def test_psi_sweep(self):
         em = make_two_stage_normal(1, 1, 1.0)
         table = sweep(em, 0.0, [1.0, 2.0], 10**4, seed=4)
         assert table.kind == "psi"
-        for row in table.rows:
-            assert row.satisfied
+        for chk in table.checks:
+            assert chk.satisfied
 
     def test_exponential_rows_respect_bound(self):
         fam = make_exponential_rate()
         table = sweep(fam, 1.0, [1.5, 2.0, 4.0], 10**4, seed=21)
-        for row in table.rows:
-            assert row.satisfied
+        for chk in table.checks:
+            assert chk.satisfied
+
+    def test_bound_failure_comes_before_any_draw(self, monkeypatch):
+        def estimate(*args):
+            raise AssertionError("drew before every bound was computed")
+
+        monkeypatch.setattr(montecarlo, "estimate_phi_errors", estimate)
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-16, max_evaluations=240)
+        with pytest.raises(QuadratureBudgetError):
+            sweep(NORMAL, 0.0, [0.5, 1.0], 10**4, seed=0, cfg=cfg)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

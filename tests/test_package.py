@@ -15,7 +15,7 @@ PUBLIC = [
     "ErrorProbEstimate", "ExpandedModel", "Interval", "MarginalFamily", "Population",
     "PopulationSpec", "QuadResult", "QuadratureBudgetError",
     "QuadratureConfig", "ScalarDensity", "SchemeComparison", "SimpleHypotheses", "Stratum",
-    "SweepRow", "SweepTable", "activation_measure", "affinity", "check_bound",
+    "SweepTable", "activation_measure", "affinity", "check_bound",
     "collect_proxy_responses", "compare_schemes", "conditional_affinity", "densities",
     "derive_seed", "estimate_mean", "estimate_phi_errors", "estimate_psi_errors",
     "expanded_bound", "exponential_density", "filter_most_accurate", "gamma_density",
