@@ -131,8 +131,8 @@ def conditional_affinity(
     Strictly below 1 exactly when the conditional law of t2 differs under
     the two hypotheses at this t1 (Cauchy-Schwarz).
     """
-    c1 = em.conditional.density_at(t1, hyp.theta1, em.eta0)
-    c0 = em.conditional.density_at(t1, hyp.theta0, em.eta0)
+    c1 = em.conditional.density_at(t1, hyp.theta1)
+    c0 = em.conditional.density_at(t1, hyp.theta0)
     return affinity(c1, c0, cfg)
 
 
@@ -158,8 +158,8 @@ def expanded_bound(
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    m1 = em.marginal.density_at(hyp.theta1, em.eta0)
-    m0 = em.marginal.density_at(hyp.theta0, em.eta0)
+    m1 = em.marginal.density_at(hyp.theta1)
+    m0 = em.marginal.density_at(hyp.theta0)
     outer_tol = 0.5 * cfg.abs_tol
     inner_tol = outer_tol / 10.0
     weight = _sqrt_product_integrand(m1, m0)

@@ -442,22 +442,27 @@ def _out_path(config: ExperimentConfig) -> Path:
     return Path(base) / name
 
 
-def _check_writable(out: Path, plot_data: str | None) -> None:
+def _check_writable(out: Path, config: ExperimentConfig) -> None:
     """A ConfigError naming the field when a file of the run cannot be written.
 
     That is when the results file, its manifest or the plot file names a
     directory, or lies under a nearest existing ancestor that is not a
     directory, so that its parent cannot be created; or when the plot file
-    is the results file or its manifest, which it would overwrite.
+    is the results file or its manifest, which it would overwrite; or when
+    any of them is a tabulated input (``csv_f``, ``csv_g``), which the
+    manifest records and a replay must find unchanged.
     """
     results = [out, manifest_path(out)]
     paths = [("out", path) for path in results]
-    if plot_data is not None:
-        plot = Path(plot_data)
+    if config.plot_data is not None:
+        plot = Path(config.plot_data)
         if plot.resolve() in {path.resolve() for path in results}:
             raise ConfigError(f"plot_data: {plot} would overwrite the results file or its manifest")
         paths.append(("plot_data", plot))
+    inputs = {Path(p).resolve(): n for n in ("csv_f", "csv_g") if (p := getattr(config, n))}
     for name, path in paths:
+        if path.resolve() in inputs:
+            raise ConfigError(f"{name}: {path} would overwrite the input {inputs[path.resolve()]}")
         if os.path.isdir(path):
             raise ConfigError(f"{name}: {path} is a directory")
         ancestor = next((p for p in path.parents if os.path.exists(p)), path.parent)
@@ -472,7 +477,7 @@ def run(config: ExperimentConfig) -> int:
     if config.plot_data is not None and config.command not in PLOT_COMMANDS:
         raise ConfigError(f"field 'plot_data' is not supported for {config.command!r}")
     out = _out_path(config)
-    _check_writable(out, config.plot_data)
+    _check_writable(out, config)
     started = time.perf_counter()
     # A record (dict) or, for mc-sweep and survey, a list of row records.
     result = _RUNNERS[config.command](config, _inputs(config))

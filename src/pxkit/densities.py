@@ -251,8 +251,19 @@ def tabulated_density(grid, values) -> ScalarDensity:
     )
 
 
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_tabulated_csv(path: str | Path) -> ScalarDensity:
     """Read a two-column (grid, value) CSV; the first non-blank row may be a header.
+
+    A header is a row none of whose cells parses as a float, so a typo in the
+    first data row is an error, not a header.
 
     A row with a non-blank third cell (such as a pandas index column) is an error.
     """
@@ -273,7 +284,7 @@ def load_tabulated_csv(path: str | Path) -> ScalarDensity:
             try:
                 g, v = float(row[0]), float(row[1])
             except ValueError:
-                if rows == 1:
+                if rows == 1 and not any(_parses(cell) for cell in row):
                     continue  # header row
                 raise ValueError(f"{path}: line {i + 1}: non-numeric entry") from None
             grid.append(g)

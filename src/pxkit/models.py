@@ -1,11 +1,12 @@
-"""Density families indexed by a parameter of interest and an expansion parameter.
+"""Density families indexed by a parameter of interest, written at the expansion baseline.
 
 A marginal family gives the density of the first summary statistic t1; a
 conditional family gives the density of the second statistic t2 given t1.
-Together with the baseline value eta0 of the expansion parameter they form
-an expanded model whose joint density factorizes as marginal times
-conditional.  At eta = eta0 the marginal must coincide with the original,
-un-expanded model.
+Together they form an expanded model whose joint density factorizes as
+marginal times conditional.  The paper's expansion parameter eta enters
+only through its baseline eta0, where the expanded marginal coincides with
+the original, un-expanded model; every bound and estimator is taken there,
+so each family is written at eta0 and takes no eta.
 """
 
 from __future__ import annotations
@@ -36,22 +37,16 @@ class SimpleHypotheses:
 
 @dataclass(frozen=True)
 class MarginalFamily:
-    """Family of t1 densities indexed by (theta, eta), with baseline eta0."""
+    """Family of t1 densities indexed by theta."""
 
-    _density_at: Callable[[float, float], ScalarDensity]
-    eta0: float = 0.0
-
-    def density_at(self, theta: float, eta: float | None = None) -> ScalarDensity:
-        if eta is None:
-            eta = self.eta0
-        return self._density_at(float(theta), float(eta))
+    density_at: Callable[[float], ScalarDensity]
 
 
 @dataclass(frozen=True)
 class ConditionalFamily:
-    """Family of t2-given-t1 densities indexed by (t1, theta, eta).
+    """Family of t2-given-t1 densities indexed by (t1, theta).
 
-    ``density_at(t1, theta, eta)`` is the one description of the law, used
+    ``density_at(t1, theta)`` is the one description of the law, used
     by the quadrature, `joint_logpdf` and the Monte Carlo estimators alike.
     ``t1`` is a scalar (one conditional density, for quadrature) or an
     array; for an array, the returned density's ``logpdf(t2)`` pairs t2
@@ -65,37 +60,30 @@ class ConditionalFamily:
     True gives a wrong bound.
     """
 
-    density_at: Callable[[np.ndarray | float, float, float], ScalarDensity]
+    density_at: Callable[[np.ndarray | float, float], ScalarDensity]
     t1_free: bool = False
 
 
 @dataclass(frozen=True)
 class ExpandedModel:
-    """Joint model for (t1, t2) with expansion baseline eta0."""
+    """Joint model for (t1, t2): a marginal family and a conditional family."""
 
     marginal: MarginalFamily
     conditional: ConditionalFamily
 
-    @property
-    def eta0(self) -> float:
-        """The expansion baseline: the marginal family's ``eta0``, its one source."""
-        return self.marginal.eta0
-
 
 def make_normal_location(sigma: float) -> MarginalFamily:
-    """Normal location family: theta is the mean, sigma fixed, eta unused."""
+    """Normal location family: theta is the mean, sigma fixed."""
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-
-    def density_at(theta: float, eta: float) -> ScalarDensity:
-        return normal_density(theta, sigma)
-
-    return MarginalFamily(density_at, eta0=0.0)
+    return MarginalFamily(lambda theta: normal_density(theta, sigma))
 
 
 def make_exponential_rate() -> MarginalFamily:
-    """Exponential family: theta is the rate, which `exponential_density` checks; eta unused."""
-    return MarginalFamily(lambda theta, eta: exponential_density(theta), eta0=0.0)
+    """Exponential family: theta is the rate, which `exponential_density` checks."""
+    # Every family looks its constructor up in this module at each call, so a
+    # wrapper later set on the module name (as a tracer does) sees each density.
+    return MarginalFamily(lambda theta: exponential_density(theta))
 
 
 def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:
@@ -104,56 +92,42 @@ def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:
     t1 is the mean of the first n1 observations, Normal(theta, sigma^2/n1);
     t2 is the mean of the remaining n2, Normal(theta, sigma^2/n2),
     independent of t1.  The conditional law of t2 depends on theta, so the
-    expanded model genuinely tightens the testing bound.  eta plays no
-    role; eta0 = 0 by convention.
+    expanded model genuinely tightens the testing bound.
     """
     n1, n2 = check_count("n1", n1, 1), check_count("n2", n2, 1)
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     sd1 = sigma / math.sqrt(n1)
     sd2 = sigma / math.sqrt(n2)
-
-    def marginal_at(theta: float, eta: float) -> ScalarDensity:
-        return normal_density(theta, sd1)
-
-    def conditional_at(t1, theta: float, eta: float) -> ScalarDensity:
-        return normal_density(theta, sd2)
-
     return ExpandedModel(
-        marginal=MarginalFamily(marginal_at, eta0=0.0),
-        conditional=ConditionalFamily(conditional_at, t1_free=True),
+        marginal=MarginalFamily(lambda theta: normal_density(theta, sd1)),
+        conditional=ConditionalFamily(lambda t1, theta: normal_density(theta, sd2), t1_free=True),
     )
 
 
 def make_normal_variance_expansion(n: int) -> ExpandedModel:
     """Normal model expanded in the scale; the second statistic stays inert.
 
-    For a sample of size n from Normal(theta, eta^2) with baseline eta0=1:
-    t1 is the sample mean, Normal(theta, eta^2/n); t2 is the sample
-    variance, distributed as eta^2/(n-1) times chi-square with n-1 degrees
-    of freedom, independent of t1 and free of theta.  Since the
+    For a sample of size n from Normal(theta, eta^2), expanded in the scale
+    eta and written at its baseline eta0 = 1: t1 is the sample mean,
+    Normal(theta, 1/n); t2 is the sample variance, distributed as 1/(n-1)
+    times chi-square with n-1 degrees of freedom, that is Gamma((n-1)/2,
+    scale 2/(n-1)), independent of t1 and free of theta.  Since the
     conditional does not involve theta, the expansion cannot improve the
     testing bound: the activation measure is zero.
     """
     n = check_count("n", n, 2)
+    sd = 1.0 / math.sqrt(n)
     shape = (n - 1) / 2.0
-
-    def marginal_at(theta: float, eta: float) -> ScalarDensity:
-        return normal_density(theta, abs(eta) / math.sqrt(n))
-
-    def conditional_at(t1, theta: float, eta: float) -> ScalarDensity:
-        return gamma_density(shape, 2.0 * eta * eta / (n - 1))
-
+    scale = 2.0 / (n - 1)
     return ExpandedModel(
-        marginal=MarginalFamily(marginal_at, eta0=1.0),
-        conditional=ConditionalFamily(conditional_at, t1_free=True),
+        marginal=MarginalFamily(lambda theta: normal_density(theta, sd)),
+        conditional=ConditionalFamily(lambda t1, theta: gamma_density(shape, scale), t1_free=True),
     )
 
 
-def joint_logpdf(em: ExpandedModel, t1, t2, theta: float, eta: float | None = None):
+def joint_logpdf(em: ExpandedModel, t1, t2, theta: float):
     """Vectorized log joint density over paired (t1, t2) arrays."""
-    if eta is None:
-        eta = em.eta0
     t1 = np.asarray(t1, dtype=float)
-    lm = em.marginal.density_at(theta, eta).logpdf(t1)
-    return lm + em.conditional.density_at(t1, theta, eta).logpdf(t2)
+    lm = em.marginal.density_at(theta).logpdf(t1)
+    return lm + em.conditional.density_at(t1, theta).logpdf(t2)

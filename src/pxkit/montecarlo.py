@@ -157,17 +157,17 @@ def estimate_phi_errors(
 def estimate_psi_errors(
     em: ExpandedModel, hyp: SimpleHypotheses, replicates: int, seed: int
 ) -> ErrorProbEstimate:
-    """Error probabilities of the joint-statistic test at eta0.
+    """Error probabilities of the joint-statistic test, at the model's expansion baseline.
 
     Draws t1 and then t2 given t1 under each hypothesis, from streams with
     keys 0 and 1 under theta0 and 2 and 3 under theta1.
     """
 
-    marginal = {theta: em.marginal.density_at(theta, em.eta0) for theta in (hyp.theta0, hyp.theta1)}
+    marginal = {theta: em.marginal.density_at(theta) for theta in (hyp.theta0, hyp.theta1)}
 
     def sample(theta, n, rngs):
         t1 = marginal[theta].sample(n, rngs[0])
-        return t1, em.conditional.density_at(t1, theta, em.eta0).sample(n, rngs[1])
+        return t1, em.conditional.density_at(t1, theta).sample(n, rngs[1])
 
     return _estimate_errors(
         sample, 2, lambda t, theta: joint_logpdf(em, *t, theta), hyp, replicates, seed

@@ -173,10 +173,14 @@ def _transform(fn: Callable, lower: float, upper: float, center: float, scale: f
             onemt = 1.0 - t
             return anchor + sign * s * t / onemt, s / (onemt * onemt)
 
+    # Near t = +-1 the substitution may overflow to an infinite node and
+    # weight; where the integrand is 0, np.where drops the nan of 0 * inf.
     def g(t):
-        x, w = substitute(np.asarray(t, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, w = substitute(np.asarray(t, dtype=float))
         fx = np.asarray(fn(x), dtype=float)
-        return np.where(fx == 0.0, 0.0, fx * w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(fx == 0.0, 0.0, fx * w)
 
     return a, b, g
 

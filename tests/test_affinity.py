@@ -43,7 +43,7 @@ def exponential_affinity(theta0, theta1):
 
 # t2 | t1 ~ N(t1/2 + theta, 1): the conditional law moves with t1, so
 # expanded_bound runs one inner integral per outer node.
-def _t1_dependent_conditional_at(t1, theta, eta):
+def _t1_dependent_conditional_at(t1, theta):
     return normal_density(0.5 * float(t1) + theta, 1.0)
 
 
@@ -164,11 +164,11 @@ class TestExpandedBound:
     @pytest.mark.parametrize("t1_free", [False, True])
     def test_disjoint_marginal_supports(self, t1_free):
         # t1 is uniform on [theta, theta + 1], so theta = 0 and 5 never overlap.
-        def conditional_at(t1, theta, eta):
+        def conditional_at(t1, theta):
             raise AssertionError("no conditional is needed when the marginals are disjoint")
 
         em = ExpandedModel(
-            MarginalFamily(lambda theta, eta: tabulated_density([theta, theta + 1.0], [1.0, 1.0])),
+            MarginalFamily(lambda theta: tabulated_density([theta, theta + 1.0], [1.0, 1.0])),
             ConditionalFamily(conditional_at, t1_free=t1_free),
         )
         assert expanded_bound(em, SimpleHypotheses(0, 5)) == AffinityResult(0.0, 0.0, 0.0, 0)
@@ -212,11 +212,10 @@ class TestT1FreeShortcut:
     def test_factory_declaration_holds(self, em):
         assert em.conditional.t1_free
         x = np.linspace(0.05, 4.0, 9)  # inside the gamma support (0, inf) too
-        for theta, eta in ((0.0, em.eta0), (1.3, 2.0)):
-            ref = em.conditional.density_at(0.0, theta, eta).logpdf(x)
-            for t1 in (-3.0, 0.4, 7.5):
-                got = em.conditional.density_at(t1, theta, eta).logpdf(x)
-                np.testing.assert_array_equal(got, ref)
+        ref = em.conditional.density_at(0.0, 0.0).logpdf(x)
+        for t1 in (-3.0, 0.4, 7.5):
+            got = em.conditional.density_at(t1, 0.0).logpdf(x)
+            np.testing.assert_array_equal(got, ref)
 
     def test_inner_integral_counts(self, monkeypatch):
         module = importlib.import_module("pxkit.affinity")
@@ -261,15 +260,6 @@ class TestActivationMeasure:
             comp = activation_measure(em, hyp)
             assert abs(comp.r_measure) <= 2e-9
             assert not comp.strict
-
-    def test_rebased_variance_model_never_strict(self):
-        # Both statistics use the marginal family's baseline, here eta0 = 2.
-        ve = make_normal_variance_expansion(4)
-        em = ExpandedModel(replace(ve.marginal, eta0=2.0), ve.conditional)
-        assert em.eta0 == 2.0
-        comp = activation_measure(em, SimpleHypotheses(0, 1))
-        assert abs(comp.r_measure) <= comp.marginal_error + comp.expanded_error
-        assert not comp.strict
 
     def test_r_measure_is_bound_difference(self):
         comp = activation_measure(make_two_stage_normal(2, 1, 1.0), SimpleHypotheses(0, 0.7))

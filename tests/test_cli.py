@@ -282,6 +282,21 @@ class TestExitCodes:
         assert not (tmp_path / "x.json").exists()
 
 
+    @pytest.mark.parametrize("out, input_name", [("f.csv", "csv_f"), ("x", "csv_g")])
+    def test_out_naming_a_tabulated_input_is_config_error(self, out, input_name, tmp_path, capsys):
+        """The results file, or its manifest, would replace an input CSV."""
+        csv = {"csv_f": tmp_path / "f.csv", "csv_g": tmp_path / "x.manifest.json"}
+        for i, path in enumerate(csv.values()):
+            path.write_text(f"grid,value\n0,1\n1,{i + 1}\n", encoding="utf-8")
+        before = {path: path.read_bytes() for path in csv.values()}
+        args = ["affinity", "--model", "tabulated", "--csv-f", str(csv["csv_f"]),
+                "--csv-g", str(csv["csv_g"]), "--out", str(tmp_path / out)]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and input_name in err
+        assert {path: path.read_bytes() for path in csv.values()} == before
+        assert sorted(tmp_path.iterdir()) == sorted(csv.values())
+
     @pytest.mark.parametrize(
         "out", ["{tmp}", "{tmp}/afile/s.json", "{tmp}/afile/sub/s.json", "{tmp}/t.json"]
     )
@@ -556,6 +571,17 @@ _OVERFLOW = {
         "r-measure",
         ["--model", "two-stage-normal", "--sigma", "1e-10", "--theta0", "0", "--theta1", "1e300"],
         {"marginal_bound": 0, "expanded_bound": 0, "strict": False},
+    ),
+    # The infinite-range substitution itself overflows at nodes near t = +-1.
+    "bound-huge-theta": (
+        "bound",
+        ["--model", "normal", "--theta0", "0", "--theta1", "1e308"],
+        {"bound": 0, "abs_error_estimate": 0, "evaluations": 240},
+    ),
+    "affinity-huge-theta": (
+        "affinity",
+        ["--model", "normal", "--theta0", "0", "--theta1", "1e308"],
+        {"affinity": 0, "hellinger_sq": 2},
     ),
 }
 

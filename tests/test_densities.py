@@ -152,6 +152,13 @@ class TestTabulated:
         with pytest.raises(ValueError, match="line 3: non-numeric"):
             load_tabulated_csv(path)
 
+    def test_csv_typo_in_first_data_row_is_not_a_header(self, tmp_path):
+        # "0,1x" has a number in it, so it is a data row with a typo, not a header.
+        path = tmp_path / "density.csv"
+        path.write_text("0,1x\n1,1\n2,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1: non-numeric"):
+            load_tabulated_csv(path)
+
     def test_csv_byte_order_mark_is_not_data(self, tmp_path):
         # A UTF-8 byte-order mark must not turn the first data row into a header.
         path = tmp_path / "density.csv"

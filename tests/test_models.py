@@ -40,11 +40,6 @@ class TestNormalLocation:
         fam = make_normal_location(1.0)
         assert float(fam.density_at(0.0).pdf(0.0)) == pytest.approx(0.3989422804014327, abs=1e-7)
 
-    def test_eta_is_ignored(self):
-        fam = make_normal_location(1.0)
-        assert float(fam.density_at(0.5, eta=3.0).pdf(1.0)) == float(fam.density_at(0.5).pdf(1.0))
-        assert fam.eta0 == 0.0
-
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             make_normal_location(0.0)
@@ -93,8 +88,8 @@ class TestTwoStageNormal:
     def test_conditional_independent_of_t1(self):
         em = make_two_stage_normal(1, 1, 1.0)
         t2 = np.linspace(-3, 3, 25)
-        a = em.conditional.density_at(5.0, 0.0, em.eta0).pdf(t2)
-        b = em.conditional.density_at(-5.0, 0.0, em.eta0).pdf(t2)
+        a = em.conditional.density_at(5.0, 0.0).pdf(t2)
+        b = em.conditional.density_at(-5.0, 0.0).pdf(t2)
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_counts(self):
@@ -110,8 +105,8 @@ class TestVarianceExpansion:
     def test_conditional_is_theta_free(self):
         em = make_normal_variance_expansion(5)
         t2 = np.linspace(0.01, 4, 40)
-        a = em.conditional.density_at(0.3, 0.0, 1.0).pdf(t2)
-        b = em.conditional.density_at(0.3, 7.0, 1.0).pdf(t2)
+        a = em.conditional.density_at(0.3, 0.0).pdf(t2)
+        b = em.conditional.density_at(0.3, 7.0).pdf(t2)
         np.testing.assert_array_equal(a, b)
 
     def test_marginal_is_mean_distribution(self):
@@ -119,12 +114,9 @@ class TestVarianceExpansion:
         n = 4
         em = make_normal_variance_expansion(n)
         t = np.linspace(-2, 3, 50)
-        got = em.marginal.density_at(0.7, 1.0).pdf(t)
+        got = em.marginal.density_at(0.7).pdf(t)
         want = normal_density(0.7, 1.0 / math.sqrt(n)).pdf(t)
         np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_baseline_scale_is_one(self):
-        assert make_normal_variance_expansion(3).eta0 == 1.0
 
     def test_negative_t2_has_zero_density(self):
         em = make_normal_variance_expansion(4)
@@ -145,10 +137,10 @@ class TestJointStructure:
     )
     def test_marginalizing_t2_recovers_marginal(self, em):
         theta = 0.4
-        marg = em.marginal.density_at(theta, em.eta0)
+        marg = em.marginal.density_at(theta)
         probes = [-1.0, -0.2, 0.4, 1.1, 2.0]
         for t1 in probes:
-            cond = em.conditional.density_at(t1, theta, em.eta0)
+            cond = em.conditional.density_at(t1, theta)
             res = integrate(
                 lambda t2, t1=t1: np.exp(joint_logpdf(em, t1, t2, theta)),
                 cond.support.lower,
@@ -162,7 +154,7 @@ class TestJointStructure:
     def test_joint_mass_is_one(self):
         # Outer quadrature over t1 of the t2-marginalized joint.
         em = make_two_stage_normal(1, 2, 1.0)
-        marg = em.marginal.density_at(0.0, em.eta0)
+        marg = em.marginal.density_at(0.0)
         res = integrate(
             marg.pdf, -math.inf, math.inf, center=marg.center, scale=marg.scale
         )
@@ -189,7 +181,7 @@ class TestJointStructure:
 SIGMA, B, C, TAU = 1.0, 0.8, 1.5, 0.7
 
 
-def _linear_conditional_at(t1, theta, eta):
+def _linear_conditional_at(t1, theta):
     """N(B*t1 + C*theta, TAU^2): one law per entry of an array t1."""
     mean = B * np.asarray(t1, dtype=float) + C * theta
     log_norm = math.log(TAU * math.sqrt(2.0 * math.pi))
@@ -232,9 +224,9 @@ class TestT1DependentConditional:
         # generator gives what one draw at all of t1 gives.
         t1 = np.random.default_rng(5).normal(0.3, 2.0, size=1000)
         g = make_rng(4)
-        head = _linear_conditional_at(t1[:300], 0.5, 0.0).sample(300, g)
-        tail = _linear_conditional_at(t1[300:], 0.5, 0.0).sample(700, g)
-        full = _linear_conditional_at(t1, 0.5, 0.0).sample(1000, make_rng(4))
+        head = _linear_conditional_at(t1[:300], 0.5).sample(300, g)
+        tail = _linear_conditional_at(t1[300:], 0.5).sample(700, g)
+        full = _linear_conditional_at(t1, 0.5).sample(1000, make_rng(4))
         assert np.array_equal(np.concatenate([head, tail]), full)
 
     def test_psi_estimate_matches_oracle_and_bound(self):
@@ -251,12 +243,12 @@ class TestT1DependentConditional:
 
 class TestPreservation:
     def test_builtin_models_preserve_original(self):
-        # At eta0 the expanded marginal is the un-expanded normal family, exactly.
+        # At the expansion baseline the marginal is the un-expanded normal family, exactly.
         probes = np.array([-1.0, 0.0, 1.0])
         for em, sd in (
             (make_two_stage_normal(1, 1, 1.0), 1.0),
             (make_normal_variance_expansion(6), 1.0 / math.sqrt(6)),
         ):
             for theta in (-0.5, 0.0, 2.0):
-                got = em.marginal.density_at(theta, em.eta0).logpdf(probes)
+                got = em.marginal.density_at(theta).logpdf(probes)
                 np.testing.assert_array_equal(got, normal_density(theta, sd).logpdf(probes))

@@ -141,8 +141,8 @@ def _full_length_reference(estimator, model, hyp, n, seed):
             t = model.density_at(theta).sample(n, rng())
             l1, l0 = (model.density_at(th).logpdf(t) for th in (hyp.theta1, hyp.theta0))
         else:
-            t1 = model.marginal.density_at(theta, model.eta0).sample(n, rng())
-            t2 = model.conditional.density_at(t1, theta, model.eta0).sample(n, rng())
+            t1 = model.marginal.density_at(theta).sample(n, rng())
+            t2 = model.conditional.density_at(t1, theta).sample(n, rng())
             l1, l0 = (joint_logpdf(model, t1, t2, th) for th in (hyp.theta1, hyp.theta0))
         rejects.append(decide(l1, l0)[0])
     return float(np.mean(rejects[0])), float(np.mean(~rejects[1]))
@@ -198,7 +198,7 @@ def _recording_family(fail_theta=None):
     threads = {HYP.theta0: [], HYP.theta1: []}
     raised = threading.Event()
 
-    def density_at(theta, eta):
+    def density_at(theta):
         base = normal_density(theta, 1.0)
 
         def sample(n, rng):
