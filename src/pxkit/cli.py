@@ -1,8 +1,13 @@
 """Command-line driver for affinity bounds, Monte Carlo checks and survey runs.
 
-Subcommands: affinity, bound, r-measure, test, mc-sweep, survey.  Values
+Subcommands: affinity, bound, r-measure, test, mc-sweep, survey, each
+named once in `_COMMANDS` with its runner, the model types it accepts, the
+config fields it takes as flags and its --plot-data projection.  Values
 come from defaults, then an INI config file (--config), then command-line
-flags, in increasing precedence.  Results are written atomically and every
+flags, in increasing precedence.  A subcommand takes only the flags it
+reads, so any other flag is a usage error; a config file may set any
+field, since one file can describe an experiment that several subcommands
+share.  Results are written atomically and every
 results file gets a ``<name>.manifest.json`` recording the resolved
 configuration, seed, library versions and wall time.  Every file layout
 lives in this module: the rows of each results file, the --plot-data
@@ -16,8 +21,9 @@ for the same inputs.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error (including
 model parameters, hypotheses, replicate counts or survey settings the
-library rejects, input files that cannot be read or parsed, and output
-paths that name a directory or lie under a regular file).
+library rejects, flags the subcommand does not read, input files that
+cannot be read or parsed, and output paths that name a directory, lie
+under a regular file or would overwrite an input file).
 The PXKIT_OUT_DIR environment variable supplies the output directory when
 --out is omitted.
 """
@@ -28,12 +34,13 @@ import argparse
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .affinity import activation_measure, expanded_bound, marginal_bound
+from .affinity import activation_measure, marginal_bound
 from .affinity import affinity as compute_affinity
 from .densities import load_tabulated_csv
 from .models import (
@@ -55,16 +62,6 @@ if TYPE_CHECKING:
 # the subcommands and config paths that use them, so that affinity, bound
 # and r-measure start without loading them.
 
-COMMANDS = ("affinity", "bound", "r-measure", "test", "mc-sweep", "survey")
-# Subcommand -> the long-format x/y(/series) row --plot-data writes for each results row.
-_PLOTS = {
-    "mc-sweep": lambda r: {
-        "theta1": r["theta1"], "error_sum": r["alpha_hat"] + r["beta_hat"], "bound": r["bound"]
-    },
-    "survey": lambda r: {"scheme": r["scheme"], "rmse": r["rmse"]},
-}
-PLOT_COMMANDS = tuple(_PLOTS)
-SURVEY = ("survey",)
 OUT_DIR_ENV = "PXKIT_OUT_DIR"
 
 
@@ -97,8 +94,6 @@ _MODELS = {
     "two-stage-normal": (make_two_stage_normal, "n1", "n2", "sigma"),
     "variance-expansion": (make_normal_variance_expansion, "n"),
 }
-# The model types each command accepts; the others take both.
-_ACCEPTS = {"affinity": MarginalFamily, "r-measure": ExpandedModel}
 
 
 def float_list(text: str) -> tuple[float, ...]:
@@ -165,13 +160,13 @@ def population_spec_from_record(record: dict) -> PopulationSpec:
 
 
 def _option(section, default=MISSING, parse=str, help=None, **meta):
-    """A config field: INI ``[section] key``, and ``--name`` on the ``flags`` subcommands.
+    """A config field: INI ``[section] key``, and ``--name`` on the subcommands listing it.
 
     Optional ``meta``: ``key`` (default: the field name; None makes the field
-    the whole section), ``flags`` (default: every subcommand), ``record`` (the
-    (to, from) pair for the JSON manifest form; default: stored as is) and
-    argparse ``choices``.
-    ``parse`` reads INI or flag text; ``help`` is the flag's help.
+    the whole section), ``record`` (the (to, from) pair for the JSON manifest
+    form; default: stored as is) and argparse ``choices``.  ``parse`` reads
+    INI or flag text; ``help`` is the flag's help.  Which subcommands take
+    the field as a flag is `_COMMANDS`' business.
     """
     return field(default=default, metadata=dict(meta, section=section, parse=parse, help=help))
 
@@ -183,15 +178,13 @@ _QUAD = QuadratureConfig()  # the integrator's default tolerances and budget
 class ExperimentConfig:
     """One experiment; each field's metadata (see `_option`) is its whole schema."""
 
-    command: str = _option("run", flags=())
+    command: str = _option("run")
     seed: int = _option("run", 0, int, "base seed for all derived streams")
     out: str | None = _option(
         "run", None, str, "output path (default: $PXKIT_OUT_DIR/<command>.<format>)"
     )
     format: str = _option("run", "json", str, "output format", choices=FORMATS)
-    plot_data: str | None = _option(
-        "run", None, str, "also write an x/y CSV projection", flags=PLOT_COMMANDS
-    )
+    plot_data: str | None = _option("run", None, str, "also write an x/y CSV projection")
     model: str | None = _option(
         "model", None, str, "model family", key="kind", choices=[*_MODELS, "tabulated"]
     )
@@ -212,15 +205,15 @@ class ExperimentConfig:
         "quadrature", _QUAD.max_evaluations, int, "integrand evaluation budget"
     )
     replicates: int = _option("monte_carlo", 100_000, int, "Monte Carlo replicates per hypothesis")
-    quantile: float = _option("survey", 1.0, float, "share of proxy reports kept", flags=SURVEY)
-    p_accurate: float = _option("survey", 1.0, float, "share of exact proxy reports", flags=SURVEY)
-    noise_sd: float = _option("survey", 0.0, float, "sd of inexact proxy reports", flags=SURVEY)
-    replications: int = _option("survey", 1000, int, "survey replications", flags=SURVEY)
+    quantile: float = _option("survey", 1.0, float, "share of proxy reports kept")
+    p_accurate: float = _option("survey", 1.0, float, "share of exact proxy reports")
+    noise_sd: float = _option("survey", 0.0, float, "sd of inexact proxy reports")
+    replications: int = _option("survey", 1000, int, "survey replications")
     srs_size: int | None = _option(
-        "survey", None, int, "random-sample benchmark size (default: respondents)", flags=SURVEY
+        "survey", None, int, "random-sample benchmark size (default: respondents)"
     )
     population: PopulationSpec | None = _option(
-        "population", None, population_spec_from_section, key=None, flags=(),
+        "population", None, population_spec_from_section, key=None,
         record=(population_record, population_spec_from_record),
     )
 
@@ -314,7 +307,7 @@ def _inputs(config: ExperimentConfig) -> SimpleNamespace:
         densities = [_build(config, load_tabulated_csv, n) for n in ("csv_f", "csv_g")]
         return SimpleNamespace(quad=quad, densities=densities)
     model = _build(config, *_MODELS[config.model]) if config.model in _MODELS else None
-    if not isinstance(model, _ACCEPTS.get(config.command, (MarginalFamily, ExpandedModel))):
+    if not isinstance(model, _COMMANDS[config.command].accepts):
         raise ConfigError(f"model {config.model!r} is not supported by {config.command!r}")
     sweeping = config.command == "mc-sweep"
     names = ("theta0", "theta1_list" if sweeping else "theta1")
@@ -358,14 +351,9 @@ def _cmd_bound(config: ExperimentConfig, inp: SimpleNamespace):
             "abs_error_estimate": res.abs_error_estimate,
             "evaluations": res.evaluations,
         }
-    mb = marginal_bound(inp.model.marginal, inp.hyp, inp.quad)
-    eb = expanded_bound(inp.model, inp.hyp, inp.quad)
-    return {
-        "marginal_bound": mb.value,
-        "marginal_error": mb.abs_error_estimate,
-        "expanded_bound": eb.value,
-        "expanded_error": eb.abs_error_estimate,
-    }
+    comp = activation_measure(inp.model, inp.hyp, inp.quad)
+    names = ("marginal_bound", "marginal_error", "expanded_bound", "expanded_error")
+    return {name: getattr(comp, name) for name in names}
 
 
 def _cmd_r_measure(config: ExperimentConfig, inp: SimpleNamespace):
@@ -424,14 +412,32 @@ def _cmd_survey(config: ExperimentConfig, inp: SimpleNamespace):
     ]
 
 
-_RUNNERS = {
-    "affinity": _cmd_affinity,
-    "bound": _cmd_bound,
-    "r-measure": _cmd_r_measure,
-    "test": _cmd_test,
-    "mc-sweep": _cmd_mc_sweep,
-    "survey": _cmd_survey,
+# A subcommand: its runner, (config, inputs) -> a record (dict) or a list of
+# row records; the model types it accepts; the config fields it takes as
+# flags, space-separated; and its --plot-data projection, a results row ->
+# the x/y(/series) row written for it, or None.
+_Command = namedtuple("_Command", "run accepts flags plot", defaults=(None,))
+# The flags every model subcommand but affinity takes; each adds its hypotheses.
+_BOUND = "out format abs_tol rel_tol max_evaluations model sigma n1 n2 n theta0"
+_ANY_MODEL = (MarginalFamily, ExpandedModel)
+_COMMANDS = {
+    "affinity": _Command(_cmd_affinity, MarginalFamily, "out format abs_tol rel_tol "
+                         "max_evaluations model sigma csv_f csv_g theta0 theta1"),
+    "bound": _Command(_cmd_bound, _ANY_MODEL, _BOUND + " theta1"),
+    "r-measure": _Command(_cmd_r_measure, ExpandedModel, _BOUND + " theta1"),
+    "test": _Command(_cmd_test, _ANY_MODEL, _BOUND + " theta1 seed replicates"),
+    "mc-sweep": _Command(
+        _cmd_mc_sweep, _ANY_MODEL, _BOUND + " theta1_list seed replicates plot_data",
+        lambda r: {"theta1": r["theta1"], "error_sum": r["alpha_hat"] + r["beta_hat"],
+                   "bound": r["bound"]},
+    ),
+    "survey": _Command(
+        _cmd_survey, None,
+        "out format seed quantile p_accurate noise_sd replications srs_size plot_data",
+        lambda r: {"scheme": r["scheme"], "rmse": r["rmse"]},
+    ),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def _out_path(config: ExperimentConfig) -> Path:
@@ -442,15 +448,16 @@ def _out_path(config: ExperimentConfig) -> Path:
     return Path(base) / name
 
 
-def _check_writable(out: Path, config: ExperimentConfig) -> None:
+def _check_writable(out: Path, config: ExperimentConfig, config_file=None) -> None:
     """A ConfigError naming the field when a file of the run cannot be written.
 
     That is when the results file, its manifest or the plot file names a
     directory, or lies under a nearest existing ancestor that is not a
     directory, so that its parent cannot be created; or when the plot file
     is the results file or its manifest, which it would overwrite; or when
-    any of them is a tabulated input (``csv_f``, ``csv_g``), which the
-    manifest records and a replay must find unchanged.
+    any of them is an input: a tabulated density (``csv_f``, ``csv_g``),
+    which the manifest records and a replay must find unchanged, or the
+    ``config_file`` the run was read from.
     """
     results = [out, manifest_path(out)]
     paths = [("out", path) for path in results]
@@ -459,7 +466,8 @@ def _check_writable(out: Path, config: ExperimentConfig) -> None:
         if plot.resolve() in {path.resolve() for path in results}:
             raise ConfigError(f"plot_data: {plot} would overwrite the results file or its manifest")
         paths.append(("plot_data", plot))
-    inputs = {Path(p).resolve(): n for n in ("csv_f", "csv_g") if (p := getattr(config, n))}
+    named = {"csv_f": config.csv_f, "csv_g": config.csv_g, "config": config_file}
+    inputs = {Path(p).resolve(): n for n, p in named.items() if p}
     for name, path in paths:
         if path.resolve() in inputs:
             raise ConfigError(f"{name}: {path} would overwrite the input {inputs[path.resolve()]}")
@@ -474,19 +482,19 @@ def run(config: ExperimentConfig) -> int:
     """Execute one configured experiment; returns the process exit code."""
     if config.format not in FORMATS:
         raise ConfigError(f"field 'format' must be csv or json, got {config.format!r}")
-    if config.plot_data is not None and config.command not in PLOT_COMMANDS:
+    command = _COMMANDS[config.command]
+    if config.plot_data is not None and command.plot is None:
         raise ConfigError(f"field 'plot_data' is not supported for {config.command!r}")
     out = _out_path(config)
     _check_writable(out, config)
     started = time.perf_counter()
-    # A record (dict) or, for mc-sweep and survey, a list of row records.
-    result = _RUNNERS[config.command](config, _inputs(config))
+    result = command.run(config, _inputs(config))
     text = render_table(result, config.format)
     write_atomic(out, text)
     wall = time.perf_counter() - started
     write_manifest(out, text, config_record(config), wall)
     if config.plot_data is not None:
-        plot = [_PLOTS[config.command](row) for row in result]
+        plot = [command.plot(row) for row in result]
         write_atomic(config.plot_data, render_table(plot, "csv"))
     print(f"wrote {out}")
     return 0
@@ -501,19 +509,19 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        p = sub.add_parser(command)
+        # No abbreviations: mc-sweep would take --theta1 for --theta1-list.
+        p = sub.add_parser(command, allow_abbrev=False)
         if command not in commands:
             continue
         p.add_argument("--config", help="INI config file; flags override its values")
-        for f in _FIELDS.values():
-            if command in f.metadata.get("flags", COMMANDS):
-                p.add_argument(
-                    "--" + f.name.replace("_", "-"),
-                    dest=f.name,
-                    type=f.metadata["parse"],
-                    help=f.metadata["help"],
-                    choices=f.metadata.get("choices"),
-                )
+        for f in (_FIELDS[name] for name in _COMMANDS[command].flags.split()):
+            p.add_argument(
+                "--" + f.name.replace("_", "-"),
+                dest=f.name,
+                type=f.metadata["parse"],
+                help=f.metadata["help"],
+                choices=f.metadata.get("choices"),
+            )
     return parser
 
 
@@ -536,6 +544,8 @@ def main(argv=None) -> int:
     args = build_parser(named).parse_args(argv)
     try:
         config = _config_from_args(args)
+        if args.config:  # an input too, which no file of the run may replace
+            _check_writable(_out_path(config), config, args.config)
         return run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

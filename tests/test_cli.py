@@ -297,6 +297,20 @@ class TestExitCodes:
         assert {path: path.read_bytes() for path in csv.values()} == before
         assert sorted(tmp_path.iterdir()) == sorted(csv.values())
 
+    @pytest.mark.parametrize("flag, field", [("--out", "out"), ("--plot-data", "plot_data")])
+    def test_output_naming_the_config_file_is_config_error(self, flag, field, tmp_path, capsys):
+        """The results file, or the plot file, would replace the --config INI."""
+        cfg = tmp_path / "pop.ini"
+        cfg.write_text(SURVEY_INI, encoding="utf-8")
+        before = cfg.read_bytes()
+        out = [] if flag == "--out" else ["--out", str(tmp_path / "x.json")]
+        args = ["survey", "--config", str(cfg), "--replications", "10", *out, flag, str(cfg)]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and "input config" in err
+        assert cfg.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize(
         "out", ["{tmp}", "{tmp}/afile/s.json", "{tmp}/afile/sub/s.json", "{tmp}/t.json"]
     )

@@ -102,6 +102,10 @@ RUNS = {
          "--replicates", "100000", "--seed", "42", "--format", "csv"],
         {"test.csv": "6bfba1a124c761a57bebc5d4786db63d57688d14663fa022ac9c2ea8e5d4393a"},
     ),
+    "bound-expanded": (
+        ["bound", *TWO_STAGE, "--theta0", "0", "--theta1", "1"],
+        {"bound.json": "8d31e7520eb77a2051ae854494ce21851c325b43dd28ee0a7af4d533a2e13475"},
+    ),
 }
 
 

@@ -15,23 +15,29 @@ from pxkit.cli import (
     build_parser,
     config_from_record,
     config_record,
+    main,
 )
 from pxkit.reporting import render_json
 from pxkit.survey import PopulationSpec, Stratum
 
-COMMON_FLAGS = {
-    "-h", "--help", "--config", "--seed", "--out", "--format", "--abs-tol", "--rel-tol",
-    "--max-evaluations", "--replicates", "--model", "--sigma", "--n1", "--n2", "--n",
-    "--csv-f", "--csv-g", "--theta0", "--theta1", "--theta1-list",
+OUTPUT_FLAGS = {"-h", "--help", "--config", "--out", "--format"}
+QUAD_FLAGS = {"--abs-tol", "--rel-tol", "--max-evaluations"}
+BOUND_FLAGS = OUTPUT_FLAGS | QUAD_FLAGS | {
+    "--model", "--sigma", "--n1", "--n2", "--n", "--theta0", "--theta1",
 }
-SURVEY_FLAGS = {"--quantile", "--p-accurate", "--noise-sd", "--replications", "--srs-size"}
+TEST_FLAGS = BOUND_FLAGS | {"--seed", "--replicates"}
 FLAGS = {
-    "affinity": COMMON_FLAGS,
-    "bound": COMMON_FLAGS,
-    "r-measure": COMMON_FLAGS,
-    "test": COMMON_FLAGS,
-    "mc-sweep": COMMON_FLAGS | {"--plot-data"},
-    "survey": COMMON_FLAGS | {"--plot-data"} | SURVEY_FLAGS,
+    "affinity": OUTPUT_FLAGS | QUAD_FLAGS | {
+        "--model", "--sigma", "--csv-f", "--csv-g", "--theta0", "--theta1",
+    },
+    "bound": BOUND_FLAGS,
+    "r-measure": BOUND_FLAGS,
+    "test": TEST_FLAGS,
+    "mc-sweep": TEST_FLAGS - {"--theta1"} | {"--theta1-list", "--plot-data"},
+    "survey": OUTPUT_FLAGS | {
+        "--seed", "--plot-data", "--quantile", "--p-accurate", "--noise-sd", "--replications",
+        "--srs-size",
+    },
 }
 INI_KEYS = {
     "run": {"command", "seed", "out", "format", "plot_data"},
@@ -121,6 +127,44 @@ def test_flag_sets_per_subcommand():
     for command, sub in subs.items():
         flags = {s for a in sub._actions for s in a.option_strings}
         assert flags == FLAGS[command], command
+
+
+# A command line that each subcommand runs; each case below adds one flag it does not read.
+VALID = {
+    "affinity": ["affinity", "--model", "exponential", "--theta0", "1", "--theta1", "2"],
+    "bound": ["bound", "--model", "normal", "--theta0", "0", "--theta1", "1"],
+    "test": ["test", "--model", "normal", "--theta0", "0", "--theta1", "1", "--replicates", "1000"],
+    "mc-sweep": ["mc-sweep", "--model", "normal", "--theta0", "0", "--theta1-list", "1",
+                 "--replicates", "1000"],
+    "survey": ["survey", "--config", "survey.ini", "--replications", "10"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("affinity", "--seed=5"),
+        ("affinity", "--replicates=3"),
+        ("bound", "--csv-f=f.csv"),
+        ("test", "--theta1-list=7"),
+        # Not taken as an abbreviation of --theta1-list.
+        ("mc-sweep", "--theta1=99"),
+        ("survey", "--model=exponential"),
+        ("survey", "--abs-tol=-1"),
+    ],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(command, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PXKIT_OUT_DIR", str(tmp_path))
+    (tmp_path / "survey.ini").write_text(
+        "[population]\nstrata =\n    A, 100, 0.0, 1.0, 0.9\n    B, 100, 10.0, 1.0, 0.1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([*VALID[command], flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["survey.ini"]
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))
