@@ -21,9 +21,9 @@ for the same inputs.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error (including
 model parameters, hypotheses, replicate counts or survey settings the
-library rejects, flags the subcommand does not read, input files that
-cannot be read or parsed, and output paths that name a directory, lie
-under a regular file or would overwrite an input file).
+library rejects, flags the subcommand or the chosen model does not read,
+input files that cannot be read or parsed, and output paths that name a
+directory, lie under a regular file or would overwrite an input file).
 The PXKIT_OUT_DIR environment variable supplies the output directory when
 --out is omitted.
 """
@@ -87,12 +87,14 @@ def _build(config, make, *names, args=None):
         raise ConfigError(f"{', '.join(names)}: {exc}") from None
 
 
-# Model name -> constructor and the config fields it takes ("tabulated" reads two CSVs).
+# Model name -> constructor and the config fields it reads.  "tabulated" has
+# no model object: affinity loads its two densities from the CSVs itself.
 _MODELS = {
     "normal": (make_normal_location, "sigma"),
     "exponential": (make_exponential_rate,),
     "two-stage-normal": (make_two_stage_normal, "n1", "n2", "sigma"),
     "variance-expansion": (make_normal_variance_expansion, "n"),
+    "tabulated": (None, "csv_f", "csv_g"),
 }
 
 
@@ -186,7 +188,7 @@ class ExperimentConfig:
     format: str = _option("run", "json", str, "output format", choices=FORMATS)
     plot_data: str | None = _option("run", None, str, "also write an x/y CSV projection")
     model: str | None = _option(
-        "model", None, str, "model family", key="kind", choices=[*_MODELS, "tabulated"]
+        "model", None, str, "model family", key="kind", choices=list(_MODELS)
     )
     sigma: float = _option("model", 1.0, float, "observation sd (normal, two-stage-normal)")
     n1: int = _option("model", 1, int, "observations behind t1 (two-stage-normal)")
@@ -219,6 +221,7 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_MODEL_FIELDS = {name for _, *names in _MODELS.values() for name in names}
 _INI = {(f.metadata["section"], f.metadata.get("key", f.name)): f for f in _FIELDS.values()}
 _SECTIONS = {section for section, _ in _INI}
 
@@ -306,7 +309,8 @@ def _inputs(config: ExperimentConfig) -> SimpleNamespace:
     if config.command == "affinity" and config.model == "tabulated":
         densities = [_build(config, load_tabulated_csv, n) for n in ("csv_f", "csv_g")]
         return SimpleNamespace(quad=quad, densities=densities)
-    model = _build(config, *_MODELS[config.model]) if config.model in _MODELS else None
+    make, *names = _MODELS.get(config.model, (None,))
+    model = _build(config, make, *names) if make else None
     if not isinstance(model, _COMMANDS[config.command].accepts):
         raise ConfigError(f"model {config.model!r} is not supported by {config.command!r}")
     sweeping = config.command == "mc-sweep"
@@ -500,6 +504,16 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports arguments it does not take under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     """The ``pxkit`` parser; only the subcommands in ``commands`` get their flags."""
     parser = argparse.ArgumentParser(
@@ -507,7 +521,7 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
         description="Affinity bounds for simple-hypothesis tests under parameter "
         "expansion, with Monte Carlo checks and survey-augmentation simulation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for command in COMMANDS:
         # No abbreviations: mc-sweep would take --theta1 for --theta1-list.
         p = sub.add_parser(command, allow_abbrev=False)
@@ -526,13 +540,23 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's values overridden by the flags given.
+
+    A model field given as a flag that the chosen model does not read is a
+    ConfigError; a config file may set any field.
+    """
     config = ExperimentConfig(command=args.command)
     if args.config:
         config = apply_config_file(config, args.config)
-    for name in _FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
+    given = [name for name in _FIELDS if getattr(args, name, None) is not None]
+    for name in given:
+        setattr(config, name, getattr(args, name))
+    if config.model in _MODELS:
+        read = _MODELS[config.model][1:]
+        unread = [n for n in given if n in _MODEL_FIELDS and n not in read]
+        if unread:
+            flags = ", ".join("--" + n.replace("_", "-") for n in unread)
+            raise ConfigError(f"model {config.model!r} does not read {flags}")
     return config
 
 

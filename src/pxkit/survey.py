@@ -18,9 +18,16 @@ strata at their bounds.  Proxy reports are a `REPORT_DTYPE` record array.
 
 The stages that draw (`generate_population`, `collect_proxy_responses` and
 the srs_oracle scheme of `estimate_mean`) take a `numpy.random.Generator`
-and advance it, as the density samplers do; `compare_schemes` builds each
-replication's three generators from keys `seeding.derive_keys` computes for
-the whole call at once.
+and advance it, as the density samplers do.
+
+`compare_schemes` does not call the stages.  It runs its replications in
+chunks of about `_CHUNK` population units: only the draws run once per
+replication, each from the generator the stage would get, and pairing,
+report scoring, the quantile cut, the true mean and the three estimators
+are array passes over the whole chunk.  Each of those rules is written once
+in this module, and the stages apply the same rules to one replication, so
+a replication's errors have the same bits either way and whatever the
+chunk size.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from .densities import rng_from_key
 from .seeding import derive_keys
 
 SCHEMES = ("naive_attribute_only", "augmented", "srs_oracle")
+_CHUNK = 1 << 14  # population units per chunk of replications; sets memory, never the results
+_KEYS = 1 << 10  # replications whose Philox keys are derived in one pass, in whole chunks
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,20 @@ def _mean(x: np.ndarray) -> float:
     return float(x.sum()) / len(x)
 
 
+def _segment_means(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The `_mean` of each of the consecutive segments of ``x`` that ``counts`` lays out.
+
+    Each segment is summed alone, on its own contiguous slice: numpy's
+    pairwise sum groups a segment's terms by its length only, so each mean
+    has the bits of `_mean` on that segment.  ``np.add.reduceat`` groups
+    them differently.  An empty segment's mean is 0.
+    """
+    counts = np.asarray(counts).ravel()
+    ends = np.cumsum(counts).tolist()
+    sums = [np.add.reduce(x[a:b]) for a, b in zip([0, *ends], ends)]
+    return np.array(sums) / np.maximum(counts, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class Population:
     """A drawn population as read-only columns, units in stratum order.
@@ -163,6 +186,56 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
+@dataclass(frozen=True, eq=False)
+class _Draws:
+    """R populations drawn from one spec, one row per replication.
+
+    - ``value``: (R, N) float64 unit values; ``has``: (R, N) attribute flags.
+    - ``edges``: the stratum bounds, as a list.
+    - ``holding``: ascending flat (row-major) positions of the attribute
+      holders, so row by row and stratum by stratum.
+    - ``holders``, ``pairs``: (R, K) int64 attribute holders and pairs per
+      stratum; a stratum pairs ``min(holders, size - holders)`` of each.
+    """
+
+    spec: PopulationSpec
+    value: np.ndarray
+    has: np.ndarray
+    edges: list[int]
+    holding: np.ndarray
+    holders: np.ndarray
+    pairs: np.ndarray
+
+    @classmethod
+    def draw(cls, spec: PopulationSpec, rngs: list[np.random.Generator]) -> "_Draws":
+        """One population per generator: stratum by stratum, its values, then its attribute draws."""
+        edges = list(accumulate((s.size for s in spec.strata), initial=0))
+        value = np.empty((len(rngs), edges[-1]))
+        has = np.empty(value.shape, dtype=bool)
+        for row, rng in enumerate(rngs):
+            for stratum, prob, start, stop in zip(spec.strata, spec.attribute_prob, edges, edges[1:]):
+                value[row, start:stop] = rng.normal(stratum.value_mean, stratum.value_sd, stratum.size)
+                np.less(rng.random(stratum.size), prob, out=has[row, start:stop])
+        holding = np.flatnonzero(has)
+        bounds = np.append(np.add.outer(np.arange(len(rngs)) * edges[-1], edges[:-1]), value.size)
+        holders = np.diff(holding.searchsorted(bounds)).reshape(len(rngs), -1)
+        pairs = np.minimum(holders, np.diff(edges) - holders)
+        return cls(spec, value, has, edges, holding, holders, pairs)
+
+    def paired(self, holding: bool) -> np.ndarray:
+        """Flat positions of the paired holders (``holding``) or non-holders.
+
+        Within a stratum, the i-th holder in unit order is paired with the
+        i-th non-holder, so the first ``pairs`` of each side are paired.
+        Both sides come out row by row and stratum by stratum, so position
+        i of one side is paired with position i of the other.
+        """
+        positions = self.holding if holding else np.flatnonzero(~self.has)
+        counts = self.holders if holding else np.diff(self.edges) - self.holders
+        starts = (np.cumsum(counts) - counts.ravel()).tolist()
+        return np.concatenate([positions[a : a + n] for a, n in zip(starts, self.pairs.ravel().tolist())])
+
+
 def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Population:
     """Draw a stratified population with attribute flags and 1:1 pairings from ``rng``.
 
@@ -170,29 +243,42 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Popul
     non-holders in unit order; holders beyond the number of available
     non-holders stay unpaired and the per-stratum shortfall is recorded.
     """
-    edges = list(accumulate((s.size for s in spec.strata), initial=0))
-    value = np.empty(edges[-1])
-    holders, pair_respondents, pair_targets = [], [], []
-    shortfall: dict[str, int] = {}
-    for stratum, prob, start, stop in zip(spec.strata, spec.attribute_prob, edges, edges[1:]):
-        value[start:stop] = rng.normal(stratum.value_mean, stratum.value_sd, stratum.size)
-        has_attribute = rng.random(stratum.size) < prob
-        own = start + has_attribute.nonzero()[0]
-        others = start + (~has_attribute).nonzero()[0]
-        pairs = min(len(own), len(others))
-        holders.append(own)
-        pair_respondents.append(own[:pairs])
-        pair_targets.append(others[:pairs])
-        shortfall[stratum.label] = len(own) - pairs
+    draws = _Draws.draw(spec, [rng])
+    (value,) = draws.value
     return Population(
         spec=spec,
         value=_read_only(value),
-        edges=_read_only(np.array(edges, dtype=np.int64)),
-        respondents=_read_only(np.concatenate(holders)),
-        pair_respondents=_read_only(np.concatenate(pair_respondents)),
-        pair_targets=_read_only(np.concatenate(pair_targets)),
-        pairing_shortfall=shortfall,
+        edges=_read_only(np.array(draws.edges, dtype=np.int64)),
+        respondents=_read_only(draws.holding),
+        pair_respondents=_read_only(draws.paired(holding=True)),
+        pair_targets=_read_only(draws.paired(holding=False)),
+        pairing_shortfall={
+            s.label: int(h - p) for s, h, p in zip(spec.strata, draws.holders[0], draws.pairs[0])
+        },
     )
+
+
+def _draw_reports(rng: np.random.Generator, acc: AccuracyModel, u: np.ndarray, noise: np.ndarray) -> None:
+    """Fill ``u`` and ``noise`` with one replication's report draws from ``rng``.
+
+    ``u`` gets the uniforms that decide exact reports, then ``noise`` the
+    normal noise; ``noise`` is left as it is when ``noise_sd`` is 0.
+    """
+    rng.random(out=u)
+    if acc.noise_sd > 0:
+        noise[:] = rng.normal(0.0, acc.noise_sd, len(noise))
+
+
+def _reports(target_value: np.ndarray, u: np.ndarray, noise: np.ndarray, acc: AccuracyModel):
+    """Reported values and accuracy scores from the targets' values and the report draws.
+
+    A report is exact when its uniform falls below ``p_accurate`` and the
+    target's value plus its noise otherwise.  An exact report scores 1,
+    another one exp(-|noise| / noise_sd).
+    """
+    corruption = np.where(u < acc.p_accurate, 0.0, noise)
+    decayed = np.exp(-np.abs(corruption) / acc.noise_sd) if acc.noise_sd > 0 else 1.0
+    return target_value + corruption, np.where(corruption == 0.0, 1.0, decayed)
 
 
 def collect_proxy_responses(
@@ -210,14 +296,11 @@ def collect_proxy_responses(
     reports = np.empty(n, dtype=REPORT_DTYPE)
     if n == 0:
         return reports
-    exact = rng.random(n) < acc.p_accurate
-    noise = rng.normal(0.0, acc.noise_sd, n) if acc.noise_sd > 0 else np.zeros(n)
-    corruption = np.where(exact, 0.0, noise)
-    decayed = np.exp(-np.abs(corruption) / acc.noise_sd) if acc.noise_sd > 0 else np.ones(n)
+    u, noise = np.empty(n), np.zeros(n)
+    _draw_reports(rng, acc, u, noise)
     reports["respondent"] = pop.pair_respondents
     reports["target"] = pop.pair_targets
-    reports["reported_value"] = pop.value[pop.pair_targets] + corruption
-    reports["accuracy_score"] = np.where(corruption == 0.0, 1.0, decayed)
+    reports["reported_value"], reports["accuracy_score"] = _reports(pop.value[pop.pair_targets], u, noise, acc)
     return reports
 
 
@@ -233,39 +316,82 @@ def check_srs_size(srs_size: int, population_size: int) -> int:
     return check_count("srs_size", srs_size, 1, population_size)
 
 
-def _linear_quantile(x: np.ndarray, q: float) -> float:
-    """``float(np.quantile(x, q))`` for a nonempty NaN-free float64 array and q in [0, 1].
+def _cuts(x: np.ndarray, counts: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(segment, q)`` for each consecutive ``counts``-long segment of ``x``.
 
-    numpy's default "linear" rule (Hyndman & Fan method 7): the virtual
-    index (n - 1) q falls between order statistics a and b, found here by one
-    partition, and the cut is interpolated from the nearer end as
-    ``numpy.lib._function_base_impl._lerp`` does, so the bits agree.  An index
-    at or past n - 1 gives the maximum.
+    For NaN-free float64 data below +inf and q in [0, 1].  numpy's default
+    "linear" rule (Hyndman & Fan method 7): the virtual index (n - 1) q
+    falls between order statistics a and b, read here from one row-wise sort
+    of the segments padded with +inf, and the cut is interpolated from the
+    nearer end as ``numpy.lib._function_base_impl._lerp`` does, so the bits
+    agree.  An index at n - 1 gives the maximum.  An empty segment's cut is NaN.
     """
-    n = len(x)
-    v = (n - 1) * q
-    if v >= n - 1:
-        return float(x.max())
-    k = math.floor(v)
-    a, b = np.partition(x, (k, k + 1))[k : k + 2].tolist()
+    counts = np.asarray(counts)
+    width = max(int(counts.max()), 1)
+    ends = np.cumsum(counts).tolist()
+    padding = np.full(width, np.inf)
+    table = np.concatenate([
+        part for a, b in zip([0, *ends], ends) for part in (x[a:b], padding[: width - (b - a)])
+    ]).reshape(-1, width)
+    table.sort(axis=1)
+    rows = np.arange(len(counts))
+    v = (counts - 1) * q
+    k = np.floor(v).astype(np.intp)
+    a, b = table[rows, k], table[rows, np.minimum(k + 1, counts - 1)]
     t = v - k
-    if t < 0.5:
-        return a + (b - a) * t
-    return b - (b - a) * (1 - t)
+    with np.errstate(invalid="ignore"):
+        return np.where(t < 0.5, a + (b - a) * t, b - (b - a) * (1 - t))
+
+
+def _linear_quantile(x: np.ndarray, q: float) -> float:
+    """``float(np.quantile(x, q))`` for a nonempty NaN-free float64 array and q in [0, 1]."""
+    return float(_cuts(x, [len(x)], q)[0])
 
 
 def filter_most_accurate(responses: np.ndarray, quantile: float) -> np.ndarray:
     """Keep the top `quantile` share of proxy reports by accuracy score.
 
     The cut is numpy's linear (1 - quantile) empirical quantile of the
-    scores, computed with one partition; ties at the cut are kept, input
-    order is preserved.
+    scores; ties at the cut are kept, input order is preserved.
     """
     if len(responses) == 0:
         raise ValueError("no responses to filter")
     quantile = check_quantile(quantile)
     scores = responses["accuracy_score"]
     return responses[scores >= _linear_quantile(scores, 1.0 - quantile)]
+
+
+def _augmented(own, own_counts, reported, reported_counts, shares) -> np.ndarray:
+    """The augmented post-stratified mean of each replication.
+
+    ``own`` holds the respondents' values and ``reported`` the kept proxy
+    reports, each replication by replication and stratum by stratum, with
+    the (R, K) counts given.  Each stratum pools its self-reports, then its
+    proxy reports: the pooled order fixes the summation order, and so the
+    last bits, of each stratum mean.  The covered strata's shares and
+    share-weighted means are summed as left folds, in stratum order, so
+    the bits do not depend on the Python version.
+    """
+    counts = own_counts + reported_counts
+    if not counts.any(axis=1).all():
+        raise ValueError("no respondents or proxy reports: augmented estimate undefined")
+    own_ends, reported_ends = np.cumsum(own_counts).tolist(), np.cumsum(reported_counts).tolist()
+    pooled = np.concatenate([
+        part
+        for a, b, c, d in zip([0, *own_ends], own_ends, [0, *reported_ends], reported_ends)
+        for part in (own[a:b], reported[c:d])
+    ])
+    means = _segment_means(pooled, counts).reshape(counts.shape)
+    share_sum = weighted = np.zeros(len(counts))
+    for covered, share, mean in zip(counts.T > 0, shares, means.T):
+        share_sum = np.where(covered, share_sum + share, share_sum)
+        weighted = np.where(covered, weighted + share * mean, weighted)
+    return weighted / share_sum
+
+
+def _srs(rng: np.random.Generator, value: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with a simple random sample of the values, drawn without replacement from ``rng``."""
+    return np.take(value, rng.choice(len(value), size=len(out), replace=False), out=out)
 
 
 def estimate_mean(
@@ -290,38 +416,27 @@ def estimate_mean(
         return _mean(pop.value[pop.respondents])
 
     if scheme == "augmented":
-        # Each stratum pools its self-reports in unit order, then its proxy
-        # reports in report order: the pooled order fixes the summation order,
-        # and so the last bits, of each mean.  The stable sort groups the
-        # reports by their target's stratum and keeps report order within one.
-        own = pop.value[pop.respondents]
-        own_edges = pop.respondents.searchsorted(pop.edges).tolist()
+        # The stable sort groups the reports by their target's stratum and
+        # keeps report order within one.
         target_strata = pop.edges.searchsorted(responses["target"], "right") - 1
         order = target_strata.argsort(kind="stable")
         sorted_strata = target_strata[order]
         if len(order) and not 0 <= sorted_strata[0] <= sorted_strata[-1] < len(pop.spec.strata):
             raise ValueError("a proxy report targets a unit outside the population")
-        reported = responses["reported_value"][order]
-        reported_edges = sorted_strata.searchsorted(np.arange(len(pop.edges))).tolist()
         total = len(pop.value)
-        covered = []
-        for k, stratum in enumerate(pop.spec.strata):
-            own_k = own[own_edges[k] : own_edges[k + 1]]
-            reported_k = reported[reported_edges[k] : reported_edges[k + 1]]
-            vals = np.concatenate((own_k, reported_k))
-            if len(vals):
-                covered.append((stratum.size / total, vals))
-        if not covered:
-            raise ValueError("no respondents or proxy reports: augmented estimate undefined")
-        share_sum = sum(share for share, _ in covered)
-        return sum(share * _mean(vals) for share, vals in covered) / share_sum
+        return float(_augmented(
+            pop.value[pop.respondents],
+            np.diff(pop.respondents.searchsorted(pop.edges))[None],
+            responses["reported_value"][order],
+            np.diff(sorted_strata.searchsorted(np.arange(len(pop.edges))))[None],
+            [s.size / total for s in pop.spec.strata],
+        )[0])
 
     if scheme == "srs_oracle":
         srs_size = check_srs_size(srs_size, len(pop.value))
         if rng is None:
             raise ValueError("srs_oracle draws its sample from a generator; pass rng")
-        idx = rng.choice(len(pop.value), size=srs_size, replace=False)
-        return _mean(pop.value[idx])
+        return _mean(_srs(rng, pop.value, np.empty(srs_size)))
 
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
@@ -371,40 +486,85 @@ def compare_schemes(
     Each replication regenerates the population, proxy responses and SRS
     draw from three generators, each the one ``densities.make_rng`` builds
     from ``derive_seed(seed, replication index, key)`` with keys 0, 1 and 2;
-    only srs_oracle reads the third.  `seeding.derive_keys` computes the
-    Philox keys of all of them in one pass, and each replication's
-    generators are built from those keys as it starts.  ``spec.seed`` is not
-    read, so it does not change the result.  When ``srs_size`` is not
-    given, the benchmark sample matches the replication's respondent count.
-    The spec, the replication count, ``quantile`` and ``srs_size`` are
-    validated before the first replication.
+    only srs_oracle reads the third.  ``spec.seed`` is not read, so it does
+    not change the result.  When ``srs_size`` is not given, the benchmark
+    sample matches the replication's respondent count.  The spec, the
+    replication count, ``quantile`` and ``srs_size`` are validated before
+    the first replication.
+
+    Replications run in chunks of ``_CHUNK // spec.total_size`` (at least
+    one).  `seeding.derive_keys` computes the Philox keys of about `_KEYS`
+    replications, in whole chunks, in one pass.  Within a chunk only the
+    draws run replication by replication; the rest are array passes over
+    the chunk.  Each error has the bits that `generate_population`,
+    `collect_proxy_responses`, `filter_most_accurate` and `estimate_mean`
+    give for its replication, and memory does not grow with
+    ``replications`` beyond the three error arrays.
     """
     check_population(spec)
     replications = check_replications(replications)
     quantile = check_quantile(quantile)
     if srs_size is not None:
         srs_size = check_srs_size(srs_size, spec.total_size)
-    errors: dict[str, list[float]] = {s: [] for s in SCHEMES}
-    # Row 3 * rep + key is (rep, key).
-    keys = derive_keys(seed, np.column_stack(np.divmod(np.arange(3 * replications), 3)))
-    for population_key, report_key, srs_key in keys.reshape(replications, 3, 2):
-        pop = generate_population(spec, rng_from_key(population_key))
-        responses = collect_proxy_responses(pop, acc, rng_from_key(report_key))
-        kept = filter_most_accurate(responses, quantile) if len(responses) else responses
-        size = srs_size if srs_size is not None else max(1, len(pop.respondents))
-        truth = pop.true_mean
-        srs_rng = rng_from_key(srs_key)
-        for scheme in SCHEMES:
-            est = estimate_mean(pop, kept, scheme, srs_size=size, rng=srs_rng)
-            errors[scheme].append(est - truth)
-    arrays = {s: np.array(v) for s, v in errors.items()}
+    errors = {s: np.empty(replications) for s in SCHEMES}
+    per_chunk = max(1, _CHUNK // spec.total_size)
+    per_keys = per_chunk * max(1, _KEYS // per_chunk)
+    for first in range(0, replications, per_keys):
+        # Row 3 * rep + key is (rep, key).
+        rows = np.arange(3 * first, 3 * min(first + per_keys, replications))
+        keys = derive_keys(seed, np.column_stack(np.divmod(rows, 3))).reshape(-1, 3, 2)
+        for start in range(0, len(keys), per_chunk):
+            chunk = keys[start : start + per_chunk]
+            # Drawn before the previous chunk's draws are released, so that
+            # the allocator can reuse their memory rather than trim the heap
+            # and fault the pages back in for every chunk.
+            draws = _Draws.draw(spec, [rng_from_key(key) for key in chunk[:, 0]])
+            done = slice(first + start, first + start + len(chunk))
+            for scheme, scheme_errors in zip(SCHEMES, _replicate(draws, acc, quantile, srs_size, chunk)):
+                errors[scheme][done] = scheme_errors
     return SchemeComparison(
         replications=replications,
         seed=int(seed),
-        mean_error={s: _summary(np.mean, a) for s, a in arrays.items()},
-        rmse={s: _summary(_rms, a) for s, a in arrays.items()},
-        stderr_mean={s: _summary(_stderr, a) for s, a in arrays.items()},
-        errors=arrays,
+        mean_error={s: _summary(np.mean, a) for s, a in errors.items()},
+        rmse={s: _summary(_rms, a) for s, a in errors.items()},
+        stderr_mean={s: _summary(_stderr, a) for s, a in errors.items()},
+        errors=errors,
+    )
+
+
+def _replicate(draws: _Draws, acc, quantile, srs_size, keys) -> np.ndarray:
+    """Each scheme's errors (rows, in `SCHEMES` order) for the populations drawn from ``keys`` (R, 3, 2)."""
+    respondents = draws.holders.sum(axis=1)
+    if not respondents.all():
+        raise ValueError("no respondents: naive estimate undefined")
+    naive, augmented = _respondent_means(draws, acc, quantile, keys[:, 1])
+    # The sample is drawn last, once the respondent estimates' arrays are freed.
+    sizes = respondents if srs_size is None else np.full(len(keys), srs_size)
+    sample = np.empty(sizes.sum())
+    ends = np.cumsum(sizes).tolist()
+    for value, key, a, b in zip(draws.value, keys[:, 2], [0, *ends], ends):
+        _srs(rng_from_key(key), value, sample[a:b])
+    truth = draws.value.sum(axis=1) / draws.edges[-1]
+    return np.array([naive, augmented, _segment_means(sample, sizes)]) - truth
+
+
+def _respondent_means(draws: _Draws, acc: AccuracyModel, quantile: float, keys: np.ndarray):
+    """The naive and the augmented mean of each replication; ``keys`` are the report streams' keys."""
+    n = draws.pairs.sum(axis=1)
+    u, noise = np.empty(n.sum()), np.zeros(n.sum())
+    ends = np.cumsum(n).tolist()
+    for key, a, b in zip(keys, [0, *ends], ends):
+        _draw_reports(rng_from_key(key), acc, u[a:b], noise[a:b])
+    reported, score = _reports(draws.value.ravel()[draws.paired(holding=False)], u, noise, acc)
+    kept = np.flatnonzero(score >= np.repeat(_cuts(score, n, 1.0 - quantile), n))
+    # Reports come replication by replication and stratum by stratum.
+    bounds = np.concatenate(([0], np.cumsum(draws.pairs)))
+    kept_counts = np.diff(kept.searchsorted(bounds)).reshape(draws.pairs.shape)
+    own = draws.value.ravel()[draws.holding]
+    shares = [s.size / draws.edges[-1] for s in draws.spec.strata]
+    return (
+        _segment_means(own, draws.holders.sum(axis=1)),
+        _augmented(own, draws.holders, reported[kept], kept_counts, shares),
     )
 
 

@@ -163,8 +163,48 @@ def test_flag_the_subcommand_does_not_read_exits_2(command, flag, tmp_path, monk
     with pytest.raises(SystemExit) as exc:
         main([*VALID[command], flag])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: pxkit {command} ")
+    assert f"pxkit {command}: error: unrecognized arguments: {flag}" in err
     assert [p.name for p in tmp_path.iterdir()] == ["survey.ini"]
+
+
+# The model fields each model reads.
+MODEL_FIELDS = {
+    "normal": {"sigma"},
+    "exponential": set(),
+    "two-stage-normal": {"n1", "n2", "sigma"},
+    "variance-expansion": {"n"},
+    "tabulated": {"csv_f", "csv_g"},
+}
+UNREAD_MODEL_FIELDS = [
+    (model, name)
+    for model, read in MODEL_FIELDS.items()
+    for name in sorted(set().union(*MODEL_FIELDS.values()) - read)
+]
+
+
+@pytest.mark.parametrize("model, name", UNREAD_MODEL_FIELDS)
+def test_model_flag_the_model_does_not_read_exits_2(model, name, tmp_path, monkeypatch, capsys):
+    # Only affinity takes the CSV flags; bound takes the others.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PXKIT_OUT_DIR", str(tmp_path))
+    command = "affinity" if name.startswith("csv") else "bound"
+    flag = "--" + name.replace("_", "-")
+    value = "f.csv" if name.startswith("csv") else "2"
+    argv = [command, "--model", model, "--theta0", "1", "--theta1", "2", flag, value]
+    assert main(argv) == 2
+    assert f"model {model!r} does not read {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_may_set_a_field_the_model_does_not_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.ini").write_text("[model]\nsigma = 5\nn = 3\n", encoding="utf-8")
+    argv = ["bound", "--model", "exponential", "--theta0", "1", "--theta1", "2", "--out", "b.json"]
+    assert main([*argv, "--config", "model.ini"]) == 0
+    assert main([*argv[:-1], "plain.json"]) == 0
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

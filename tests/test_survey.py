@@ -3,6 +3,7 @@
 import inspect
 import math
 import statistics
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -24,7 +25,7 @@ from pxkit import (
 )
 from pxkit import survey
 from pxkit.cli import ExperimentConfig, apply_config_file
-from pxkit.densities import make_rng
+from pxkit.densities import make_rng, rng_from_key
 from pxkit.survey import REPORT_DTYPE
 
 TWO_STRATA = PopulationSpec(
@@ -320,37 +321,45 @@ class TestCompareSchemes:
         assert covered / reps >= 0.99
 
     def test_each_stage_draws_from_its_derived_stream(self, monkeypatch):
-        # Replication rep's population, reports and SRS draw start from
-        # make_rng(derive_seed(seed, rep, key)) with keys 0, 1 and 2; each of
-        # the three estimate_mean calls of a replication gets the SRS stream.
-        stages = ("generate_population", "collect_proxy_responses", "estimate_mean")
-        entry_states = {stage: [] for stage in stages}
+        # Replication rep's population, reports and SRS draw come from
+        # make_rng(derive_seed(seed, rep, key)) with keys 0, 1 and 2: each
+        # generator compare_schemes builds starts in one of those states, each
+        # state is built once, each key's generators come in replication order,
+        # and each makes its own stage's draws and no other.
+        built = []
 
-        def record(stage):
-            original = getattr(survey, stage)
-            signature = inspect.signature(original)
+        class Recording:
+            def __init__(self, rng):
+                self.rng, self.state, self.calls = rng, repr(rng.bit_generator.state), []
 
-            def wrapper(*args, **kwargs):
-                rng = signature.bind(*args, **kwargs).arguments["rng"]
-                entry_states[stage].append(repr(rng.bit_generator.state))
-                return original(*args, **kwargs)
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
 
-            monkeypatch.setattr(survey, stage, wrapper)
+                def call(*args, **kwargs):
+                    self.calls.append(name)
+                    return method(*args, **kwargs)
 
-        for stage in stages:
-            record(stage)
-        compare_schemes(TWO_STRATA, PERFECT, 1.0, 12, seed=4)
+                return call
 
-        def expected(key, calls=1):
-            return [
-                repr(make_rng(derive_seed(4, rep, key)).bit_generator.state)
-                for rep in range(12)
-                for _ in range(calls)
-            ]
+        def recording(key):
+            built.append(Recording(rng_from_key(key)))
+            return built[-1]
 
-        assert entry_states["generate_population"] == expected(0)
-        assert entry_states["collect_proxy_responses"] == expected(1)
-        assert entry_states["estimate_mean"] == expected(2, calls=len(survey.SCHEMES))
+        monkeypatch.setattr(survey, "rng_from_key", recording)
+        compare_schemes(TWO_STRATA, AccuracyModel(0.5, 1.0), 0.5, 12, seed=4)
+
+        streams = {
+            repr(make_rng(derive_seed(4, rep, key)).bit_generator.state): (rep, key)
+            for rep in range(12)
+            for key in range(3)
+        }
+        assert all(g.state in streams for g in built)
+        assert sorted(streams[g.state] for g in built) == sorted(streams.values())
+        stage_calls = (["normal", "random"] * len(TWO_STRATA.strata), ["random", "normal"], ["choice"])
+        for key, calls in enumerate(stage_calls):
+            stage = [g for g in built if streams[g.state][1] == key]
+            assert [streams[g.state][0] for g in stage] == list(range(12))
+            assert [g.calls for g in stage] == [calls] * 12
 
     def test_no_seed_sequence_per_stream(self, monkeypatch):
         built = []
@@ -389,6 +398,29 @@ class TestCompareSchemes:
             assert comp.stderr_mean[scheme] == pytest.approx(stderr, rel=1e-12)
             assert comp.mean_error[scheme] == pytest.approx(statistics.fmean(errors), rel=1e-12)
 
+    def test_memory_does_not_grow_with_replications(self, monkeypatch):
+        # 20 replications a chunk and keys for 100 at a time, so both bounds
+        # are reached at 100 replications; at 40 times as many, only the
+        # three error arrays may grow.
+        monkeypatch.setattr(survey, "_CHUNK", 20 * TWO_STRATA.total_size)
+        monkeypatch.setattr(survey, "_KEYS", 100)
+
+        def run(replications):
+            compare_schemes(TWO_STRATA, AccuracyModel(0.7, 1.0), 0.5, replications, seed=1)
+
+        def peak(replications):
+            tracemalloc.start()
+            try:
+                run(replications)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(100)  # a first call also imports and caches what every later one reuses
+        base = peak(100)
+        error_arrays = len(survey.SCHEMES) * 8 * 40 * 100
+        assert peak(40 * 100) - error_arrays <= 2 * base
+
     def test_minimum_replications(self):
         with pytest.raises(ValueError):
             compare_schemes(TWO_STRATA, PERFECT, 1.0, 5, seed=0)
@@ -406,13 +438,13 @@ class TestCompareSchemes:
              "compare_srs_size"],
     )
     def test_non_integral_counts_rejected(self, call, count, monkeypatch):
-        monkeypatch.setattr(survey, "generate_population", lambda *args: pytest.fail("replicated"))
+        monkeypatch.setattr(survey, "rng_from_key", lambda *args: pytest.fail("replicated"))
         with pytest.raises(ValueError, match=f"{count} must be an integer"):
             call()
 
     def test_no_possible_respondent_rejected_before_replicating(self, monkeypatch):
         spec = replace(TWO_STRATA, attribute_prob=(0.0, 0.0))
-        monkeypatch.setattr(survey, "generate_population", lambda *args: pytest.fail("replicated"))
+        monkeypatch.setattr(survey, "rng_from_key", lambda *args: pytest.fail("replicated"))
         with pytest.raises(ValueError, match="attribute probability"):
             compare_schemes(spec, PERFECT, 1.0, 10, seed=0)
 

@@ -26,10 +26,19 @@ SHORTFALL_SPEC = PopulationSpec(
     attribute_prob=(0.95, 0.0, 0.4),
     seed=3,
 )
+# Three strata, each covered in almost every replication.  Their shares
+# 24/186, 87/186 and 75/186 sum to 1 - 2**-53 as a left fold but to 1 in a
+# compensated sum, so these bits fix the order of the augmented mean's sums.
+THREE_STRATA_SPEC = PopulationSpec(
+    strata=(Stratum("A", 24, -2.0, 1.0), Stratum("B", 87, 3.0, 0.5), Stratum("C", 75, 7.0, 2.0)),
+    attribute_prob=(0.5, 0.4, 0.3),
+    seed=11,
+)
 CASES = {
     "readme": (README_SPEC, AccuracyModel(1.0, 0.0), 1.0, None),
     "noisy": (README_SPEC, AccuracyModel(0.7, 1.0), 0.5, None),
     "shortfall": (SHORTFALL_SPEC, AccuracyModel(0.5, 2.0), 0.8, 30),
+    "three_strata": (THREE_STRATA_SPEC, AccuracyModel(0.6, 1.5), 0.7, None),
 }
 REPLICATIONS = 100
 
@@ -63,6 +72,16 @@ DIGESTS = {
         "naive_attribute_only": "4dae6258927f7c67bc4ae2c830eded89bfcf190718d1eeb4de4da360c805669a",
         "augmented": "c5c50f651687f8ffb492fe71e034f7061dea068bce8c6655b02ddc98dba1c934",
         "srs_oracle": "0037773485bb8fb1ea6dfd1ae38df2940b9d19af9b561a68564fbb92a356ea8d",
+    },
+    ("three_strata", 1): {
+        "naive_attribute_only": "8b9ae5ff623f2240098031e2858bad133daa513c8d81e019842eed2134ef1ee3",
+        "augmented": "9d8849cb7821282d8ea159d797c73777ed61620d31601517e2958df16a3ad0a5",
+        "srs_oracle": "c87489d751722165cf172442018a7219158e1a5460be3ff6ccc49970a747c634",
+    },
+    ("three_strata", 2): {
+        "naive_attribute_only": "ee18318c0c29aa83414f41ff8d12e286e9a7cca732b2e0327c4ab7d40ef65ac3",
+        "augmented": "c484ba2bccd5cf1011f6f6ef3d4278d49f88a97b4bf869edf73169c1f05178da",
+        "srs_oracle": "80cb93fe95a2df7ee69b12376c2f843c10fbd79be488f3ba1032209ea5647e86",
     },
 }
 

@@ -119,18 +119,39 @@ def reference_compare(spec, acc, quantile, replications, seed, srs_size):
 
 
 @contextmanager
-def recorded_populations():
-    """Collect every population `compare_schemes` draws, through its module global."""
+def recorded_draws():
+    """Collect every chunk of populations `compare_schemes` draws, through `_Draws.draw`."""
     drawn = []
+    draw = survey._Draws.draw.__func__
 
-    def recording(*args):
-        pop = generate_population(*args)
-        drawn.append(pop)
-        return pop
+    def recording(cls, *args):
+        drawn.append(draw(cls, *args))
+        return drawn[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(survey, "generate_population", recording)
+        mp.setattr(survey._Draws, "draw", classmethod(recording))
         yield drawn
+
+
+def drawn_populations(drawn):
+    """Each replication of the recorded chunks as a `Population`, paired as the chunk pairs it."""
+    for draws in drawn:
+        size = draws.value.shape[1]
+        holders, targets = draws.paired(holding=True), draws.paired(holding=False)
+        for row, value in enumerate(draws.value):
+            mine = holders // size == row
+            yield survey.Population(
+                spec=draws.spec,
+                value=value,
+                edges=np.array(draws.edges),
+                respondents=draws.holding[draws.holding // size == row] - row * size,
+                pair_respondents=holders[mine] - row * size,
+                pair_targets=targets[mine] - row * size,
+                pairing_shortfall={
+                    s.label: int(h - p)
+                    for s, h, p in zip(draws.spec.strata, draws.holders[row], draws.pairs[row])
+                },
+            )
 
 
 _PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -189,23 +210,57 @@ def test_compare_schemes_equals_record_array_pipeline(spec, acc, quantile, seed,
         with pytest.raises(ValueError):
             compare_schemes(spec, acc, quantile, 10, seed, srs_size)
         return
-    with recorded_populations() as drawn:
+    with recorded_draws() as drawn:
         comp = compare_schemes(spec, acc, quantile, 10, seed, srs_size)
     for scheme in SCHEMES:
         assert comp.errors[scheme].tobytes() == expected[scheme].tobytes()
-    assert len(drawn) == len(reference_drawn)
-    for pop, (units, shortfall) in zip(drawn, reference_drawn):
+    pops = list(drawn_populations(drawn))
+    assert len(pops) == len(reference_drawn)
+    for pop, (units, shortfall) in zip(pops, reference_drawn):
         assert np.array_equal(pop.units, units)
         assert pop.pairing_shortfall == shortfall
 
 
-def test_replications_never_build_the_record_view():
+def test_replications_never_build_the_record_view(monkeypatch):
+    # compare_schemes calls none of the stages: it builds no `Population`, so
+    # no record view, and no report record array.
     spec = PopulationSpec(
         strata=(Stratum("A", 100, 0.0, 1.0), Stratum("B", 100, 10.0, 1.0)),
         attribute_prob=(0.9, 0.1),
         seed=7,
     )
-    with recorded_populations() as drawn:
+    for name in ("Population", "generate_population", "collect_proxy_responses", "filter_most_accurate"):
+        monkeypatch.setattr(survey, name, lambda *args, name=name: pytest.fail(f"called {name}"))
+    with recorded_draws() as drawn:
         compare_schemes(spec, AccuracyModel(0.7, 1.0), 0.5, 10, seed=1)
-    assert len(drawn) == 10
-    assert not any("units" in vars(pop) for pop in drawn)
+    assert sum(len(draws.value) for draws in drawn) == 10
+
+
+CHUNK_SPEC = PopulationSpec(
+    strata=(Stratum("A", 20, 0.0, 1.0), Stratum("B", 15, 3.0, 2.0), Stratum("C", 15, -1.0, 0.5)),
+    attribute_prob=(0.6, 0.3, 0.5),
+    seed=5,
+)
+REPS_PER_CHUNK = 12
+
+
+@pytest.mark.parametrize("srs_size", [None, 7])
+@pytest.mark.parametrize(
+    "replications",
+    [REPS_PER_CHUNK - 1, REPS_PER_CHUNK, REPS_PER_CHUNK + 1, 2 * REPS_PER_CHUNK + 3],
+)
+def test_chunk_boundaries_keep_the_bits(monkeypatch, replications, srs_size):
+    # 12 replications a chunk and keys for two chunks at a time: the runs end
+    # one short of a chunk, on one, one past one, and inside the second key pass.
+    monkeypatch.setattr(survey, "_CHUNK", REPS_PER_CHUNK * CHUNK_SPEC.total_size + 1)
+    monkeypatch.setattr(survey, "_KEYS", 2 * REPS_PER_CHUNK)
+    acc = AccuracyModel(0.6, 1.5)
+    expected, _ = reference_compare(CHUNK_SPEC, acc, 0.7, replications, 9, srs_size)
+    with recorded_draws() as drawn:
+        comp = compare_schemes(CHUNK_SPEC, acc, 0.7, replications, 9, srs_size)
+    sizes = [len(draws.value) for draws in drawn]
+    assert sizes == [REPS_PER_CHUNK] * (replications // REPS_PER_CHUNK) + (
+        [replications % REPS_PER_CHUNK] if replications % REPS_PER_CHUNK else []
+    )
+    for scheme in SCHEMES:
+        assert comp.errors[scheme].tobytes() == expected[scheme].tobytes()
