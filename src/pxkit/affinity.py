@@ -82,8 +82,10 @@ def _integrate_overlap(
     if common is None:
         return AffinityResult(value=0.0, raw_value=0.0, abs_error_estimate=0.0, evaluations=0)
     lo, hi = common.lower, common.upper
-    center = 0.5 * (f.center + g.center)
-    scale = max(f.scale, g.scale) + 0.5 * abs(f.center - g.center)
+    # Halving before adding gives the same bits, and no overflow for centres
+    # near the largest float.
+    center = 0.5 * f.center + 0.5 * g.center
+    scale = max(f.scale, g.scale) + abs(0.5 * f.center - 0.5 * g.center)
     scale = max(scale, 1e-12)
     if not (math.isinf(lo) and math.isinf(hi)):
         anchor = lo if math.isinf(hi) else hi

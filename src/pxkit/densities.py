@@ -93,7 +93,7 @@ class ScalarDensity:
     second call continues the stream where the first stopped.  ``center`` and
     ``scale`` are location/spread hints used to parameterize variable
     transformations when integrating over infinite supports; they carry no
-    probabilistic meaning of their own.
+    probabilistic meaning of their own, and both must be finite.
     """
 
     support: Interval
@@ -101,6 +101,14 @@ class ScalarDensity:
     sample: Callable[[int, np.random.Generator], np.ndarray]
     center: float = 0.0
     scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        # A parameter whose reciprocal or product overflows gives an infinite
+        # hint, and the integrator's nodes would all land at infinity.
+        if not (math.isfinite(self.center) and math.isfinite(self.scale)):
+            raise ValueError(
+                f"center and scale hints must be finite, got ({self.center}, {self.scale})"
+            )
 
     def pdf(self, x) -> np.ndarray:
         """Density values: ``exp(logpdf(x))``, 0 outside ``support``."""

@@ -16,8 +16,14 @@ before any panel is created:
     (-inf,   b):  x = b - s*t/(1-t),    t in (0, 1)
 
 where (c, s) are location/scale hints supplied by the caller so the mass of
-the integrand lands at moderate t.  Subdivision order is deterministic, so
-results are bit-identical across runs.
+the integrand lands at moderate t; both must be finite.  The first pass of
+an infinite interval always cuts (-1, 1) or (0, 1) into the same 16 panels,
+so its 240 t-nodes and their t-only factors (1-t^2, 1+t^2, (1-t^2)^2, or
+1-t and (1-t)^2) are computed once at import; a call computes only the
+terms in (c, s), in the same order, so the bits equal computing every
+factor per call.  Finite intervals and bisection passes compute their
+nodes per pass.  Subdivision order is deterministic, so results are
+bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,22 +129,26 @@ class QuadratureBudgetError(RuntimeError):
         self.evaluations = evaluations
 
 
-def _panels(fn: Callable, lefts, rights) -> list[tuple[float, float]]:
-    """Kronrod value and error estimate of f on each [lefts[i], rights[i]] (QUADPACK qk15).
-
-    ``fn`` is called once, on the 15 nodes of every panel.  The rows are
-    reduced with ``np.vecdot``, and the error heuristic runs on Python
-    floats, so each panel's result is bit-identical to a one-panel call.
-    """
+def _nodes(lefts, rights):
+    """The 15 Kronrod nodes of every [lefts[i], rights[i]], flat, and the panel half-widths."""
     half = 0.5 * np.subtract(rights, lefts, dtype=float)
     mid = 0.5 * np.add(lefts, rights, dtype=float)
-    fx = np.asarray(fn((mid[:, None] + half[:, None] * _XK).ravel()), dtype=float).reshape(-1, 15)
+    return (mid[:, None] + half[:, None] * _XK).ravel(), half
+
+
+def _estimates(fx, half) -> list[tuple[float, float]]:
+    """Kronrod value and error estimate of each panel from its 15 values ``fx`` (QUADPACK qk15).
+
+    The rows are reduced with ``np.vecdot``, and the error heuristic runs on
+    Python floats, so each panel's result is bit-identical to a one-panel call.
+    """
+    fx = np.asarray(fx, dtype=float).reshape(-1, 15)
     resk = np.vecdot(fx, _WK)
     resg = np.vecdot(np.ascontiguousarray(fx[:, _GAUSS_IDX]), _WG)
     resabs = np.vecdot(np.abs(fx), _WK)
     resasc = np.vecdot(np.abs(fx - 0.5 * resk[:, None]), _WK)
     out = []
-    for k, g, rabs, rasc, h in zip(*(v.tolist() for v in (resk, resg, resabs, resasc, half))):
+    for k, g, rabs, rasc, h in zip(*(v.tolist() for v in (resk, resg, resabs, resasc)), half):
         rabs *= abs(h)
         rasc *= abs(h)
         err = abs((k - g) * h)
@@ -150,39 +160,88 @@ def _panels(fn: Callable, lefts, rights) -> list[tuple[float, float]]:
     return out
 
 
+def _panels(fn: Callable, lefts, rights) -> list[tuple[float, float]]:
+    """Kronrod value and error estimate of f on each [lefts[i], rights[i]].
+
+    ``fn`` is called once, on the 15 nodes of every panel.
+    """
+    t, half = _nodes(lefts, rights)
+    return _estimates(fn(t), half.tolist())
+
+
+class _FirstPass(NamedTuple):
+    """The 16 equal first-pass panels of an interval in t and the factors of its map.
+
+    ``factors`` are the t-only arrays of the substitution on the 240 nodes;
+    ``factors_of`` computes them at any nodes, for the bisection passes.
+    """
+
+    edges: tuple[float, ...]
+    half: tuple[float, ...]
+    factors: tuple[np.ndarray, ...]
+    factors_of: Callable
+
+
+def _first_pass(a: float, b: float, factors_of: Callable) -> _FirstPass:
+    edges = np.linspace(a, b, _INITIAL_PANELS + 1).tolist()
+    t, half = _nodes(edges[:-1], edges[1:])
+    return _FirstPass(tuple(edges), tuple(half.tolist()), factors_of(t), factors_of)
+
+
+def _whole_line_factors(t):
+    onemt2 = 1.0 - t * t
+    return t, onemt2, 1.0 + t * t, onemt2 * onemt2
+
+
+def _half_line_factors(t):
+    onemt = 1.0 - t
+    return t, onemt, onemt * onemt
+
+
+# The first pass of an infinite interval never depends on the call: its
+# panels cut (-1, 1) or (0, 1), so its nodes and their factors are built once
+# and shared, read-only.  A finite interval's nodes are the integrand's
+# argument, so they are built per call and stay writable.
+_WHOLE_LINE = _first_pass(-1.0, 1.0, _whole_line_factors)
+_HALF_LINE = _first_pass(0.0, 1.0, _half_line_factors)
+for _arr in _WHOLE_LINE.factors + _HALF_LINE.factors:
+    _arr.flags.writeable = False
+del _arr
+_DEFAULT_CONFIG = QuadratureConfig()
+
+
 def _transform(fn: Callable, lower: float, upper: float, center: float, scale: float):
-    """Map (lower, upper) to a finite interval; return (a, b, wrapped integrand)."""
+    """The first pass over (lower, upper) in t, and the integrand of t's factors."""
     lo_inf = math.isinf(lower)
     hi_inf = math.isinf(upper)
     if not lo_inf and not hi_inf:
-        return lower, upper, fn
+        return _first_pass(lower, upper, lambda t: (t,)), fn
     s = scale if scale > 0 else 1.0
 
     if lo_inf and hi_inf:
-        a, b = -1.0, 1.0
+        first = _WHOLE_LINE
 
-        def substitute(t):
-            onemt2 = 1.0 - t * t
-            return center + s * t / onemt2, s * (1.0 + t * t) / (onemt2 * onemt2)
+        def substitute(t, onemt2, onept2, den):
+            return center + s * t / onemt2, s * onept2 / den
 
     else:
-        a, b = 0.0, 1.0
+        first = _HALF_LINE
         anchor, sign = (lower, 1.0) if hi_inf else (upper, -1.0)
 
-        def substitute(t):
-            onemt = 1.0 - t
-            return anchor + sign * s * t / onemt, s / (onemt * onemt)
+        def substitute(t, onemt, den):
+            return anchor + sign * s * t / onemt, s / den
 
     # Near t = +-1 the substitution may overflow to an infinite node and
     # weight; where the integrand is 0, np.where drops the nan of 0 * inf.
-    def g(t):
+    # One errstate covers the pass, so the integrand's own overflow and
+    # invalid-operation warnings are silenced on an infinite interval too.
+    def g(*factors):
         with np.errstate(over="ignore", invalid="ignore"):
-            x, w = substitute(np.asarray(t, dtype=float))
-        fx = np.asarray(fn(x), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
+            x, w = substitute(*factors)
+            fx = np.asarray(fn(x), dtype=float)
             return np.where(fx == 0.0, 0.0, fx * w)
 
-    return a, b, g
+    return first, g
 
 
 def integrate(
@@ -204,24 +263,31 @@ def integrate(
     max(cfg.abs_tol, cfg.rel_tol * |integral|).  There is no per-call
     override: an iterated integral passes each level a config that holds
     its share of the tolerance and of the evaluation budget.
-    Raises QuadratureBudgetError when max_evaluations is hit first.
+    Raises QuadratureBudgetError when max_evaluations is hit first, and
+    ValueError unless lower < upper and both hints are finite (a scale
+    <= 0 means 1).
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if lower >= upper:
+    if not lower < upper:
         raise ValueError(f"bad integration interval ({lower}, {upper})")
+    if not (math.isfinite(center) and math.isfinite(scale)):
+        raise ValueError(f"center and scale hints must be finite, got ({center}, {scale})")
+    cfg = _DEFAULT_CONFIG if cfg is None else cfg
 
-    a, b, g = _transform(fn, lower, upper, center, scale)
+    first, g = _transform(fn, lower, upper, center, scale)
 
-    edges = np.linspace(a, b, _INITIAL_PANELS + 1).tolist()
-    first = _panels(g, edges[:-1], edges[1:])
-    heap: list = []
+    def bisection_pass(t):
+        return g(*first.factors_of(t))
+
+    estimates = _estimates(g(*first.factors), first.half)
     total = 0.0
     err_total = 0.0
-    for seq, (left, right, (v, e)) in enumerate(zip(edges, edges[1:], first)):
+    for v, e in estimates:
         total += v
         err_total += e
-        heapq.heappush(heap, (-e, seq, left, right, v, e))
+    edges = first.edges
+    heap = [(-e, seq, left, right, v, e)
+            for seq, (left, right, (v, e)) in enumerate(zip(edges, edges[1:], estimates))]
+    heapq.heapify(heap)
     seq = len(heap)
     evals = MIN_EVALUATIONS
 
@@ -231,7 +297,7 @@ def integrate(
             raise QuadratureBudgetError(total, err_total, evals)
         neg_e, _, left, right, v, e = heapq.heappop(heap)
         mid = 0.5 * (left + right)
-        (v1, e1), (v2, e2) = _panels(g, (left, mid), (mid, right))
+        (v1, e1), (v2, e2) = _panels(bisection_pass, (left, mid), (mid, right))
         evals += 30
         total += v1 + v2 - v
         err_total += e1 + e2 - e

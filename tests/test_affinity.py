@@ -72,6 +72,12 @@ class TestAffinityValues:
         assert res.value == 0.0
         assert res.evaluations == 0
 
+    @pytest.mark.parametrize("means", [(-1e308, 1e308), (1e308, 1.5e308)])
+    def test_centres_near_the_largest_float(self, means):
+        # The sum or the difference of the two centres overflows; the hints must not.
+        res = affinity(normal_density(means[0], 1.0), normal_density(means[1], 1.0))
+        assert (res.value, res.abs_error_estimate) == (0.0, 0.0)
+
     def test_symmetry(self):
         pairs = [
             (normal_density(0, 1), normal_density(2, 0.5)),

@@ -252,6 +252,9 @@ class TestExitCodes:
             # A pandas to_csv() file keeps its index as a third column.
             (["affinity", "--model", "tabulated", "--csv-f", "{tmp}/indexed.csv",
               "--csv-g", "{tmp}/plain.csv"], "csv_f"),
+            # 1/rate overflows, so the density's center and scale hints are infinite.
+            (["affinity", "--model", "exponential", "--theta0", "5e-309", "--theta1", "1e-308"],
+             "theta0"),
         ],
     )
     def test_input_rejected_by_library_is_config_error(self, args, field, tmp_path, capsys):

@@ -9,6 +9,7 @@ from scipy import stats
 from pxkit import (
     Interval,
     QuadratureConfig,
+    ScalarDensity,
     affinity,
     exponential_density,
     gamma_density,
@@ -103,6 +104,23 @@ class TestValidation:
     def test_non_finite_parameters(self, make, args):
         with pytest.raises(ValueError, match="finite"):
             make(*args)
+
+    @pytest.mark.parametrize(
+        "make, args",
+        [(exponential_density, (5e-309,)), (gamma_density, (1e200, 1e200))],
+    )
+    def test_overflowing_hints_rejected(self, make, args):
+        # Finite parameters whose integration hints (1/rate; shape*scale) overflow.
+        with pytest.raises(ValueError, match="hints must be finite"):
+            make(*args)
+
+    @pytest.mark.parametrize("hints", [(math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0),
+                                       (0.0, math.nan)])
+    def test_density_hints_must_be_finite(self, hints):
+        center, scale = hints
+        base = normal_density(0.0, 1.0)
+        with pytest.raises(ValueError, match="hints must be finite"):
+            ScalarDensity(base.support, base.logpdf, base.sample, center=center, scale=scale)
 
     def test_tabulated_rejects_degenerate_input(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,16 @@
 """Adaptive integrator accuracy, transforms, budget handling, determinism."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sciint
 
 from pxkit import QuadratureBudgetError, QuadratureConfig, integrate
-from pxkit.quadrature import _GAUSS_IDX, _WG, _WK, _XK, _panels
+from pxkit.quadrature import _GAUSS_IDX, _HALF_LINE, _WG, _WHOLE_LINE, _WK, _XK, _panels
 
 _EPS = np.finfo(float).eps
 
@@ -33,6 +34,74 @@ def _panel(fn, a, b):
     if resabs > np.finfo(float).tiny / (50.0 * _EPS):
         err = max(50.0 * _EPS * resabs, err)
     return value, err
+
+
+def _reference_transform(fn, lower, upper, center, scale):
+    """Map (lower, upper) to a finite interval, computing every node's substitution per pass."""
+    lo_inf = math.isinf(lower)
+    hi_inf = math.isinf(upper)
+    if not lo_inf and not hi_inf:
+        return lower, upper, fn
+    s = scale if scale > 0 else 1.0
+
+    if lo_inf and hi_inf:
+        a, b = -1.0, 1.0
+
+        def substitute(t):
+            onemt2 = 1.0 - t * t
+            return center + s * t / onemt2, s * (1.0 + t * t) / (onemt2 * onemt2)
+
+    else:
+        a, b = 0.0, 1.0
+        anchor, sign = (lower, 1.0) if hi_inf else (upper, -1.0)
+
+        def substitute(t):
+            onemt = 1.0 - t
+            return anchor + sign * s * t / onemt, s / (onemt * onemt)
+
+    def g(t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, w = substitute(np.asarray(t, dtype=float))
+        fx = np.asarray(fn(x), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(fx == 0.0, 0.0, fx * w)
+
+    return a, b, g
+
+
+def _reference_integrate(fn, lower, upper, cfg, center, scale):
+    """The integrator with no precomputed first pass, one ``_panel`` call per panel."""
+    a, b, g = _reference_transform(fn, lower, upper, center, scale)
+    edges = np.linspace(a, b, 17).tolist()
+    heap = []
+    total = 0.0
+    err_total = 0.0
+    for seq, (left, right) in enumerate(zip(edges, edges[1:])):
+        v, e = _panel(g, left, right)
+        total += v
+        err_total += e
+        heapq.heappush(heap, (-e, seq, left, right, v, e))
+    seq = len(heap)
+    evals = 240
+    splits = 0
+    while err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        if evals + 30 > cfg.max_evaluations:
+            raise QuadratureBudgetError(total, err_total, evals)
+        _, _, left, right, v, e = heapq.heappop(heap)
+        mid = 0.5 * (left + right)
+        (v1, e1), (v2, e2) = _panel(g, left, mid), _panel(g, mid, right)
+        evals += 30
+        total += v1 + v2 - v
+        err_total += e1 + e2 - e
+        heapq.heappush(heap, (-e1, seq, left, mid, v1, e1))
+        seq += 1
+        heapq.heappush(heap, (-e2, seq, mid, right, v2, e2))
+        seq += 1
+        splits += 1
+        if splits % 64 == 0:
+            total = math.fsum(item[4] for item in heap)
+            err_total = math.fsum(item[5] for item in heap)
+    return total, err_total, evals
 
 
 def test_rule_weights_sum_to_interval_length():
@@ -193,5 +262,122 @@ def test_non_finite_tolerance_rejected(field, value):
 
 
 def test_bad_interval():
-    with pytest.raises(ValueError):
-        integrate(np.sin, 1.0, 1.0)
+    # NaN compares false, so requiring lower < upper rejects it too.
+    for lower, upper in [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan),
+                         (math.nan, math.nan), (math.inf, math.inf)]:
+        with pytest.raises(ValueError, match="bad integration interval"):
+            integrate(np.sin, lower, upper)
+
+
+@pytest.mark.parametrize("hints", [{"center": math.inf}, {"center": -math.inf},
+                                   {"center": math.nan}, {"scale": math.inf},
+                                   {"scale": math.nan}])
+def test_hints_must_be_finite(hints):
+    with pytest.raises(ValueError, match="hints must be finite"):
+        integrate(lambda x: np.exp(-x * x), -math.inf, math.inf, **hints)
+
+
+def test_precomputed_first_pass_is_read_only():
+    for first in (_WHOLE_LINE, _HALF_LINE):
+        assert len(first.edges) == 17 and len(first.half) == 16
+        for arr in first.factors:
+            assert arr.shape == (240,) and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, 2.0), (-math.inf, math.inf), (0.0, math.inf),
+                                          (-math.inf, 0.0)])
+def test_integrand_may_write_its_argument(lower, upper):
+    # The shared first-pass arrays never reach the integrand itself.
+    def fn(x):
+        x *= x
+        return np.exp(-x)
+
+    want = integrate(lambda x: np.exp(-x * x), lower, upper)
+    assert integrate(fn, lower, upper) == want
+    assert integrate(fn, lower, upper) == want
+
+
+_BITS_SHAPES = {
+    "bump": lambda u: np.exp(-0.5 * u * u),
+    "kink": lambda u: np.exp(-np.abs(u)),
+    "cauchy": lambda u: 1.0 / (1.0 + u * u),
+}
+
+
+@st.composite
+def _problems(draw):
+    """An interval, finite hints, and an integrand whose mass lies where the hints point."""
+    kind = draw(st.sampled_from(["finite", "whole", "right", "left"]))
+    a = draw(st.floats(-1e3, 1e3))
+    center = draw(st.floats(-1e3, 1e3))
+    scale = draw(st.one_of(st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e),
+                           st.sampled_from([0.0, -1.0])))
+    if kind == "finite":
+        spread = 10.0 ** draw(st.floats(-3.0, 3.0))
+        interval, ref = (a, a + spread), a
+    else:
+        spread = scale if scale > 0 else 1.0
+        interval = {"whole": (-math.inf, math.inf), "right": (a, math.inf),
+                    "left": (-math.inf, a)}[kind]
+        ref = center if kind == "whole" else a
+    # Off the hints the first pass reads 0 everywhere and converges at once.
+    loc = ref + draw(st.floats(-3.0, 3.0)) * spread
+    width = spread * 10.0 ** draw(st.floats(-1.0, 1.0))
+    shape = _BITS_SHAPES[draw(st.sampled_from(sorted(_BITS_SHAPES)))]
+    return interval, center, scale, lambda x: shape((x - loc) / width)
+
+
+def _bits(value, abs_error, evaluations):
+    return float(value).hex(), float(abs_error).hex(), evaluations
+
+
+def _outcome(run):
+    """The result's bits, or a budget failure's, and the bits of every node the integrand saw."""
+    nodes = []
+    try:
+        out = _bits(*run(nodes))
+    except QuadratureBudgetError as exc:
+        out = ("budget", *_bits(exc.value, exc.abs_error, exc.evaluations))
+    return out, np.concatenate(nodes).tobytes()
+
+
+# The first pass of an infinite interval reads its t-nodes and their factors
+# from module constants; every result, budget failure included, and every
+# integrand node must keep the bits of computing them per call.  Small
+# tolerances and budgets force bisections and QuadratureBudgetError.
+@settings(max_examples=150, deadline=None)
+@given(
+    problem=_problems(),
+    abs_tol=st.floats(-14.0, -3.0).map(lambda e: 10.0 ** e),
+    rel_tol=st.floats(-14.0, -3.0).map(lambda e: 10.0 ** e),
+    budget=st.sampled_from([240, 300, 600, 3000]),
+)
+@example(problem=((-math.inf, math.inf), 0.0, 1.0, lambda x: np.exp(-np.abs(x - 0.3))),
+         abs_tol=1e-12, rel_tol=1e-12, budget=3000)
+@example(problem=((0.0, math.inf), 0.5, 2.0, lambda x: np.exp(-np.abs(x - 0.3))),
+         abs_tol=1e-12, rel_tol=1e-12, budget=300)
+@example(problem=((-math.inf, 2.0), -1.0, 0.0, lambda x: 1.0 / (1.0 + (x + 1.0) ** 2)),
+         abs_tol=1e-10, rel_tol=1e-10, budget=3000)
+@example(problem=((-2.0, 3.0), 0.0, 1.0, lambda x: np.exp(-0.5 * (x - 0.7) ** 2)),
+         abs_tol=1e-14, rel_tol=1e-14, budget=600)
+def test_integrate_is_bit_identical_to_the_reference(problem, abs_tol, rel_tol, budget):
+    (lower, upper), center, scale, fn = problem
+    cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol, max_evaluations=budget)
+
+    def recording(nodes):
+        def f(x):
+            nodes.append(np.array(x, dtype=float))
+            return fn(x)
+
+        return f
+
+    want = _outcome(lambda nodes: _reference_integrate(recording(nodes), lower, upper, cfg,
+                                                       center, scale))
+
+    def run(nodes):
+        res = integrate(recording(nodes), lower, upper, cfg, center=center, scale=scale)
+        return res.value, res.abs_error, res.evaluations
+
+    assert _outcome(run) == want
