@@ -11,14 +11,20 @@ measure computed by ``activation_measure``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import check_count
 from .densities import ScalarDensity
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses
-from .quadrature import MIN_EVALUATIONS, QuadratureBudgetError, QuadratureConfig, integrate
+from .quadrature import (
+    _DEFAULT_CONFIG,
+    MIN_EVALUATIONS,
+    QuadratureBudgetError,
+    QuadratureConfig,
+    integrate,
+)
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,8 @@ def _sqrt_product_integrand(f: ScalarDensity, g: ScalarDensity):
     def integrand(x):
         lf = np.asarray(f.logpdf(x), dtype=float)
         lg = np.asarray(g.logpdf(x), dtype=float)
-        dead = np.isneginf(lf) | np.isneginf(lg)
+        # fmin skips NaN, so (-inf, NaN) is dead too; np.minimum would give NaN there.
+        dead = np.fmin(lf, lg) == -math.inf
         s = np.where(dead, -math.inf, 0.5 * (lf + lg))
         return np.exp(s)
 
@@ -158,8 +165,7 @@ def expanded_bound(
     partial sum when the outer integral ran out, and NaN when an inner one
     did: a node without its inner affinity leaves no estimate.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
+    cfg = _DEFAULT_CONFIG if cfg is None else cfg
     m1 = em.marginal.density_at(hyp.theta1)
     m0 = em.marginal.density_at(hyp.theta0)
     outer_tol = 0.5 * cfg.abs_tol
@@ -174,7 +180,8 @@ def expanded_bound(
         remaining = cfg.max_evaluations - evals[1]
         if remaining < MIN_EVALUATIONS:
             raise QuadratureBudgetError(math.nan, math.inf, 0)
-        inner_cfg = replace(cfg, abs_tol=inner_tol, max_evaluations=remaining)
+        inner_cfg = QuadratureConfig(abs_tol=inner_tol, rel_tol=cfg.rel_tol,
+                                     max_evaluations=remaining)
         try:
             inner = conditional_affinity(em, hyp, t1, inner_cfg)
         except QuadratureBudgetError as exc:
@@ -194,14 +201,16 @@ def expanded_bound(
         c[live] = [inner_value(t1) for t1 in t1_values[nodes].tolist()]
         return w * c
 
+    outer_cfg = QuadratureConfig(abs_tol=outer_tol, rel_tol=cfg.rel_tol,
+                                 max_evaluations=cfg.max_evaluations)
     try:
-        res = _integrate_overlap(outer_integrand, m1, m0, replace(cfg, abs_tol=outer_tol))
+        res = _integrate_overlap(outer_integrand, m1, m0, outer_cfg)
     except QuadratureBudgetError as exc:
         raise QuadratureBudgetError(exc.value, exc.abs_error + inner_tol, sum(evals)) from None
     if res.evaluations == 0:
         return res  # disjoint supports: no integral, so no inner tolerance either
     err = res.abs_error_estimate + inner_tol
-    return replace(res, abs_error_estimate=err, evaluations=res.evaluations + evals[1])
+    return AffinityResult(res.value, res.raw_value, err, res.evaluations + evals[1])
 
 
 def activation_measure(

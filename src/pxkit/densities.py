@@ -79,7 +79,16 @@ class Interval:
         hi = min(self.upper, other.upper)
         if lo >= hi:
             return None
+        # max and min keep self's endpoint unless the other one is strictly
+        # inside, so equal endpoints here are self's own, signed zeros included.
+        if lo == self.lower and hi == self.upper:
+            return self
         return Interval(lo, hi)
+
+
+# The supports every normal, exponential and gamma density shares.
+_WHOLE_LINE = Interval(-math.inf, math.inf)
+_HALF_LINE = Interval(0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,10 @@ def normal_density(mean: float, sd: float) -> ScalarDensity:
         raise ValueError(f"standard deviation must be positive and finite, got {sd}")
     mean = float(mean)
     sd = float(sd)
-    log_norm = math.log(sd * _SQRT_2PI)
+    norm = sd * _SQRT_2PI
+    # Above sd of about 7.2e307 the product overflows; the sum of logs is
+    # taken only there, so every finite product keeps the bits of its log.
+    log_norm = math.log(norm) if norm < math.inf else math.log(sd) + math.log(_SQRT_2PI)
 
     def logpdf(x):
         # z and z * z overflow to inf only where the density underflows to 0 anyway.
@@ -135,7 +147,7 @@ def normal_density(mean: float, sd: float) -> ScalarDensity:
         return rng.normal(mean, sd, size=int(n))
 
     return ScalarDensity(
-        support=Interval(-math.inf, math.inf),
+        support=_WHOLE_LINE,
         logpdf=logpdf,
         sample=sample,
         center=mean,
@@ -162,7 +174,7 @@ def exponential_density(rate: float) -> ScalarDensity:
         return rng.exponential(1.0 / rate, size=int(n))
 
     return ScalarDensity(
-        support=Interval(0.0, math.inf),
+        support=_HALF_LINE,
         logpdf=logpdf,
         sample=sample,
         center=1.0 / rate,
@@ -189,7 +201,7 @@ def gamma_density(shape: float, scale: float) -> ScalarDensity:
         return rng.gamma(shape, scale, size=int(n))
 
     return ScalarDensity(
-        support=Interval(0.0, math.inf),
+        support=_HALF_LINE,
         logpdf=logpdf,
         sample=sample,
         center=shape * scale,

@@ -8,6 +8,8 @@ space so extreme observations cannot overflow.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -19,7 +21,8 @@ def decide(l1, l0) -> tuple[np.ndarray, np.ndarray]:
     """
     l1 = np.asarray(l1, dtype=float)
     l0 = np.asarray(l0, dtype=float)
-    if np.any(np.isneginf(l1) & np.isneginf(l0)):
+    # maximum propagates NaN, so (-inf, NaN) is not both-zero; np.fmax would say it is.
+    if np.any(np.maximum(l1, l0) == -math.inf):
         raise ValueError("observation has zero density under both hypotheses")
     log_ratio = 0.5 * (l1 - l0)
     return log_ratio > 0.0, log_ratio

@@ -22,8 +22,12 @@ so its 240 t-nodes and their t-only factors (1-t^2, 1+t^2, (1-t^2)^2, or
 1-t and (1-t)^2) are computed once at import; a call computes only the
 terms in (c, s), in the same order, so the bits equal computing every
 factor per call.  Finite intervals and bisection passes compute their
-nodes per pass.  Subdivision order is deterministic, so results are
-bit-identical across runs.
+nodes per pass.  A first pass that meets the tolerance is returned at once:
+the panel heap and the bisection pass are built only when a bisection
+starts.  Subdivision order is deterministic, so results are bit-identical
+across runs.  One ``np.errstate`` covers all passes of a call, so overflow
+and invalid operations print no numpy warning; a non-finite integrand value
+shows in the result instead.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ _WK = np.array([
     0.063092092629978553290700663189204,
     0.022935322010529224963732008058970,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
+_GAUSS_IDX = np.arange(1, 15, 2)  # where the Gauss nodes sit in _XK; _estimates slices 1::2
 _WG = np.array([
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
@@ -85,7 +89,8 @@ _WG = np.array([
 ])
 
 _EPS = float(np.finfo(float).eps)
-_TINY_RESABS = float(np.finfo(float).tiny) / (50.0 * _EPS)
+_ROUNDOFF = 50.0 * _EPS  # the smallest error a panel may report, relative to its |f| integral
+_TINY_RESABS = float(np.finfo(float).tiny) / _ROUNDOFF
 _INITIAL_PANELS = 16  # equal panels the interval is cut into before adaptive bisection
 # The first pass over the initial panels always runs, so no smaller budget can hold.
 MIN_EVALUATIONS = _INITIAL_PANELS * 15
@@ -141,21 +146,30 @@ def _estimates(fx, half) -> list[tuple[float, float]]:
 
     The rows are reduced with ``np.vecdot``, and the error heuristic runs on
     Python floats, so each panel's result is bit-identical to a one-panel call.
+    The Gauss values are copied to a contiguous array first: ``vecdot`` over
+    the strided view sums in another order and changes the bits.
     """
     fx = np.asarray(fx, dtype=float).reshape(-1, 15)
     resk = np.vecdot(fx, _WK)
-    resg = np.vecdot(np.ascontiguousarray(fx[:, _GAUSS_IDX]), _WG)
+    resg = np.vecdot(fx[:, 1::2].copy(), _WG)
     resabs = np.vecdot(np.abs(fx), _WK)
     resasc = np.vecdot(np.abs(fx - 0.5 * resk[:, None]), _WK)
     out = []
-    for k, g, rabs, rasc, h in zip(*(v.tolist() for v in (resk, resg, resabs, resasc)), half):
-        rabs *= abs(h)
-        rasc *= abs(h)
+    for k, g, rabs, rasc, h in zip(resk.tolist(), resg.tolist(), resabs.tolist(),
+                                   resasc.tolist(), half):
+        abs_h = abs(h)
+        rabs *= abs_h
+        rasc *= abs_h
         err = abs((k - g) * h)
+        # The two tests below are rasc * min(1.0, scaled) and
+        # max(floor, err) without the builtin calls, NaN included.
         if rasc != 0.0 and err != 0.0:
-            err = rasc * min(1.0, (200.0 * err / rasc) ** 1.5)
+            scaled = (200.0 * err / rasc) ** 1.5
+            err = rasc * scaled if scaled < 1.0 else rasc
         if rabs > _TINY_RESABS:
-            err = max(50.0 * _EPS * rabs, err)
+            floor = _ROUNDOFF * rabs
+            if not err > floor:
+                err = floor
         out.append((k * h, err))
     return out
 
@@ -233,13 +247,10 @@ def _transform(fn: Callable, lower: float, upper: float, center: float, scale: f
 
     # Near t = +-1 the substitution may overflow to an infinite node and
     # weight; where the integrand is 0, np.where drops the nan of 0 * inf.
-    # One errstate covers the pass, so the integrand's own overflow and
-    # invalid-operation warnings are silenced on an infinite interval too.
     def g(*factors):
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, w = substitute(*factors)
-            fx = np.asarray(fn(x), dtype=float)
-            return np.where(fx == 0.0, 0.0, fx * w)
+        x, w = substitute(*factors)
+        fx = np.asarray(fn(x), dtype=float)
+        return np.where(fx == 0.0, 0.0, fx * w)
 
     return first, g
 
@@ -274,41 +285,45 @@ def integrate(
     cfg = _DEFAULT_CONFIG if cfg is None else cfg
 
     first, g = _transform(fn, lower, upper, center, scale)
+    # One errstate for every pass: the substitution overflows near t = +-1,
+    # and a pass that holds inf makes inf - inf in its estimates.
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = _estimates(g(*first.factors), first.half)
+        total = 0.0
+        err_total = 0.0
+        for v, e in estimates:
+            total += v
+            err_total += e
+        evals = MIN_EVALUATIONS
+        heap = []  # built when the first bisection starts; a converged first pass needs none
+        splits = 0
+        while err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            if evals + 30 > cfg.max_evaluations:
+                raise QuadratureBudgetError(total, err_total, evals)
+            if not heap:
+                edges = first.edges
+                heap = [(-e, seq, left, right, v, e) for seq, (left, right, (v, e))
+                        in enumerate(zip(edges, edges[1:], estimates))]
+                heapq.heapify(heap)
+                seq = len(heap)
 
-    def bisection_pass(t):
-        return g(*first.factors_of(t))
+                def bisection_pass(t):
+                    return g(*first.factors_of(t))
 
-    estimates = _estimates(g(*first.factors), first.half)
-    total = 0.0
-    err_total = 0.0
-    for v, e in estimates:
-        total += v
-        err_total += e
-    edges = first.edges
-    heap = [(-e, seq, left, right, v, e)
-            for seq, (left, right, (v, e)) in enumerate(zip(edges, edges[1:], estimates))]
-    heapq.heapify(heap)
-    seq = len(heap)
-    evals = MIN_EVALUATIONS
-
-    splits = 0
-    while err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if evals + 30 > cfg.max_evaluations:
-            raise QuadratureBudgetError(total, err_total, evals)
-        neg_e, _, left, right, v, e = heapq.heappop(heap)
-        mid = 0.5 * (left + right)
-        (v1, e1), (v2, e2) = _panels(bisection_pass, (left, mid), (mid, right))
-        evals += 30
-        total += v1 + v2 - v
-        err_total += e1 + e2 - e
-        heapq.heappush(heap, (-e1, seq, left, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, right, v2, e2))
-        seq += 1
-        splits += 1
-        if splits % 64 == 0:
-            # Recompute sums to shed accumulated floating-point drift.
-            total = math.fsum(item[4] for item in heap)
-            err_total = math.fsum(item[5] for item in heap)
+            neg_e, _, left, right, v, e = heapq.heappop(heap)
+            mid = 0.5 * (left + right)
+            (v1, e1), (v2, e2) = _panels(bisection_pass, (left, mid), (mid, right))
+            evals += 30
+            total += v1 + v2 - v
+            err_total += e1 + e2 - e
+            heapq.heappush(heap, (-e1, seq, left, mid, v1, e1))
+            seq += 1
+            heapq.heappush(heap, (-e2, seq, mid, right, v2, e2))
+            seq += 1
+            splits += 1
+            if splits % 64 == 0:
+                # Recompute sums to shed accumulated floating-point drift.
+                total = math.fsum(item[4] for item in heap)
+                err_total = math.fsum(item[5] for item in heap)
 
     return QuadResult(value=float(total), abs_error=float(err_total), evaluations=evals)

@@ -1,6 +1,7 @@
 """Affinity values against closed forms, bound ordering, and the activation measure."""
 
 import importlib
+import itertools
 import math
 from dataclasses import replace
 
@@ -12,9 +13,11 @@ from pxkit import (
     AffinityResult,
     ConditionalFamily,
     ExpandedModel,
+    Interval,
     MarginalFamily,
     QuadratureBudgetError,
     QuadratureConfig,
+    ScalarDensity,
     SimpleHypotheses,
     activation_measure,
     affinity,
@@ -366,3 +369,25 @@ class TestBudget:
         assert err.value.evaluations == 300
         assert err.value.value == pytest.approx(0.5 * gaussian_affinity(0, 1, 1.0), abs=1e-12)
         assert 0 < err.value.abs_error < 1e-9
+
+
+# Every pair a log density may return: a point outside the support, overflow
+# and invalid values, signed zeros and finite values.
+_LOG_VALUES = [-math.inf, math.inf, math.nan, 0.0, -0.0, -3.0, 5.0]
+
+
+def test_dead_mask_keeps_the_bits_of_isneginf():
+    # A point is dead where either log density is -inf, also when the other
+    # is NaN: np.fmin gives -inf at (-inf, NaN), where np.minimum gives NaN.
+    lf, lg = (np.array(v) for v in zip(*itertools.product(_LOG_VALUES, repeat=2)))
+    module = importlib.import_module("pxkit.affinity")
+
+    def density(values):
+        return ScalarDensity(Interval(-math.inf, math.inf), lambda x: values, None)
+
+    with np.errstate(invalid="ignore"):
+        got = module._sqrt_product_integrand(density(lf), density(lg))(np.zeros(lf.size))
+        dead = np.isneginf(lf) | np.isneginf(lg)
+        want = np.exp(np.where(dead, -math.inf, 0.5 * (lf + lg)))
+    assert got.tobytes() == want.tobytes()
+    assert got[np.isneginf(lf) & np.isnan(lg)].tolist() == [0.0]

@@ -196,6 +196,18 @@ class TestExitCodes:
         assert "numerical failure" in err and "estimate" in err
         assert int(re.search(r"after (\d+) evaluations", err).group(1)) <= 240
 
+    @pytest.mark.parametrize("sigma, theta1", [("1e308", "1"), ("1e307", "1e307")])
+    def test_overflowing_weight_is_a_numerical_failure(self, sigma, theta1, tmp_path, capsys):
+        # The substitution's weight overflows where the density is still
+        # positive, so the integral is not finite; a numpy warning would be
+        # raised here as an error.
+        out = tmp_path / "r.json"
+        code = run_cli("affinity", "--model", "normal", "--sigma", sigma, "--theta0", "0",
+                       "--theta1", theta1, "--out", str(out))
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     def test_nested_budget_failure_logs_no_slot_value(self, tmp_path, capsys):
         code = run_cli(
             "r-measure", "--model", "variance-expansion", "--n", "2",

@@ -1,9 +1,12 @@
 """Density construction, evaluation, CSV loading and sampler correctness."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pxkit import (
@@ -283,3 +286,42 @@ def test_gamma_logpdf_matches_scipy(shape, scale):
     np.testing.assert_allclose(
         gamma_density(shape, scale).logpdf(x), stats.gamma.logpdf(x, shape, scale=scale), rtol=1e-13
     )
+
+
+_ENDPOINTS = [-math.inf, -2.0, -0.0, 0.0, 1.5, math.inf]
+
+
+def test_interval_intersection_keeps_the_endpoint_bits():
+    # An intersection equal to one side may be that side itself; it must
+    # still hold the endpoints, signed zeros included, that max and min give.
+    intervals = [Interval(lo, hi) for lo, hi in itertools.product(_ENDPOINTS, repeat=2) if lo < hi]
+    for a, b in itertools.product(intervals, repeat=2):
+        lo, hi = max(a.lower, b.lower), min(a.upper, b.upper)
+        got = a.intersect(b)
+        if lo >= hi:
+            assert got is None
+            continue
+        assert (math.copysign(1.0, got.lower), got.lower, got.upper) == (
+            math.copysign(1.0, lo), lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mean=st.floats(-1e3, 1e3),
+    sd=st.floats(-300.0, math.log10(7e307)).map(lambda e: 10.0 ** e),
+)
+@example(mean=0.0, sd=1e-300)
+@example(mean=0.0, sd=7e307)
+def test_normal_logpdf_keeps_its_bits(mean, sd):
+    x = np.array([0.0, mean, mean - 3.0 * sd, mean + 0.5 * sd, mean + 40.0 * sd])
+    with np.errstate(over="ignore"):
+        z = (x - mean) / sd
+        want = -0.5 * z * z - math.log(sd * math.sqrt(2.0 * math.pi))
+    assert normal_density(mean, sd).logpdf(x).tobytes() == want.tobytes()
+
+
+def test_normal_logpdf_at_the_largest_scales():
+    # sd * sqrt(2 pi) overflows above about 7.2e307; the log of the
+    # normalising constant, about 710.1 here, must not.
+    assert normal_density(0.0, 1e308).logpdf(0.0) == pytest.approx(
+        -(math.log(1e308) + 0.5 * math.log(2.0 * math.pi)), rel=1e-15)

@@ -1,5 +1,6 @@
 """The square-root density-ratio rule: ties, antisymmetry, degenerate collapse."""
 
+import itertools
 import math
 
 import numpy as np
@@ -104,3 +105,20 @@ class TestPsi:
         phi_reject, phi_ratio = phi_rule(t1, em.marginal)
         np.testing.assert_array_equal(psi_reject, phi_reject)
         np.testing.assert_allclose(psi_ratio, phi_ratio, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "l1, l0", itertools.product([-math.inf, math.inf, math.nan, 0.0, -0.0, -3.0, 5.0], repeat=2)
+)
+def test_zero_density_check_matches_isneginf(l1, l0):
+    # Only (-inf, -inf) has zero density under both hypotheses; a NaN beside
+    # -inf is not such a point, which np.fmax would make it.
+    if np.isneginf(l1) and np.isneginf(l0):
+        with pytest.raises(ValueError, match="zero density under both"):
+            decide([0.0, l1], [0.0, l0])
+        return
+    with np.errstate(invalid="ignore"):  # inf - inf
+        reject, log_ratio = decide([0.0, l1], [0.0, l0])
+        want = 0.5 * (np.array([0.0, l1]) - np.array([0.0, l0]))
+    assert log_ratio.tobytes() == want.tobytes()
+    assert reject.tolist() == [False, bool(want[1] > 0.0)]

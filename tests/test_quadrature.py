@@ -303,6 +303,9 @@ _BITS_SHAPES = {
     "bump": lambda u: np.exp(-0.5 * u * u),
     "kink": lambda u: np.exp(-np.abs(u)),
     "cauchy": lambda u: 1.0 / (1.0 + u * u),
+    "signed": lambda u: (1.0 - u * u) * np.exp(-0.5 * u * u),
+    # -0.0 left of the peak and NaN far right of it.
+    "holes": lambda u: np.where(u < -0.5, -0.0, np.where(u > 2.5, np.nan, np.exp(-0.5 * u * u))),
 }
 
 
