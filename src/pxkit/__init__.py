@@ -73,15 +73,10 @@ _LAZY = {
     **dict.fromkeys(
         (
             "AccuracyModel",
-            "Population",
             "PopulationSpec",
             "SchemeComparison",
             "Stratum",
-            "collect_proxy_responses",
             "compare_schemes",
-            "estimate_mean",
-            "filter_most_accurate",
-            "generate_population",
         ),
         "survey",
     ),

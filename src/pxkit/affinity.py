@@ -83,7 +83,9 @@ def _integrate_overlap(
     """Integral of ``integrand`` over the common support of f and g, clamped to [0, 1].
 
     Disjoint supports give exactly 0 with no evaluation.  The location and
-    scale hints of the infinite-interval substitution come from f and g.
+    scale hints of the infinite-interval substitution come from f and g.  A
+    value or error estimate that is not finite raises ValueError before the
+    clamp.
     """
     common = f.support.intersect(g.support)
     if common is None:
@@ -98,6 +100,10 @@ def _integrate_overlap(
         anchor = lo if math.isinf(hi) else hi
         scale = max(scale, abs(center - anchor))
     res = integrate(integrand, lo, hi, cfg, center=center, scale=scale)
+    if not (math.isfinite(res.value) and math.isfinite(res.abs_error)):
+        raise ValueError(
+            f"integral is not finite: {res.value} +/- {res.abs_error} after {res.evaluations} evaluations"
+        )
     return AffinityResult(
         value=min(1.0, max(0.0, res.value)),
         raw_value=res.value,

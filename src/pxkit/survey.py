@@ -12,21 +12,12 @@ Three estimators of the population mean are compared: the naive mean over
 respondents only, the augmented post-stratified mean, and a simple random
 sample benchmark.
 
-A `Population` is a set of contiguous read-only columns (values, stratum
-bounds, respondents, pairing); the stages read those columns and slice
-strata at their bounds.  Proxy reports are a `REPORT_DTYPE` record array.
-
-The stages that draw (`generate_population`, `collect_proxy_responses` and
-the srs_oracle scheme of `estimate_mean`) take a `numpy.random.Generator`
-and advance it, as the density samplers do.
-
-`compare_schemes` does not call the stages.  It runs its replications in
+`compare_schemes` runs the whole pipeline.  It runs its replications in
 chunks of about `_CHUNK` population units: only the draws run once per
-replication, each from the generator the stage would get, and pairing,
-report scoring, the quantile cut, the true mean and the three estimators
-are array passes over the whole chunk.  Each of those rules is written once
-in this module, and the stages apply the same rules to one replication, so
-a replication's errors have the same bits either way and whatever the
+replication, each from one of the replication's three generators, and
+pairing, report scoring, the quantile cut, the true mean and the three
+estimators are array passes over the whole chunk.  Each of those rules is
+written once, so a replication's errors have the same bits whatever the
 chunk size.
 """
 
@@ -34,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -68,9 +58,7 @@ class PopulationSpec:
     """Strata, one attribute probability per stratum, and a seed.
 
     No library call reads ``seed``: `compare_schemes` derives every
-    replication's streams from its own seed, and a direct
-    `generate_population` call takes a generator, such as
-    ``densities.make_rng(spec.seed)``.
+    replication's streams from its own seed.
     """
 
     strata: tuple[Stratum, ...]
@@ -93,19 +81,6 @@ class PopulationSpec:
         return sum(s.size for s in self.strata)
 
 
-# One record per population unit, as `Population.units` lays it out: its
-# stratum (index into ``spec.strata``), true value, attribute flag and paired
-# unit (index, or -1 when unpaired).
-UNIT_DTYPE = np.dtype(
-    [("stratum", "i8"), ("value", "f8"), ("has_attribute", "?"), ("associate", "i8")]
-)
-# One record per proxy report: the reporting unit, the unit reported on,
-# the reported value and its accuracy score.
-REPORT_DTYPE = np.dtype(
-    [("respondent", "i8"), ("target", "i8"), ("reported_value", "f8"), ("accuracy_score", "f8")]
-)
-
-
 @dataclass(frozen=True)
 class AccuracyModel:
     """Probability of an exact proxy report and the noise scale otherwise."""
@@ -120,70 +95,19 @@ class AccuracyModel:
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
 
 
-def _mean(x: np.ndarray) -> float:
-    """``float(np.mean(x))`` for a nonempty float64 array, without its Python layers.
-
-    np.mean divides the same pairwise sum by the count, so the bits agree.
-    """
-    return float(x.sum()) / len(x)
-
-
 def _segment_means(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The `_mean` of each of the consecutive segments of ``x`` that ``counts`` lays out.
+    """The mean of each of the consecutive segments of ``x`` that ``counts`` lays out.
 
     Each segment is summed alone, on its own contiguous slice: numpy's
-    pairwise sum groups a segment's terms by its length only, so each mean
-    has the bits of `_mean` on that segment.  ``np.add.reduceat`` groups
-    them differently.  An empty segment's mean is 0.
+    pairwise sum groups a segment's terms by its length only, and np.mean
+    divides the same sum by the count, so each mean has the bits of
+    ``np.mean`` on that segment.  ``np.add.reduceat`` groups them
+    differently.  An empty segment's mean is 0.
     """
     counts = np.asarray(counts).ravel()
     ends = np.cumsum(counts).tolist()
     sums = [np.add.reduce(x[a:b]) for a, b in zip([0, *ends], ends)]
     return np.array(sums) / np.maximum(counts, 1)
-
-
-@dataclass(frozen=True, eq=False)
-class Population:
-    """A drawn population as read-only columns, units in stratum order.
-
-    - ``value``: float64, the true value of each unit.
-    - ``edges``: int64 stratum bounds, ``len(spec.strata) + 1`` of them from 0
-      to the population size; stratum k holds units ``edges[k]:edges[k + 1]``.
-    - ``respondents``: ascending int64 indices of the attribute holders.
-    - ``pair_respondents``, ``pair_targets``: the 1:1 pairing of holders with
-      non-holders of their own stratum, both ascending, stratum by stratum.
-    - ``pairing_shortfall``: holders left unpaired, by stratum label.
-    """
-
-    spec: PopulationSpec
-    value: np.ndarray
-    edges: np.ndarray
-    respondents: np.ndarray
-    pair_respondents: np.ndarray
-    pair_targets: np.ndarray
-    pairing_shortfall: dict[str, int]
-
-    @property
-    def true_mean(self) -> float:
-        return _mean(self.value)
-
-    @cached_property
-    def units(self) -> np.ndarray:
-        """The same population as a read-only `UNIT_DTYPE` record array, built on first access."""
-        units = np.empty(len(self.value), dtype=UNIT_DTYPE)
-        units["stratum"] = np.repeat(np.arange(len(self.edges) - 1), np.diff(self.edges))
-        units["value"] = self.value
-        units["has_attribute"] = False
-        units["has_attribute"][self.respondents] = True
-        units["associate"] = -1
-        units["associate"][self.pair_respondents] = self.pair_targets
-        units.flags.writeable = False
-        return units
-
-
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x.flags.writeable = False
-    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,39 +160,6 @@ class _Draws:
         return np.concatenate([positions[a : a + n] for a, n in zip(starts, self.pairs.ravel().tolist())])
 
 
-def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Population:
-    """Draw a stratified population with attribute flags and 1:1 pairings from ``rng``.
-
-    Within each stratum, attribute holders are paired with distinct
-    non-holders in unit order; holders beyond the number of available
-    non-holders stay unpaired and the per-stratum shortfall is recorded.
-    """
-    draws = _Draws.draw(spec, [rng])
-    (value,) = draws.value
-    return Population(
-        spec=spec,
-        value=_read_only(value),
-        edges=_read_only(np.array(draws.edges, dtype=np.int64)),
-        respondents=_read_only(draws.holding),
-        pair_respondents=_read_only(draws.paired(holding=True)),
-        pair_targets=_read_only(draws.paired(holding=False)),
-        pairing_shortfall={
-            s.label: int(h - p) for s, h, p in zip(spec.strata, draws.holders[0], draws.pairs[0])
-        },
-    )
-
-
-def _draw_reports(rng: np.random.Generator, acc: AccuracyModel, u: np.ndarray, noise: np.ndarray) -> None:
-    """Fill ``u`` and ``noise`` with one replication's report draws from ``rng``.
-
-    ``u`` gets the uniforms that decide exact reports, then ``noise`` the
-    normal noise; ``noise`` is left as it is when ``noise_sd`` is 0.
-    """
-    rng.random(out=u)
-    if acc.noise_sd > 0:
-        noise[:] = rng.normal(0.0, acc.noise_sd, len(noise))
-
-
 def _reports(target_value: np.ndarray, u: np.ndarray, noise: np.ndarray, acc: AccuracyModel):
     """Reported values and accuracy scores from the targets' values and the report draws.
 
@@ -279,29 +170,6 @@ def _reports(target_value: np.ndarray, u: np.ndarray, noise: np.ndarray, acc: Ac
     corruption = np.where(u < acc.p_accurate, 0.0, noise)
     decayed = np.exp(-np.abs(corruption) / acc.noise_sd) if acc.noise_sd > 0 else 1.0
     return target_value + corruption, np.where(corruption == 0.0, 1.0, decayed)
-
-
-def collect_proxy_responses(
-    pop: Population, acc: AccuracyModel, rng: np.random.Generator
-) -> np.ndarray:
-    """One proxy report per paired respondent for its associated unit, drawn from ``rng``.
-
-    Returns a `REPORT_DTYPE` array in respondent order.  A report is the
-    target's exact value with probability ``p_accurate``, otherwise the
-    value plus centered normal noise.  The accuracy score is 1 for exact
-    reports and decays exponentially in the absolute corruption (in
-    noise-sd units) otherwise.  With no paired respondent nothing is drawn.
-    """
-    n = len(pop.pair_respondents)
-    reports = np.empty(n, dtype=REPORT_DTYPE)
-    if n == 0:
-        return reports
-    u, noise = np.empty(n), np.zeros(n)
-    _draw_reports(rng, acc, u, noise)
-    reports["respondent"] = pop.pair_respondents
-    reports["target"] = pop.pair_targets
-    reports["reported_value"], reports["accuracy_score"] = _reports(pop.value[pop.pair_targets], u, noise, acc)
-    return reports
 
 
 def check_quantile(quantile: float) -> float:
@@ -343,24 +211,6 @@ def _cuts(x: np.ndarray, counts: np.ndarray, q: float) -> np.ndarray:
         return np.where(t < 0.5, a + (b - a) * t, b - (b - a) * (1 - t))
 
 
-def _linear_quantile(x: np.ndarray, q: float) -> float:
-    """``float(np.quantile(x, q))`` for a nonempty NaN-free float64 array and q in [0, 1]."""
-    return float(_cuts(x, [len(x)], q)[0])
-
-
-def filter_most_accurate(responses: np.ndarray, quantile: float) -> np.ndarray:
-    """Keep the top `quantile` share of proxy reports by accuracy score.
-
-    The cut is numpy's linear (1 - quantile) empirical quantile of the
-    scores; ties at the cut are kept, input order is preserved.
-    """
-    if len(responses) == 0:
-        raise ValueError("no responses to filter")
-    quantile = check_quantile(quantile)
-    scores = responses["accuracy_score"]
-    return responses[scores >= _linear_quantile(scores, 1.0 - quantile)]
-
-
 def _augmented(own, own_counts, reported, reported_counts, shares) -> np.ndarray:
     """The augmented post-stratified mean of each replication.
 
@@ -389,64 +239,15 @@ def _augmented(own, own_counts, reported, reported_counts, shares) -> np.ndarray
     return weighted / share_sum
 
 
-def _srs(rng: np.random.Generator, value: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` filled with a simple random sample of the values, drawn without replacement from ``rng``."""
-    return np.take(value, rng.choice(len(value), size=len(out), replace=False), out=out)
-
-
-def estimate_mean(
-    pop: Population,
-    responses: np.ndarray,
-    scheme: str,
-    srs_size: int = 0,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Population-mean estimate under one of the three schemes.
-
-    naive_attribute_only averages the respondents' own values; augmented
-    post-stratifies the pooled respondent self-reports and proxy reports
-    (`REPORT_DTYPE` array) using population stratum shares (renormalized
-    over covered strata); srs_oracle averages a simple random sample of the
-    whole population drawn from ``rng``, and raises ValueError without one.
-    The other two schemes do not read ``rng``.
-    """
-    if scheme == "naive_attribute_only":
-        if len(pop.respondents) == 0:
-            raise ValueError("no respondents: naive estimate undefined")
-        return _mean(pop.value[pop.respondents])
-
-    if scheme == "augmented":
-        # The stable sort groups the reports by their target's stratum and
-        # keeps report order within one.
-        target_strata = pop.edges.searchsorted(responses["target"], "right") - 1
-        order = target_strata.argsort(kind="stable")
-        sorted_strata = target_strata[order]
-        if len(order) and not 0 <= sorted_strata[0] <= sorted_strata[-1] < len(pop.spec.strata):
-            raise ValueError("a proxy report targets a unit outside the population")
-        total = len(pop.value)
-        return float(_augmented(
-            pop.value[pop.respondents],
-            np.diff(pop.respondents.searchsorted(pop.edges))[None],
-            responses["reported_value"][order],
-            np.diff(sorted_strata.searchsorted(np.arange(len(pop.edges))))[None],
-            [s.size / total for s in pop.spec.strata],
-        )[0])
-
-    if scheme == "srs_oracle":
-        srs_size = check_srs_size(srs_size, len(pop.value))
-        if rng is None:
-            raise ValueError("srs_oracle draws its sample from a generator; pass rng")
-        return _mean(_srs(rng, pop.value, np.empty(srs_size)))
-
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-
-
 @dataclass(frozen=True)
 class SchemeComparison:
     """Replicated end-to-end comparison of the three estimation schemes, as plain data.
 
     Each summary dict maps every scheme of `SCHEMES` to its value, in that
-    order.  The CLI decides how a comparison is written (`pxkit.cli`).
+    order.  ``pairing_shortfall`` maps each stratum label to the mean, over
+    the replications, of its attribute holders left unpaired because the
+    stratum ran out of non-holders; they make no proxy report.  The CLI
+    decides how a comparison is written (`pxkit.cli`).
     """
 
     replications: int
@@ -455,6 +256,7 @@ class SchemeComparison:
     rmse: dict[str, float]
     stderr_mean: dict[str, float]
     errors: dict[str, np.ndarray]
+    pairing_shortfall: dict[str, float]
 
 
 def check_replications(replications: int) -> int:
@@ -496,10 +298,8 @@ def compare_schemes(
     one).  `seeding.derive_keys` computes the Philox keys of about `_KEYS`
     replications, in whole chunks, in one pass.  Within a chunk only the
     draws run replication by replication; the rest are array passes over
-    the chunk.  Each error has the bits that `generate_population`,
-    `collect_proxy_responses`, `filter_most_accurate` and `estimate_mean`
-    give for its replication, and memory does not grow with
-    ``replications`` beyond the three error arrays.
+    the chunk.  The chunk size never changes an error's bits, and memory
+    does not grow with ``replications`` beyond the three error arrays.
     """
     check_population(spec)
     replications = check_replications(replications)
@@ -507,6 +307,7 @@ def compare_schemes(
     if srs_size is not None:
         srs_size = check_srs_size(srs_size, spec.total_size)
     errors = {s: np.empty(replications) for s in SCHEMES}
+    shortfall = np.zeros(len(spec.strata), dtype=np.int64)
     per_chunk = max(1, _CHUNK // spec.total_size)
     per_keys = per_chunk * max(1, _KEYS // per_chunk)
     for first in range(0, replications, per_keys):
@@ -519,6 +320,7 @@ def compare_schemes(
             # the allocator can reuse their memory rather than trim the heap
             # and fault the pages back in for every chunk.
             draws = _Draws.draw(spec, [rng_from_key(key) for key in chunk[:, 0]])
+            shortfall += (draws.holders - draws.pairs).sum(axis=0)
             done = slice(first + start, first + start + len(chunk))
             for scheme, scheme_errors in zip(SCHEMES, _replicate(draws, acc, quantile, srs_size, chunk)):
                 errors[scheme][done] = scheme_errors
@@ -529,6 +331,7 @@ def compare_schemes(
         rmse={s: _summary(_rms, a) for s, a in errors.items()},
         stderr_mean={s: _summary(_stderr, a) for s, a in errors.items()},
         errors=errors,
+        pairing_shortfall={s.label: n / replications for s, n in zip(spec.strata, shortfall.tolist())},
     )
 
 
@@ -543,7 +346,7 @@ def _replicate(draws: _Draws, acc, quantile, srs_size, keys) -> np.ndarray:
     sample = np.empty(sizes.sum())
     ends = np.cumsum(sizes).tolist()
     for value, key, a, b in zip(draws.value, keys[:, 2], [0, *ends], ends):
-        _srs(rng_from_key(key), value, sample[a:b])
+        np.take(value, rng_from_key(key).choice(len(value), size=b - a, replace=False), out=sample[a:b])
     truth = draws.value.sum(axis=1) / draws.edges[-1]
     return np.array([naive, augmented, _segment_means(sample, sizes)]) - truth
 
@@ -554,7 +357,11 @@ def _respondent_means(draws: _Draws, acc: AccuracyModel, quantile: float, keys: 
     u, noise = np.empty(n.sum()), np.zeros(n.sum())
     ends = np.cumsum(n).tolist()
     for key, a, b in zip(keys, [0, *ends], ends):
-        _draw_reports(rng_from_key(key), acc, u[a:b], noise[a:b])
+        # The uniforms that decide exact reports, then the noise, if any.
+        rng = rng_from_key(key)
+        rng.random(out=u[a:b])
+        if acc.noise_sd > 0:
+            noise[a:b] = rng.normal(0.0, acc.noise_sd, b - a)
     reported, score = _reports(draws.value.ravel()[draws.paired(holding=False)], u, noise, acc)
     kept = np.flatnonzero(score >= np.repeat(_cuts(score, n, 1.0 - quantile), n))
     # Reports come replication by replication and stratum by stratum.

@@ -81,6 +81,18 @@ class TestAffinityValues:
         res = affinity(normal_density(means[0], 1.0), normal_density(means[1], 1.0))
         assert (res.value, res.abs_error_estimate) == (0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [affinity, hellinger_sq, lambda f, g: product_affinity_iid(f, g, 3)],
+        ids=["affinity", "hellinger_sq", "product_affinity_iid"],
+    )
+    def test_non_finite_integral_raises(self, call):
+        # The substitution's weight overflows, so the integral reads inf +/- inf;
+        # clamped, it would pass for an affinity of 1 (the exact value is 0.8825).
+        f, g = normal_density(1e307, 1e307), normal_density(0.0, 1e307)
+        with pytest.raises(ValueError, match=r"not finite: inf \+/- inf after 240 evaluations"):
+            call(f, g)
+
     def test_symmetry(self):
         pairs = [
             (normal_density(0, 1), normal_density(2, 0.5)),

@@ -12,18 +12,16 @@ import pxkit
 # the submodules bound as package attributes (``affinity`` is the function).
 PUBLIC = [
     "AccuracyModel", "AffinityResult", "BoundCheck", "BoundComparison", "ConditionalFamily",
-    "ErrorProbEstimate", "ExpandedModel", "Interval", "MarginalFamily", "Population",
-    "PopulationSpec", "QuadResult", "QuadratureBudgetError",
-    "QuadratureConfig", "ScalarDensity", "SchemeComparison", "SimpleHypotheses", "Stratum",
-    "SweepTable", "activation_measure", "affinity", "check_bound",
-    "collect_proxy_responses", "compare_schemes", "conditional_affinity", "densities",
-    "derive_seed", "estimate_mean", "estimate_phi_errors", "estimate_psi_errors",
-    "expanded_bound", "exponential_density", "filter_most_accurate", "gamma_density",
-    "generate_population", "hellinger_sq", "integrate", "joint_logpdf", "kraft",
-    "load_tabulated_csv", "make_exponential_rate", "make_normal_location",
+    "ErrorProbEstimate", "ExpandedModel", "Interval", "MarginalFamily", "PopulationSpec",
+    "QuadResult", "QuadratureBudgetError", "QuadratureConfig", "ScalarDensity",
+    "SchemeComparison", "SimpleHypotheses", "Stratum", "SweepTable", "activation_measure",
+    "affinity", "check_bound", "compare_schemes", "conditional_affinity", "densities",
+    "derive_seed", "estimate_phi_errors", "estimate_psi_errors", "expanded_bound",
+    "exponential_density", "gamma_density", "hellinger_sq", "integrate", "joint_logpdf",
+    "kraft", "load_tabulated_csv", "make_exponential_rate", "make_normal_location",
     "make_normal_variance_expansion", "make_two_stage_normal", "marginal_bound", "models",
-    "montecarlo", "normal_density", "product_affinity_iid", "quadrature", "row_seed", "seeding",
-    "survey", "sweep", "tabulated_density",
+    "montecarlo", "normal_density", "product_affinity_iid", "quadrature", "row_seed",
+    "seeding", "survey", "sweep", "tabulated_density",
 ]
 SUBMODULES = {"densities", "kraft", "models", "montecarlo", "quadrature", "seeding", "survey"}
 

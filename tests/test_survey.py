@@ -1,6 +1,5 @@
 """Survey-augmentation pipeline: pairing, proxy quality, estimators, recovery."""
 
-import inspect
 import math
 import statistics
 import tracemalloc
@@ -12,21 +11,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pxkit import (
-    AccuracyModel,
-    PopulationSpec,
-    Stratum,
-    collect_proxy_responses,
-    compare_schemes,
-    derive_seed,
-    estimate_mean,
-    filter_most_accurate,
-    generate_population,
-)
+from pxkit import AccuracyModel, PopulationSpec, Stratum, compare_schemes, derive_seed
 from pxkit import survey
 from pxkit.cli import ExperimentConfig, apply_config_file
 from pxkit.densities import make_rng, rng_from_key
-from pxkit.survey import REPORT_DTYPE
 
 TWO_STRATA = PopulationSpec(
     strata=(Stratum("A", 100, 0.0, 1.0), Stratum("B", 100, 10.0, 1.0)),
@@ -34,12 +22,34 @@ TWO_STRATA = PopulationSpec(
     seed=7,
 )
 PERFECT = AccuracyModel(p_accurate=1.0, noise_sd=0.0)
-NO_REPORTS = np.empty(0, dtype=REPORT_DTYPE)
 
 
-def stratum_of(pop, units):
-    """Stratum index of each unit, read off the population's stratum bounds."""
-    return np.searchsorted(pop.edges, units, side="right") - 1
+def draw(spec, *seeds):
+    """One population per seed, drawn from ``make_rng(seed)`` as `compare_schemes` draws a replication's."""
+    return survey._Draws.draw(spec, [make_rng(s) for s in seeds])
+
+
+def stratum_of(draws, positions):
+    """Stratum index of each flat unit position, read off the stratum bounds."""
+    return np.searchsorted(draws.edges, positions % draws.edges[-1], side="right") - 1
+
+
+def reports(draws, acc, rng):
+    """The paired non-holders' positions, and the reported values and scores drawn from ``rng``.
+
+    The draws are those of one replication's report stream: uniforms, then
+    the noise when ``noise_sd`` is positive.
+    """
+    targets = draws.paired(holding=False)
+    u = rng.random(len(targets))
+    noise = rng.normal(0.0, acc.noise_sd, len(targets)) if acc.noise_sd > 0 else np.zeros(len(targets))
+    return (targets, *survey._reports(draws.value.ravel()[targets], u, noise, acc))
+
+
+def kept(scores, quantile):
+    """The mask of the proxy reports `compare_schemes` keeps: a score at or above the cut."""
+    scores = np.asarray(scores, dtype=float)
+    return scores >= survey._cuts(scores, [len(scores)], 1.0 - quantile)[0]
 
 
 class TestSpecValidation:
@@ -75,65 +85,57 @@ class TestSpecValidation:
 
 class TestGeneratePopulation:
     def test_respondent_counts_track_attribute_probabilities(self):
-        counts = {"A": [], "B": []}
-        for s in range(50):
-            pop = generate_population(TWO_STRATA, make_rng(s))
-            holders = stratum_of(pop, pop.respondents)
-            for k, label in enumerate(counts):
-                counts[label].append(np.count_nonzero(holders == k))
-        assert np.mean(counts["A"]) == pytest.approx(90, abs=2)
-        assert np.mean(counts["B"]) == pytest.approx(10, abs=2)
+        holders = draw(TWO_STRATA, *range(50)).holders
+        assert holders.mean(axis=0) == pytest.approx([90, 10], abs=2)
 
     def test_pairing_is_one_to_one_within_stratum(self):
-        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
-        paired, targets = pop.pair_respondents, pop.pair_targets
+        draws = draw(TWO_STRATA, TWO_STRATA.seed)
+        paired, targets = draws.paired(holding=True), draws.paired(holding=False)
         assert len(paired)
         assert len(np.unique(paired)) == len(paired) == len(targets)
-        assert np.all((0 <= targets) & (targets < len(pop.value)))
-        assert np.all(np.isin(paired, pop.respondents))
-        assert np.array_equal(stratum_of(pop, targets), stratum_of(pop, paired))
-        assert not np.any(np.isin(targets, pop.respondents))
+        assert np.all((0 <= targets) & (targets < TWO_STRATA.total_size))
+        assert np.all(np.isin(paired, draws.holding))
+        assert np.array_equal(stratum_of(draws, targets), stratum_of(draws, paired))
+        assert not np.any(np.isin(targets, draws.holding))
         assert len(np.unique(targets)) == len(targets)
 
     def test_shortfall_reported_not_fatal(self):
         spec = PopulationSpec((Stratum("A", 20, 0.0, 1.0),), (0.95,), seed=3)
-        pop = generate_population(spec, make_rng(spec.seed))
-        holders = len(pop.respondents)
-        expected = max(0, holders - (20 - holders))
-        assert pop.pairing_shortfall["A"] == expected
+        draws = draw(spec, *(derive_seed(3, rep, 0) for rep in range(10)))
+        holders = draws.holders[:, 0]
+        expected = np.maximum(0, holders - (20 - holders))
+        assert np.array_equal(holders - draws.pairs[:, 0], expected)
+        assert expected.all()
+        comp = compare_schemes(spec, PERFECT, 1.0, 10, seed=3)
+        assert comp.pairing_shortfall == {"A": expected.sum() / 10}
 
     def test_no_attribute_means_no_respondents(self):
         spec = replace(TWO_STRATA, attribute_prob=(0.0, 0.0))
-        pop = generate_population(spec, make_rng(spec.seed))
-        assert not len(pop.respondents)
-        with pytest.raises(ValueError):
-            estimate_mean(pop, NO_REPORTS, "naive_attribute_only")
-        with pytest.raises(ValueError):
-            estimate_mean(pop, NO_REPORTS, "augmented")
+        draws = draw(spec, spec.seed)
+        assert not len(draws.holding)
+        assert not draws.pairs.any()
+        with pytest.raises(ValueError, match="augmented"):
+            survey._augmented(np.empty(0), draws.holders, np.empty(0), draws.pairs, [0.5, 0.5])
+        with pytest.raises(ValueError, match="no respondents"):
+            compare_schemes(replace(spec, attribute_prob=(1e-300, 0.0)), PERFECT, 1.0, 10, seed=0)
 
     def test_determinism(self):
-        a = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
-        b = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
-        for name in ("value", "edges", "respondents", "pair_respondents", "pair_targets"):
+        a = draw(TWO_STRATA, TWO_STRATA.seed)
+        b = draw(TWO_STRATA, TWO_STRATA.seed)
+        assert a.edges == b.edges == [0, 100, 200]
+        for name in ("value", "has", "holding", "holders", "pairs"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert a.pairing_shortfall == b.pairing_shortfall
-
-    def test_columns_and_record_view_are_read_only(self):
-        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
-        columns = (pop.value, pop.edges, pop.respondents, pop.pair_respondents, pop.pair_targets)
-        assert not any(column.flags.writeable for column in columns)
-        assert not pop.units.flags.writeable
-        assert pop.units is pop.units
-        assert np.array_equal(pop.edges, [0, 100, 200])
+        for holding in (True, False):
+            assert np.array_equal(a.paired(holding), b.paired(holding))
 
 
 class TestProxyResponses:
     def test_perfect_information(self):
-        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
-        responses = collect_proxy_responses(pop, PERFECT, make_rng(1))
-        assert len(responses)
-        assert np.array_equal(responses["reported_value"], pop.value[responses["target"]])
-        assert np.all(responses["accuracy_score"] == 1.0)
+        draws = draw(TWO_STRATA, TWO_STRATA.seed)
+        targets, reported, score = reports(draws, PERFECT, make_rng(1))
+        assert len(targets)
+        assert np.array_equal(reported, draws.value.ravel()[targets])
+        assert np.all(score == 1.0)
 
     def test_fully_noisy_reports_match_folded_normal_mean(self):
         # E|N(0,1)| = sqrt(2/pi) =~ 0.7979.
@@ -143,23 +145,24 @@ class TestProxyResponses:
         acc = AccuracyModel(p_accurate=0.0, noise_sd=1.0)
         errs = []
         for s in range(60):
-            pop = generate_population(spec, make_rng(s))
-            r = collect_proxy_responses(pop, acc, make_rng(1000 + s))
-            errs.extend(np.abs(r["reported_value"] - pop.value[r["target"]]))
+            draws = draw(spec, s)
+            targets, reported, _ = reports(draws, acc, make_rng(1000 + s))
+            errs.extend(np.abs(reported - draws.value.ravel()[targets]))
         assert np.mean(errs) == pytest.approx(math.sqrt(2 / math.pi), abs=0.02)
 
     def test_unpaired_respondents_emit_nothing(self):
-        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
-        responses = collect_proxy_responses(pop, PERFECT, make_rng(2))
-        assert np.array_equal(responses["respondent"], pop.pair_respondents)
-        assert np.array_equal(responses["target"], pop.pair_targets)
+        # Stratum A has about 90 holders and 10 non-holders: one report per pair.
+        draws = draw(TWO_STRATA, TWO_STRATA.seed)
+        targets, reported, score = reports(draws, PERFECT, make_rng(2))
+        assert len(targets) == len(reported) == len(score) == draws.pairs.sum()
+        assert len(draws.paired(holding=True)) == draws.pairs.sum() < len(draws.holding)
 
     def test_determinism(self):
-        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
+        draws = draw(TWO_STRATA, TWO_STRATA.seed)
         acc = AccuracyModel(0.5, 2.0)
-        a = collect_proxy_responses(pop, acc, make_rng(9))
-        b = collect_proxy_responses(pop, acc, make_rng(9))
-        assert np.array_equal(a, b)
+        a = reports(draws, acc, make_rng(9))
+        b = reports(draws, acc, make_rng(9))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     @pytest.mark.parametrize("noise_sd", [math.nan, math.inf])
     def test_accuracy_model_rejects_non_finite_noise(self, noise_sd):
@@ -173,37 +176,27 @@ class TestProxyResponses:
             AccuracyModel(0.5, -1.0)
 
 
-def _resp(scores):
-    return np.array([(i, 100 + i, 0.0, s) for i, s in enumerate(scores)], dtype=REPORT_DTYPE)
-
-
 class TestFilter:
     def test_quantile_one_keeps_all(self):
-        rs = _resp([0.9, 0.1, 0.5])
-        assert np.array_equal(filter_most_accurate(rs, 1.0), rs)
+        assert kept([0.9, 0.1, 0.5], 1.0).all()
 
     def test_equal_scores_all_kept(self):
-        rs = _resp([0.7] * 5)
-        assert np.array_equal(filter_most_accurate(rs, 0.2), rs)
+        assert kept([0.7] * 5, 0.2).all()
 
     def test_half_quantile_cut(self):
-        rs = _resp([1.0, 1.0, 0.2, 0.1])
-        kept = filter_most_accurate(rs, 0.5)
-        assert np.array_equal(kept, rs[:2])
+        assert kept([1.0, 1.0, 0.2, 0.1], 0.5).tolist() == [True, True, False, False]
 
     def test_stable_order(self):
-        rs = _resp([0.5, 0.9, 0.5, 0.9])
-        kept = filter_most_accurate(rs, 0.5)
-        assert np.array_equal(kept["respondent"], [1, 3])
+        assert np.flatnonzero(kept([0.5, 0.9, 0.5, 0.9], 0.5)).tolist() == [1, 3]
 
-    def test_empty_input_raises(self):
-        with pytest.raises(ValueError):
-            filter_most_accurate(NO_REPORTS, 0.5)
-        with pytest.raises(ValueError):
-            filter_most_accurate(_resp([1.0]), 0.0)
+    def test_zero_quantile_raises(self):
+        with pytest.raises(ValueError, match="quantile"):
+            survey.check_quantile(0.0)
+        with pytest.raises(ValueError, match="quantile"):
+            compare_schemes(TWO_STRATA, PERFECT, 0.0, 10, seed=0)
 
 
-# Exact reports score 1 and noisy ones exp(-|z|), as collect_proxy_responses scores them.
+# Exact reports score 1 and noisy ones exp(-|z|), as `_reports` scores them.
 _ACCURACY_SCORES = st.lists(
     st.one_of(st.just(1.0), st.floats(-40.0, 40.0).map(lambda z: float(np.exp(-abs(z))))),
     min_size=1,
@@ -229,43 +222,23 @@ _QUANTILES = st.one_of(
 @example(scores=[0.4, 0.1, 0.3, 0.2], quantile=1e-300)
 @example(scores=[0.3], quantile=0.5)
 def test_cut_is_numpys_linear_quantile(scores, quantile):
-    rs = _resp(scores)
-    reference = float(np.quantile(rs["accuracy_score"], 1.0 - quantile))
-    assert survey._linear_quantile(rs["accuracy_score"], 1.0 - quantile) == reference
-    assert np.array_equal(filter_most_accurate(rs, quantile), rs[rs["accuracy_score"] >= reference])
+    scores = np.array(scores)
+    reference = float(np.quantile(scores, 1.0 - quantile))
+    assert survey._cuts(scores, [len(scores)], 1.0 - quantile).tolist() == [reference]
+    assert np.array_equal(kept(scores, quantile), scores >= reference)
 
 
 class TestEstimators:
     def test_srs_census_is_exact(self):
-        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
-        est = estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=len(pop.value), rng=make_rng(3))
-        assert est == pytest.approx(pop.true_mean, abs=1e-12)
-
-    @pytest.mark.parametrize("target", [-1, 200])
-    def test_report_on_a_unit_outside_the_population_rejected(self, target):
-        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
-        reports = _resp([1.0])
-        reports["target"] = target
-        with pytest.raises(ValueError, match="outside the population"):
-            estimate_mean(pop, reports, "augmented")
-
-    def test_unknown_scheme(self):
-        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
-        with pytest.raises(ValueError):
-            estimate_mean(pop, NO_REPORTS, "bootstrap")
+        comp = compare_schemes(TWO_STRATA, PERFECT, 1.0, 10, seed=3, srs_size=TWO_STRATA.total_size)
+        assert np.all(np.abs(comp.errors["srs_oracle"]) <= 1e-12)
 
     def test_two_strata_bias_pattern(self):
         # Mostly-stratum-A respondents drag the naive mean toward 0 while
         # post-stratified augmentation stays centered on the true mean 5.
-        naive, aug = [], []
-        for rep in range(300):
-            pop = generate_population(TWO_STRATA, make_rng(derive_seed(5, rep)))
-            responses = collect_proxy_responses(pop, PERFECT, make_rng(derive_seed(6, rep)))
-            naive.append(estimate_mean(pop, responses, "naive_attribute_only") - pop.true_mean)
-            aug.append(estimate_mean(pop, responses, "augmented") - pop.true_mean)
-        assert np.mean(naive) == pytest.approx(-4.0, abs=0.15)
-        aug_se = np.std(aug, ddof=1) / math.sqrt(len(aug))
-        assert abs(np.mean(aug)) < 2 * aug_se + 1e-9
+        comp = compare_schemes(TWO_STRATA, PERFECT, 1.0, 300, seed=5)
+        assert comp.mean_error["naive_attribute_only"] == pytest.approx(-4.0, abs=0.15)
+        assert abs(comp.mean_error["augmented"]) < 2 * comp.stderr_mean["augmented"] + 1e-9
 
 
 class TestCompareSchemes:
@@ -309,16 +282,14 @@ class TestCompareSchemes:
 
     def test_stratum_coverage(self):
         # With positive attribute probability everywhere, the augmented data
-        # should cover every stratum in at least 99% of replications.
-        covered = 0
+        # (respondents and the units they report on) should cover every
+        # stratum in at least 99% of replications.
         reps = 200
-        for rep in range(reps):
-            pop = generate_population(TWO_STRATA, make_rng(derive_seed(8, rep)))
-            responses = collect_proxy_responses(pop, PERFECT, make_rng(derive_seed(9, rep)))
-            strata_with_data = set(stratum_of(pop, pop.respondents).tolist())
-            strata_with_data |= set(stratum_of(pop, responses["target"]).tolist())
-            covered += strata_with_data == {0, 1}
-        assert covered / reps >= 0.99
+        draws = draw(TWO_STRATA, *(derive_seed(8, rep) for rep in range(reps)))
+        with_data = np.zeros((reps, len(TWO_STRATA.strata)), dtype=bool)
+        for positions in (draws.holding, draws.paired(holding=False)):
+            with_data[positions // TWO_STRATA.total_size, stratum_of(draws, positions)] = True
+        assert with_data.all(axis=1).mean() >= 0.99
 
     def test_each_stage_draws_from_its_derived_stream(self, monkeypatch):
         # Replication rep's population, reports and SRS draw come from
@@ -376,11 +347,6 @@ class TestCompareSchemes:
         built.clear()
         compare_schemes(TWO_STRATA, AccuracyModel(0.5, 1.0), 0.5, 10, seed=1)
         assert built == []
-
-    def test_srs_oracle_needs_a_generator(self):
-        pop = generate_population(TWO_STRATA, make_rng(TWO_STRATA.seed))
-        with pytest.raises(ValueError, match="generator"):
-            estimate_mean(pop, NO_REPORTS, "srs_oracle", srs_size=10)
 
     def test_large_finite_errors_give_finite_summaries(self):
         # Stratum A's values reach about 1e300, so squared errors overflow a double.
@@ -472,19 +438,16 @@ def test_naive_and_srs_errors_match_their_exact_oracles(seed):
     comp = compare_schemes(
         ORACLE_SPEC, PERFECT, 1.0, ORACLE_REPLICATIONS, seed, srs_size=ORACLE_SRS_SIZE
     )
-    pops = [
-        generate_population(ORACLE_SPEC, make_rng(derive_seed(seed, rep, 0)))
-        for rep in range(ORACLE_REPLICATIONS)
-    ]
-    naive = [survey._mean(p.value[p.respondents]) - survey._mean(p.value) for p in pops]
+    pops = draw(ORACLE_SPEC, *(derive_seed(seed, rep, 0) for rep in range(ORACLE_REPLICATIONS)))
+    naive = [float(np.mean(value[has])) - float(np.mean(value)) for value, has in zip(pops.value, pops.has)]
     assert comp.errors["naive_attribute_only"].tolist() == naive
 
     n, total = ORACLE_SRS_SIZE, ORACLE_SPEC.total_size
-    variance = np.array([(1 - n / total) * np.var(p.value, ddof=1) / n for p in pops])
+    variance = (1 - n / total) * np.var(pops.value, axis=1, ddof=1) / n
     squared = comp.errors["srs_oracle"] ** 2
     ratio = squared.mean() / variance.mean()
     # Delta-method standard error of a ratio of two means.
-    se = np.std(squared - ratio * variance, ddof=1) / (math.sqrt(len(pops)) * variance.mean())
+    se = np.std(squared - ratio * variance, ddof=1) / (math.sqrt(len(variance)) * variance.mean())
     assert abs(ratio - 1) < 4 * se, (ratio, se)
 
 def population_from_config(path):

@@ -2,8 +2,10 @@
 
 The reference below is the row-per-unit implementation: one `UNIT_DTYPE`
 record per unit, stratum masks in the augmented mean and ``np.mean``
-throughout.  The survey digest pins fix a few layouts; these property tests
-hold every drawn layout to the same bits.
+throughout.  `compare_schemes` keeps no record arrays, so the tests build
+each drawn population's record view from the chunk it was drawn in.  The
+survey digest pins fix a few layouts; these property tests hold every drawn
+layout to the same bits.
 """
 
 from contextlib import contextmanager
@@ -14,19 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pxkit import (
-    AccuracyModel,
-    PopulationSpec,
-    Stratum,
-    collect_proxy_responses,
-    compare_schemes,
-    derive_seed,
-    estimate_mean,
-    generate_population,
-)
+from pxkit import AccuracyModel, PopulationSpec, Stratum, compare_schemes, derive_seed
 from pxkit import survey
 from pxkit.densities import make_rng
-from pxkit.survey import REPORT_DTYPE, SCHEMES, UNIT_DTYPE
+from pxkit.survey import SCHEMES
+
+# One record per population unit: its stratum (index into ``spec.strata``),
+# true value, attribute flag and paired unit (index, or -1 when unpaired).
+UNIT_DTYPE = np.dtype(
+    [("stratum", "i8"), ("value", "f8"), ("has_attribute", "?"), ("associate", "i8")]
+)
+# One record per proxy report: the reporting unit, the unit reported on,
+# the reported value and its accuracy score.
+REPORT_DTYPE = np.dtype(
+    [("respondent", "i8"), ("target", "i8"), ("reported_value", "f8"), ("accuracy_score", "f8")]
+)
 
 
 def reference_generate(spec):
@@ -133,25 +137,37 @@ def recorded_draws():
         yield drawn
 
 
+def record_view(draws, row):
+    """Replication ``row`` of a chunk as a `UNIT_DTYPE` array, paired as the chunk pairs it.
+
+    Also returns the replication's pairing shortfall by stratum label.
+    """
+    size = draws.value.shape[1]
+    holding = draws.holding[draws.holding // size == row] - row * size
+    holders, targets = draws.paired(holding=True), draws.paired(holding=False)
+    mine = holders // size == row
+    units = np.empty(size, dtype=UNIT_DTYPE)
+    units["stratum"] = np.repeat(np.arange(len(draws.edges) - 1), np.diff(draws.edges))
+    units["value"] = draws.value[row]
+    units["has_attribute"] = False
+    units["has_attribute"][holding] = True
+    units["associate"] = -1
+    units["associate"][holders[mine] - row * size] = targets[mine] - row * size
+    short = draws.holders[row] - draws.pairs[row]
+    return units, {s.label: int(n) for s, n in zip(draws.spec.strata, short)}
+
+
 def drawn_populations(drawn):
-    """Each replication of the recorded chunks as a `Population`, paired as the chunk pairs it."""
+    """`record_view` of each replication of the recorded chunks."""
     for draws in drawn:
-        size = draws.value.shape[1]
-        holders, targets = draws.paired(holding=True), draws.paired(holding=False)
-        for row, value in enumerate(draws.value):
-            mine = holders // size == row
-            yield survey.Population(
-                spec=draws.spec,
-                value=value,
-                edges=np.array(draws.edges),
-                respondents=draws.holding[draws.holding // size == row] - row * size,
-                pair_respondents=holders[mine] - row * size,
-                pair_targets=targets[mine] - row * size,
-                pairing_shortfall={
-                    s.label: int(h - p)
-                    for s, h, p in zip(draws.spec.strata, draws.holders[row], draws.pairs[row])
-                },
-            )
+        for row in range(len(draws.value)):
+            yield record_view(draws, row)
+
+
+def mean_shortfall(spec, reference_drawn):
+    """Each stratum's reference shortfall, averaged over the replications."""
+    return {s.label: sum(shortfall[s.label] for _, shortfall in reference_drawn) / len(reference_drawn)
+            for s in spec.strata}
 
 
 _PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -180,18 +196,35 @@ accuracies = st.builds(AccuracyModel, _PROBS, st.one_of(st.just(0.0), st.floats(
     keep=st.floats(0.0, 1.0),
 )
 def test_augmented_mean_ignores_report_order(spec, acc, report_seed, shuffle_seed, keep):
-    pop = generate_population(spec, make_rng(spec.seed))
-    responses = collect_proxy_responses(pop, acc, make_rng(report_seed))
+    # Any subset of the reports, in any order: grouped by stratum, each
+    # stratum's reports in the order given, `_augmented` has the bits of the
+    # stratum masks of the reference.
+    units, _ = record_view(survey._Draws.draw(spec, [make_rng(spec.seed)]), 0)
+    responses = reference_collect(units, acc, report_seed)
     rng = np.random.default_rng(shuffle_seed)
     shuffled = responses[rng.permutation(len(responses))]
     subset = shuffled[rng.random(len(shuffled)) < keep]
+    strata = units["stratum"][subset["target"]]
+    order = strata.argsort(kind="stable")
+    own = units["has_attribute"]
+    k = len(spec.strata)
+
+    def augmented():
+        return float(survey._augmented(
+            units["value"][own],
+            np.bincount(units["stratum"][own], minlength=k)[None],
+            subset["reported_value"][order],
+            np.bincount(strata, minlength=k)[None],
+            [s.size / spec.total_size for s in spec.strata],
+        )[0])
+
     try:
-        expected = reference_augmented(pop.units, spec, subset)
+        expected = reference_augmented(units, spec, subset)
     except ValueError:
         with pytest.raises(ValueError):
-            estimate_mean(pop, subset, "augmented")
+            augmented()
     else:
-        assert estimate_mean(pop, subset, "augmented") == expected
+        assert augmented() == expected
 
 
 @settings(deadline=None)
@@ -216,21 +249,20 @@ def test_compare_schemes_equals_record_array_pipeline(spec, acc, quantile, seed,
         assert comp.errors[scheme].tobytes() == expected[scheme].tobytes()
     pops = list(drawn_populations(drawn))
     assert len(pops) == len(reference_drawn)
-    for pop, (units, shortfall) in zip(pops, reference_drawn):
-        assert np.array_equal(pop.units, units)
-        assert pop.pairing_shortfall == shortfall
+    for (units, shortfall), (expected_units, expected_shortfall) in zip(pops, reference_drawn):
+        assert np.array_equal(units, expected_units)
+        assert shortfall == expected_shortfall
+    assert comp.pairing_shortfall == mean_shortfall(spec, reference_drawn)
 
 
-def test_replications_never_build_the_record_view(monkeypatch):
-    # compare_schemes calls none of the stages: it builds no `Population`, so
-    # no record view, and no report record array.
+def test_replications_never_build_the_record_view():
+    # compare_schemes builds no record array: it draws each replication's
+    # population once, as a row of a chunk.
     spec = PopulationSpec(
         strata=(Stratum("A", 100, 0.0, 1.0), Stratum("B", 100, 10.0, 1.0)),
         attribute_prob=(0.9, 0.1),
         seed=7,
     )
-    for name in ("Population", "generate_population", "collect_proxy_responses", "filter_most_accurate"):
-        monkeypatch.setattr(survey, name, lambda *args, name=name: pytest.fail(f"called {name}"))
     with recorded_draws() as drawn:
         compare_schemes(spec, AccuracyModel(0.7, 1.0), 0.5, 10, seed=1)
     assert sum(len(draws.value) for draws in drawn) == 10
@@ -255,7 +287,7 @@ def test_chunk_boundaries_keep_the_bits(monkeypatch, replications, srs_size):
     monkeypatch.setattr(survey, "_CHUNK", REPS_PER_CHUNK * CHUNK_SPEC.total_size + 1)
     monkeypatch.setattr(survey, "_KEYS", 2 * REPS_PER_CHUNK)
     acc = AccuracyModel(0.6, 1.5)
-    expected, _ = reference_compare(CHUNK_SPEC, acc, 0.7, replications, 9, srs_size)
+    expected, reference_drawn = reference_compare(CHUNK_SPEC, acc, 0.7, replications, 9, srs_size)
     with recorded_draws() as drawn:
         comp = compare_schemes(CHUNK_SPEC, acc, 0.7, replications, 9, srs_size)
     sizes = [len(draws.value) for draws in drawn]
@@ -264,3 +296,4 @@ def test_chunk_boundaries_keep_the_bits(monkeypatch, replications, srs_size):
     )
     for scheme in SCHEMES:
         assert comp.errors[scheme].tobytes() == expected[scheme].tobytes()
+    assert comp.pairing_shortfall == mean_shortfall(CHUNK_SPEC, reference_drawn)
