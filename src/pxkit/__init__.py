@@ -10,8 +10,8 @@ from a non-representative respondent pool recover representative
 population information.
 
 ``import pxkit`` loads the quadrature, density, model and affinity layers.
-The ``montecarlo`` and ``survey`` layers (and ``kraft``, which only
-``montecarlo`` uses) load on first access to one of their names, so each
+The ``montecarlo`` and ``survey`` layers (and ``kraft`` and ``seeding``,
+which only they use) load on first access to one of their names, so each
 CLI subcommand loads only the layers it runs.
 """
 
@@ -49,7 +49,6 @@ from .models import (
     make_two_stage_normal,
 )
 from .quadrature import QuadratureBudgetError, QuadratureConfig, QuadResult, integrate
-from .seeding import derive_seed
 
 # Public name -> the submodule it is loaded from on first access; a
 # submodule's own name maps to itself.
@@ -69,6 +68,8 @@ _LAZY = {
         ),
         "montecarlo",
     ),
+    "seeding": "seeding",
+    "derive_seed": "seeding",
     "survey": "survey",
     **dict.fromkeys(
         (

@@ -2,14 +2,16 @@
 
 Subcommands: affinity, bound, r-measure, test, mc-sweep, survey, each
 named once in `_COMMANDS` with its runner, the model types it accepts, the
-config fields it takes as flags and its --plot-data projection.  Values
-come from defaults, then an INI config file (--config), then command-line
-flags, in increasing precedence.  A subcommand takes only the flags it
-reads, so any other flag is a usage error; a config file may set any
-field, since one file can describe an experiment that several subcommands
-share.  Results are written atomically and every
-results file gets a ``<name>.manifest.json`` recording the resolved
-configuration, seed, library versions and wall time.  Every file layout
+config fields it takes as flags and its --plot-data projection.  Each
+runner builds and checks the library inputs it reads before any
+computation, and `run` checks the run's files once, before the runner.
+Values come from defaults, then an INI config file (--config), then
+command-line flags, in increasing precedence.  A subcommand takes only the
+flags it reads, so any other flag is a usage error; a config file may set
+any field, since one file can describe an experiment that several
+subcommands share.  Results are written atomically and every results file
+gets a ``<name>.manifest.json`` recording the resolved configuration,
+seed, library versions and wall time.  Every file layout
 lives in this module: the rows of each results file, the --plot-data
 projections, the INI sections and the manifest's config record.  The
 library returns plain result objects and `reporting` renders records and
@@ -21,7 +23,8 @@ for the same inputs.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error (including
 model parameters, hypotheses, replicate counts or survey settings the
-library rejects, flags the subcommand or the chosen model does not read,
+library rejects, flags the subcommand or the chosen model does not read
+(such as --theta0 with the tabulated model, which reads no hypotheses),
 input files that cannot be read or parsed, and output paths that name a
 directory, lie under a regular file or would overwrite an input file).
 The PXKIT_OUT_DIR environment variable supplies the output directory when
@@ -37,7 +40,6 @@ import time
 from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .affinity import activation_measure, marginal_bound
@@ -88,7 +90,8 @@ def _build(config, make, *names, args=None):
 
 
 # Model name -> constructor and the config fields it reads.  "tabulated" has
-# no model object: affinity loads its two densities from the CSVs itself.
+# no model object: affinity loads its two densities from the CSVs itself, so
+# it is the one model that reads no hypotheses.
 _MODELS = {
     "normal": (make_normal_location, "sigma"),
     "exponential": (make_exponential_rate,),
@@ -221,7 +224,8 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
-_MODEL_FIELDS = {name for _, *names in _MODELS.values() for name in names}
+_HYPOTHESES = tuple(n for n, f in _FIELDS.items() if f.metadata["section"] == "hypotheses")
+_MODEL_FIELDS = {name for _, *names in _MODELS.values() for name in names} | set(_HYPOTHESES)
 _INI = {(f.metadata["section"], f.metadata.get("key", f.name)): f for f in _FIELDS.values()}
 _SECTIONS = {section for section, _ in _INI}
 
@@ -278,66 +282,49 @@ def _recorded(f, value, direction: int):
     return value if value is None or record is None else record[direction](value)
 
 
-def _inputs(config: ExperimentConfig) -> SimpleNamespace:
-    """Every library input object the command needs, built before any computation.
+# Each runner builds the library inputs it reads before any computation: the
+# quadrature settings, then the model and hypotheses, then the rest.  The
+# library constructors validate their arguments, so input they reject exits 2
+# as a configuration error, before numerical work could exit 1.
 
-    The library constructors validate their arguments, so input they reject
-    exits 2 as a configuration error, before numerical work could exit 1.
-    """
-    if config.command == "survey":
-        from .survey import (
-            AccuracyModel,
-            check_population,
-            check_quantile,
-            check_replications,
-            check_srs_size,
-        )
 
-        _build(config, check_population, "population")
-        size = config.srs_size
-        if size is not None:
-            args = (size, config.population.total_size)
-            size = _build(config, check_srs_size, "srs_size", args=args)
-        return SimpleNamespace(
-            accuracy=_build(config, AccuracyModel, "p_accurate", "noise_sd"),
-            quantile=_build(config, check_quantile, "quantile"),
-            replications=_build(config, check_replications, "replications"),
-            srs_size=size,
-        )
+def _quad(config: ExperimentConfig) -> QuadratureConfig:
+    """The quadrature settings of a model subcommand, once it names a model."""
     _require(config, "model")
-    quad = _build(config, QuadratureConfig, "abs_tol", "rel_tol", "max_evaluations")
-    if config.command == "affinity" and config.model == "tabulated":
-        densities = [_build(config, load_tabulated_csv, n) for n in ("csv_f", "csv_g")]
-        return SimpleNamespace(quad=quad, densities=densities)
+    return _build(config, QuadratureConfig, "abs_tol", "rel_tol", "max_evaluations")
+
+
+def _hypotheses(config: ExperimentConfig, sweeping: bool = False):
+    """The model, one `SimpleHypotheses` per alternative and the last one's densities.
+
+    The alternatives are ``theta1_list`` when ``sweeping``, else ``theta1``;
+    the densities are the marginal ones at its theta1 and at theta0.
+    Building them at every hypothesis checks the thetas against the
+    family's parameter space (the exponential rate is positive).
+    """
     make, *names = _MODELS.get(config.model, (None,))
     model = _build(config, make, *names) if make else None
     if not isinstance(model, _COMMANDS[config.command].accepts):
         raise ConfigError(f"model {config.model!r} is not supported by {config.command!r}")
-    sweeping = config.command == "mc-sweep"
     names = ("theta0", "theta1_list" if sweeping else "theta1")
     _require(config, *names)
-    alternatives = config.theta1_list if sweeping else (config.theta1,)
-    # Building the marginal densities at every hypothesis checks the thetas
-    # against the family's parameter space (the exponential rate is positive).
     marginal = model.marginal if isinstance(model, ExpandedModel) else model
-    for theta1 in alternatives:
-        hyp = _build(config, SimpleHypotheses, *names, args=(config.theta0, theta1))
+    hyps = []
+    for theta1 in config.theta1_list if sweeping else (config.theta1,):
+        hyps.append(_build(config, SimpleHypotheses, *names, args=(config.theta0, theta1)))
         densities = [
             _build(config, marginal.density_at, *names, args=(t,)) for t in (theta1, config.theta0)
         ]
-    replicates = None
-    if config.command in ("test", "mc-sweep"):
-        from .montecarlo import check_replicates
-
-        replicates = _build(config, check_replicates, "replicates")
-    return SimpleNamespace(
-        quad=quad, model=model, hyp=hyp, densities=densities, alternatives=alternatives,
-        replicates=replicates,
-    )
+    return model, hyps, densities
 
 
-def _cmd_affinity(config: ExperimentConfig, inp: SimpleNamespace):
-    res = compute_affinity(*inp.densities, inp.quad)
+def _cmd_affinity(config: ExperimentConfig):
+    quad = _quad(config)
+    if config.model == "tabulated":
+        densities = [_build(config, load_tabulated_csv, n) for n in ("csv_f", "csv_g")]
+    else:
+        densities = _hypotheses(config)[2]
+    res = compute_affinity(*densities, quad)
     return {
         "affinity": res.value,
         "raw_value": res.raw_value,
@@ -347,67 +334,79 @@ def _cmd_affinity(config: ExperimentConfig, inp: SimpleNamespace):
     }
 
 
-def _cmd_bound(config: ExperimentConfig, inp: SimpleNamespace):
-    if isinstance(inp.model, MarginalFamily):
-        res = marginal_bound(inp.model, inp.hyp, inp.quad)
+def _cmd_bound(config: ExperimentConfig):
+    quad = _quad(config)
+    model, [hyp], _ = _hypotheses(config)
+    if isinstance(model, MarginalFamily):
+        res = marginal_bound(model, hyp, quad)
         return {
             "bound": res.value,
             "abs_error_estimate": res.abs_error_estimate,
             "evaluations": res.evaluations,
         }
-    comp = activation_measure(inp.model, inp.hyp, inp.quad)
+    comp = activation_measure(model, hyp, quad)
     names = ("marginal_bound", "marginal_error", "expanded_bound", "expanded_error")
     return {name: getattr(comp, name) for name in names}
 
 
-def _cmd_r_measure(config: ExperimentConfig, inp: SimpleNamespace):
-    comp = activation_measure(inp.model, inp.hyp, inp.quad)
+def _cmd_r_measure(config: ExperimentConfig):
+    quad = _quad(config)
+    model, [hyp], _ = _hypotheses(config)
+    comp = activation_measure(model, hyp, quad)
     return {**asdict(comp), "hellinger_sq_gain": comp.hellinger_sq_gain}
 
 
-def _sweep(config: ExperimentConfig, inp: SimpleNamespace):
-    """The test kind ("phi" or "psi") and one mc-sweep row per alternative."""
-    from .montecarlo import sweep
+def _sweep(config: ExperimentConfig, sweeping: bool = False):
+    """The replicates, the test kind ("phi" or "psi") and one mc-sweep row per alternative."""
+    from .montecarlo import check_replicates, sweep
 
-    table = sweep(
-        inp.model, config.theta0, inp.alternatives, inp.replicates, config.seed, inp.quad
-    )
-    return table.kind, [
+    quad = _quad(config)
+    model, hyps, _ = _hypotheses(config, sweeping)
+    replicates = _build(config, check_replicates, "replicates")
+    alternatives = [hyp.theta1 for hyp in hyps]
+    table = sweep(model, config.theta0, alternatives, replicates, config.seed, quad)
+    return replicates, table.kind, [
         {"theta1": float(theta1), "alpha_hat": c.estimate.alpha_hat,
          "beta_hat": c.estimate.beta_hat, "half_width_alpha": c.estimate.half_width_alpha,
          "half_width_beta": c.estimate.half_width_beta, "bound": c.bound, "slack": c.slack,
          "satisfied": c.satisfied}
-        for theta1, c in zip(inp.alternatives, table.checks)
+        for theta1, c in zip(alternatives, table.checks)
     ]
 
 
-def _cmd_test(config: ExperimentConfig, inp: SimpleNamespace):
+def _cmd_test(config: ExperimentConfig):
     """A one-row mc-sweep, so both report the same numbers for the same theta1.
 
     The record puts the run's replicates and seed between the row's estimate
     (its first five fields) and its bound check.
     """
-    kind, [row] = _sweep(config, inp)
+    replicates, kind, [row] = _sweep(config)
     items = list(row.items())
     return {"test": kind, "theta0": float(config.theta0), **dict(items[:5]),
-            "replicates": inp.replicates, "seed": int(config.seed), **dict(items[5:])}
+            "replicates": replicates, "seed": int(config.seed), **dict(items[5:])}
 
 
-def _cmd_mc_sweep(config: ExperimentConfig, inp: SimpleNamespace):
-    return _sweep(config, inp)[1]
+def _cmd_mc_sweep(config: ExperimentConfig):
+    return _sweep(config, sweeping=True)[2]
 
 
-def _cmd_survey(config: ExperimentConfig, inp: SimpleNamespace):
+def _cmd_survey(config: ExperimentConfig):
     """One row per scheme, in `survey.SCHEMES` order."""
-    from .survey import SCHEMES, compare_schemes
+    from .survey import SCHEMES, AccuracyModel, check_population, check_quantile
+    from .survey import check_replications, check_srs_size, compare_schemes
 
+    _build(config, check_population, "population")
+    size = config.srs_size
+    if size is not None:
+        args = (size, config.population.total_size)
+        size = _build(config, check_srs_size, "srs_size", args=args)
     comp = compare_schemes(
         config.population,
-        inp.accuracy,
-        inp.quantile,
-        inp.replications,
+        _build(config, AccuracyModel, "p_accurate", "noise_sd"),
+        _build(config, check_quantile, "quantile"),
+        _build(config, check_replications, "replications"),
         config.seed,
-        srs_size=inp.srs_size,
+        srs_size=size,
     )
     return [
         {"scheme": s, "mean_error": comp.mean_error[s], "rmse": comp.rmse[s],
@@ -416,8 +415,8 @@ def _cmd_survey(config: ExperimentConfig, inp: SimpleNamespace):
     ]
 
 
-# A subcommand: its runner, (config, inputs) -> a record (dict) or a list of
-# row records; the model types it accepts; the config fields it takes as
+# A subcommand: its runner, config -> a record (dict) or a list of row
+# records; the model types it accepts; the config fields it takes as
 # flags, space-separated; and its --plot-data projection, a results row ->
 # the x/y(/series) row written for it, or None.
 _Command = namedtuple("_Command", "run accepts flags plot", defaults=(None,))
@@ -482,17 +481,21 @@ def _check_writable(out: Path, config: ExperimentConfig, config_file=None) -> No
             raise ConfigError(f"{name}: {ancestor} is not a directory")
 
 
-def run(config: ExperimentConfig) -> int:
-    """Execute one configured experiment; returns the process exit code."""
+def run(config: ExperimentConfig, config_file=None) -> int:
+    """Execute one configured experiment; returns the process exit code.
+
+    ``config_file`` is the INI file ``config`` was read from, if any: an
+    input, which no file of the run may replace.
+    """
     if config.format not in FORMATS:
         raise ConfigError(f"field 'format' must be csv or json, got {config.format!r}")
     command = _COMMANDS[config.command]
     if config.plot_data is not None and command.plot is None:
         raise ConfigError(f"field 'plot_data' is not supported for {config.command!r}")
     out = _out_path(config)
-    _check_writable(out, config)
+    _check_writable(out, config, config_file)
     started = time.perf_counter()
-    result = command.run(config, _inputs(config))
+    result = command.run(config)
     text = render_table(result, config.format)
     write_atomic(out, text)
     wall = time.perf_counter() - started
@@ -542,8 +545,8 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's values overridden by the flags given.
 
-    A model field given as a flag that the chosen model does not read is a
-    ConfigError; a config file may set any field.
+    A model or hypothesis field given as a flag that the chosen model does
+    not read is a ConfigError; a config file may set any field.
     """
     config = ExperimentConfig(command=args.command)
     if args.config:
@@ -552,7 +555,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     for name in given:
         setattr(config, name, getattr(args, name))
     if config.model in _MODELS:
-        read = _MODELS[config.model][1:]
+        make, *read = _MODELS[config.model]
+        if make:
+            read += _HYPOTHESES
         unread = [n for n in given if n in _MODEL_FIELDS and n not in read]
         if unread:
             flags = ", ".join("--" + n.replace("_", "-") for n in unread)
@@ -567,10 +572,7 @@ def main(argv=None) -> int:
     named = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
     args = build_parser(named).parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.config:  # an input too, which no file of the run may replace
-            _check_writable(_out_path(config), config, args.config)
-        return run(config)
+        return run(_config_from_args(args), args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -79,3 +79,19 @@ def test_cli_import_does_not_load_numpy_random():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_does_not_load_seeding():
+    # Only the montecarlo and survey layers derive seeds; affinity, bound and
+    # r-measure load neither, so `import pxkit.cli` must not load seeding either.
+    src = str(Path(pxkit.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import pxkit.cli\n"
+        "assert 'pxkit.seeding' not in sys.modules\n"
+        "import pxkit\n"
+        "assert pxkit.derive_seed is sys.modules['pxkit.seeding'].derive_seed\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
