@@ -53,11 +53,11 @@ class ConditionalFamily:
     with t1 elementwise and ``sample(len(t1), rng)`` draws one t2 per
     entry of t1.  The support must not depend on t1.
 
-    ``t1_free`` declares that the law of t2 does not depend on t1.  It only
-    limits which outer nodes of nonzero weight get an inner integral in
-    `expanded_bound`: the first one, whose conditional affinity then serves
-    every node.  It is a promise about the law that nothing checks: a wrong
-    True gives a wrong bound.
+    ``t1_free`` declares that the law of t2 does not depend on t1.  Then
+    `expanded_bound` is the marginal bound times one conditional affinity,
+    taken at one point of the marginals' common support, in place of an
+    iterated integral.  It is a promise about the law that nothing checks:
+    a wrong True gives a wrong bound.
     """
 
     density_at: Callable[[np.ndarray | float, float], ScalarDensity]

@@ -3,6 +3,9 @@
 import importlib
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -137,7 +140,43 @@ class TestHellinger:
         assert hellinger_sq(f, g) == 2.0
 
 
+@pytest.fixture
+def integrals(monkeypatch):
+    """The number of `integrate` calls the affinity module makes."""
+    module = importlib.import_module("pxkit.affinity")
+    original = module.integrate
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", counted)
+    return calls
+
+
 class TestMarginalBound:
+    def test_repeat_with_the_same_objects_runs_no_integral(self, integrals):
+        family, hyp, cfg = make_normal_location(1.0), SimpleHypotheses(0, 1), QuadratureConfig()
+        first = marginal_bound(family, hyp, cfg)
+        assert integrals[0] == 1
+        assert marginal_bound(family, hyp, cfg) is first
+        assert integrals[0] == 1
+
+    def test_equal_but_distinct_arguments_integrate_anew(self, integrals):
+        family, hyp = make_normal_location(1.0), SimpleHypotheses(0.0, 1)
+        first = marginal_bound(family, hyp)
+        others = [
+            (make_normal_location(1.0), hyp, None),
+            (family, SimpleHypotheses(-0.0, 1), None),
+            (family, SimpleHypotheses(0.0, 1), None),
+            (family, hyp, QuadratureConfig()),
+            (family, hyp, QuadratureConfig()),
+        ]
+        for i, args in enumerate(others, start=2):
+            assert marginal_bound(*args) == first
+            assert integrals[0] == i
+
     def test_normal(self):
         res = marginal_bound(make_normal_location(1.0), SimpleHypotheses(0, 1))
         assert res.value == pytest.approx(0.8824969025845955, abs=1e-9)
@@ -194,6 +233,16 @@ class TestExpandedBound:
         )
         assert expanded_bound(em, SimpleHypotheses(0, 5)) == AffinityResult(0.0, 0.0, 0.0, 0)
 
+    @pytest.mark.parametrize("t1_free", [False, True])
+    def test_zero_marginal_runs_no_conditional(self, t1_free):
+        # The marginal weight underflows to 0 at every node, so no t1 needs c.
+        def conditional_at(t1, theta):
+            raise AssertionError("no conditional is needed when the marginal weight is 0")
+
+        em = ExpandedModel(make_normal_location(1.0), ConditionalFamily(conditional_at, t1_free))
+        res = expanded_bound(em, SimpleHypotheses(0, 1000))
+        assert (res.value, res.raw_value, res.evaluations) == (0.0, 0.0, 240)
+
     def test_tiny_separation_stays_below_one(self):
         em = make_two_stage_normal(1, 1, 1.0)
         res = expanded_bound(em, SimpleHypotheses(0, 0.001))
@@ -201,30 +250,47 @@ class TestExpandedBound:
         assert res.raw_value < 1.0
 
 
-class TestT1FreeShortcut:
-    """One inner integral for a t1-free conditional, against the nested path."""
+_T1_FREE_CASES = pytest.mark.parametrize(
+    "em, cfg",
+    [
+        (make_two_stage_normal(1, 1, 1.0), None),
+        (make_two_stage_normal(1, 1, 1.0), QuadratureConfig(1e-12, 1e-12)),
+        (make_two_stage_normal(2, 3, 0.7), None),
+        (make_two_stage_normal(2, 3, 0.7), QuadratureConfig(1e-12, 1e-12)),
+        (make_normal_variance_expansion(2), None),
+        (make_normal_variance_expansion(8), None),
+        (make_normal_variance_expansion(8), QuadratureConfig(1e-12, 1e-12)),
+    ],
+    ids=["split_1_1", "split_1_1_tight", "split_2_3", "split_2_3_tight",
+         "variance_2", "variance_8", "variance_8_tight"],
+)
 
-    @pytest.mark.parametrize(
-        "em, cfg",
-        [
-            (make_two_stage_normal(1, 1, 1.0), None),
-            (make_two_stage_normal(1, 1, 1.0), QuadratureConfig(1e-12, 1e-12)),
-            (make_two_stage_normal(2, 3, 0.7), None),
-            (make_two_stage_normal(2, 3, 0.7), QuadratureConfig(1e-12, 1e-12)),
-            (make_normal_variance_expansion(2), None),
-            (make_normal_variance_expansion(8), None),
-            (make_normal_variance_expansion(8), QuadratureConfig(1e-12, 1e-12)),
-        ],
-        ids=["split_1_1", "split_1_1_tight", "split_2_3", "split_2_3_tight",
-             "variance_2", "variance_8", "variance_8_tight"],
-    )
-    def test_same_bytes_as_nested_path(self, em, cfg):
+
+class TestT1FreeShortcut:
+    """A t1-free expanded bound is the marginal bound times one conditional affinity."""
+
+    @_T1_FREE_CASES
+    def test_product_of_marginal_and_conditional(self, em, cfg):
+        hyp = SimpleHypotheses(0, 1)
+        got = expanded_bound(em, hyp, cfg)
+        full = QuadratureConfig() if cfg is None else cfg
+        inner_tol = 0.5 * full.abs_tol / 10.0
+        # Integrated afresh, not through marginal_bound's kept result; any t1 serves.
+        mb = affinity(em.marginal.density_at(hyp.theta1), em.marginal.density_at(hyp.theta0), cfg)
+        c = conditional_affinity(em, hyp, -2.5, QuadratureConfig(inner_tol, full.rel_tol))
+        assert got.raw_value == mb.raw_value * c.raw_value
+        assert got.abs_error_estimate == abs(c.raw_value) * mb.abs_error_estimate + inner_tol
+        assert got.evaluations == mb.evaluations + c.evaluations
+
+    @_T1_FREE_CASES
+    def test_agrees_with_nested_path(self, em, cfg):
         nested = replace(em, conditional=replace(em.conditional, t1_free=False))
         hyp = SimpleHypotheses(0, 1)
-        shortcut, full = expanded_bound(em, hyp, cfg), expanded_bound(nested, hyp, cfg)
-        assert shortcut.raw_value == full.raw_value
-        assert shortcut.abs_error_estimate == full.abs_error_estimate
-        assert shortcut.evaluations < full.evaluations
+        product, full = expanded_bound(em, hyp, cfg), expanded_bound(nested, hyp, cfg)
+        assert abs(product.raw_value - full.raw_value) <= (
+            product.abs_error_estimate + full.abs_error_estimate
+        )
+        assert product.evaluations < full.evaluations
 
     @pytest.mark.parametrize(
         "em", [make_two_stage_normal(2, 3, 0.7), make_normal_variance_expansion(3)],
@@ -281,6 +347,17 @@ class TestActivationMeasure:
             comp = activation_measure(em, hyp)
             assert abs(comp.r_measure) <= 2e-9
             assert not comp.strict
+
+    def test_t1_free_runs_two_integrals(self, integrals):
+        # The marginal once for both bounds, then the one conditional affinity.
+        activation_measure(make_two_stage_normal(1, 1, 1.0), SimpleHypotheses(0, 1))
+        assert integrals[0] == 2
+
+    def test_t1_dependent_keeps_its_nested_integrals(self, integrals):
+        # The marginal, the outer integral and one inner integral per live outer node.
+        comp = activation_measure(T1_DEPENDENT, SimpleHypotheses(0, 1))
+        assert integrals[0] == 234
+        assert comp.expanded_bound == 0.7788007830714051
 
     def test_r_measure_is_bound_difference(self):
         comp = activation_measure(make_two_stage_normal(2, 1, 1.0), SimpleHypotheses(0, 0.7))
@@ -381,6 +458,36 @@ class TestBudget:
         assert err.value.evaluations == 300
         assert err.value.value == pytest.approx(0.5 * gaussian_affinity(0, 1, 1.0), abs=1e-12)
         assert 0 < err.value.abs_error < 1e-9
+
+
+def test_concurrent_activations_match_sequential():
+    # Two threads share marginal_bound's kept result; each must still get its
+    # own model's bounds.  The barrier starts each pair of calls together, and
+    # a short switch interval interleaves them within the calls.
+    jobs = [
+        (make_two_stage_normal(2, 3, 0.7), SimpleHypotheses(0, 1)),
+        (make_normal_variance_expansion(4), SimpleHypotheses(-0.5, 1.5)),
+    ]
+    want = [activation_measure(em, hyp) for em, hyp in jobs]
+    barrier = threading.Barrier(len(jobs), timeout=60)
+
+    def repeat(em, hyp):
+        out = []
+        for _ in range(100):
+            barrier.wait()
+            out.append(activation_measure(em, hyp))
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(repeat, em, hyp) for em, hyp in jobs]
+            got = [run.result() for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for results, expected in zip(got, want):
+        assert results == [expected] * 100
 
 
 # Every pair a log density may return: a point outside the support, overflow

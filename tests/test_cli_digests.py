@@ -54,21 +54,21 @@ RUNS = {
     ),
     "r-measure": (
         ["r-measure", *TWO_STAGE, "--theta0", "0", "--theta1", "1"],
-        {"r_measure.json": "ceba993eae583a8e6676cca2395b0119a216090c2df26a03504c653344da970e"},
+        {"r_measure.json": "c5e2bc82317b7e6f48c0a8f2ec91a32c63ae7a5d537465750d8d1d5288be2291"},
     ),
     "test": (
         ["test", *TWO_STAGE, "--theta0", "0", "--theta1", "1", "--replicates", "100000",
          "--seed", "42"],
-        {"test.json": "d0c5e146bbe90222e8235e0ebbf967ceaa087101e12f315189cc3e671f72f6b8"},
+        {"test.json": "2e9d3de78913085c5e3978acd93bde20479495e1780509332944df7f4a909c99"},
     ),
     "r-measure-csv": (
         ["r-measure", *TWO_STAGE, "--theta0", "0", "--theta1", "1", "--format", "csv"],
-        {"r_measure.csv": "888fb8decd495169f22b40efdcc93f57e732157dce9ec15fed39e57f8e358444"},
+        {"r_measure.csv": "d5ba6158a06cb8996e742ae2b062866921a2d78cc2a85a386346df67cf1fd469"},
     ),
     "test-csv": (
         ["test", *TWO_STAGE, "--theta0", "0", "--theta1", "1", "--replicates", "100000",
          "--seed", "42", "--format", "csv"],
-        {"test.csv": "81ed37e54dbab9e300cfbba9313868907320299372d2ddb386690e117bb8a24c"},
+        {"test.csv": "a386ad8fb9190982440bcbff7c2e373de7ac6938a2821f13d4c5d393e385d90c"},
     ),
     "mc-sweep": (
         [*SWEEP, "--format", "csv", "--out", "sweep.csv"],
@@ -95,7 +95,7 @@ RUNS = {
     "mc-sweep-psi-json": (
         ["mc-sweep", *TWO_STAGE, "--theta0", "0", "--theta1-list", "0.5,1", "--replicates",
          "100000", "--seed", "42", "--out", "sweep_psi.json"],
-        {"sweep_psi.json": "957ab5590f359283cd3364dc835bd6f87ec16c140a32a45ca16192569b48f61d"},
+        {"sweep_psi.json": "bac2c430729554fabf3e8791287e5cc250139dc8eaa2502ba0f3130d9e68b6ac"},
     ),
     "test-phi-csv": (
         ["test", "--model", "normal", "--sigma", "1", "--theta0", "0", "--theta1", "1",
@@ -104,7 +104,7 @@ RUNS = {
     ),
     "bound-expanded": (
         ["bound", *TWO_STAGE, "--theta0", "0", "--theta1", "1"],
-        {"bound.json": "8d31e7520eb77a2051ae854494ce21851c325b43dd28ee0a7af4d533a2e13475"},
+        {"bound.json": "df40e2030caf010dbb61557497bc57f4457d62d2b84c7e73d11005a5e5289c18"},
     ),
 }
 
