@@ -8,8 +8,10 @@ so the generator's state fully determines the draw, and consecutive calls
 on one generator continue its stream (``n = a`` then ``n = b`` gives the
 same values as one call with ``n = a + b``).  `make_rng` builds the
 generator from an integer seed; `rng_from_key` builds the same generator
-from the Philox key that `seeding.derive_keys` computed for that seed.  No
-other pxkit module constructs a Philox generator.  A density may also hold
+from the Philox key that `seeding.derive_keys` computed for that seed, and
+`rekey` sets an existing Philox generator to the state `rng_from_key` starts
+in, so that one generator can serve many streams in turn.  No other pxkit
+module constructs a Philox generator.  A density may also hold
 one law per entry of a parameter array (a conditional family at an array of
 t1): ``logpdf`` then pairs its argument with those entries elementwise and
 ``sample`` draws one value per entry.
@@ -37,8 +39,33 @@ def rng_from_key(key: np.ndarray) -> np.random.Generator:
     """The generator `make_rng` builds, from its Philox key (a row of `seeding.derive_keys`).
 
     Its state and draws equal ``make_rng``'s; no `SeedSequence` is built.
+    `rekey` puts a generator this function built back in this state for
+    another key, without building a new one.
     """
     return np.random.Generator(np.random.Philox(_key_sequence()(key)))
+
+
+def rekey(rng: np.random.Generator, key) -> np.random.Generator:
+    """Set the Philox generator ``rng`` to the state ``rng_from_key(key)`` starts in; return it.
+
+    ``key`` is two integers in [0, 2**64), such as a row of
+    `seeding.derive_keys` as a list.  The whole state is set: counter,
+    key, the buffer of the last block and its position, and the spare
+    32-bit half (``has_uint32``, ``uinteger``), so no draw made before
+    reaches a draw made after.  A list of Python ints is set about twice as
+    fast as a uint64 array.
+    """
+    # A new Philox generator's buffer is spent (position 4 of 4), so its
+    # first draw computes the block at counter 0.
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @cache

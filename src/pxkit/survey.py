@@ -14,11 +14,15 @@ sample benchmark.
 
 `compare_schemes` runs the whole pipeline.  It runs its replications in
 chunks of about `_CHUNK` population units: only the draws run once per
-replication, each from one of the replication's three generators, and
+replication, each from one of the replication's three streams, and
 pairing, report scoring, the quantile cut, the true mean and the three
 estimators are array passes over the whole chunk.  Each of those rules is
 written once, so a replication's errors have the same bits whatever the
-chunk size.
+chunk size.  A call builds one Philox generator and re-keys it
+(`densities.rekey`) before each stream's draws: no stage interleaves two
+streams, so each stream's draws are those of the generator
+``make_rng(derive_seed(seed, rep, key))``, though no such generator is
+built.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._checks import check_count
-from .densities import rng_from_key
+from .densities import rekey, rng_from_key
 from .seeding import derive_keys
 
 SCHEMES = ("naive_attribute_only", "augmented", "srs_oracle")
@@ -131,8 +135,12 @@ class _Draws:
     pairs: np.ndarray
 
     @classmethod
-    def draw(cls, spec: PopulationSpec, rngs: list[np.random.Generator]) -> "_Draws":
-        """One population per generator: stratum by stratum, its values, then its attribute draws."""
+    def draw(cls, spec: PopulationSpec, rngs) -> "_Draws":
+        """One population per generator: stratum by stratum, its values, then its attribute draws.
+
+        ``rngs`` is a list of generators, or `_Streams`, which re-keys one
+        generator before each population's draws.
+        """
         edges = list(accumulate((s.size for s in spec.strata), initial=0))
         value = np.empty((len(rngs), edges[-1]))
         has = np.empty(value.shape, dtype=bool)
@@ -158,6 +166,25 @@ class _Draws:
         counts = self.holders if holding else np.diff(self.edges) - self.holders
         starts = (np.cumsum(counts) - counts.ravel()).tolist()
         return np.concatenate([positions[a : a + n] for a, n in zip(starts, self.pairs.ravel().tolist())])
+
+
+class _Streams:
+    """The streams of ``keys`` (an (R, 2) uint64 array of Philox keys) in turn, on one generator.
+
+    Iterating yields ``rng`` once per key, re-keyed to the state
+    ``rng_from_key(key)`` starts in; a stage makes one stream's draws
+    before it asks for the next.
+    """
+
+    def __init__(self, rng: np.random.Generator, keys: np.ndarray):
+        self.rng, self.keys = rng, keys.tolist()
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        for key in self.keys:
+            yield rekey(self.rng, key)
 
 
 def _reports(target_value: np.ndarray, u: np.ndarray, noise: np.ndarray, acc: AccuracyModel):
@@ -286,9 +313,12 @@ def compare_schemes(
     """Replicate the full pipeline and summarize per-scheme estimation error.
 
     Each replication regenerates the population, proxy responses and SRS
-    draw from three generators, each the one ``densities.make_rng`` builds
-    from ``derive_seed(seed, replication index, key)`` with keys 0, 1 and 2;
-    only srs_oracle reads the third.  ``spec.seed`` is not read, so it does
+    draw from three streams, with keys 0, 1 and 2; only srs_oracle reads the
+    third.  Each stream's draws are those of the generator
+    ``densities.make_rng`` builds from ``derive_seed(seed, replication
+    index, key)``: the call builds one Philox generator, once its inputs
+    are valid, and sets it to that generator's initial state before the
+    stream's draws.  ``spec.seed`` is not read, so it does
     not change the result.  When ``srs_size`` is not given, the benchmark
     sample matches the replication's respondent count.  The spec, the
     replication count, ``quantile`` and ``srs_size`` are validated before
@@ -310,6 +340,7 @@ def compare_schemes(
     shortfall = np.zeros(len(spec.strata), dtype=np.int64)
     per_chunk = max(1, _CHUNK // spec.total_size)
     per_keys = per_chunk * max(1, _KEYS // per_chunk)
+    rng = rng_from_key(np.zeros(2, dtype=np.uint64))  # re-keyed before each stream's draws
     for first in range(0, replications, per_keys):
         # Row 3 * rep + key is (rep, key).
         rows = np.arange(3 * first, 3 * min(first + per_keys, replications))
@@ -319,10 +350,10 @@ def compare_schemes(
             # Drawn before the previous chunk's draws are released, so that
             # the allocator can reuse their memory rather than trim the heap
             # and fault the pages back in for every chunk.
-            draws = _Draws.draw(spec, [rng_from_key(key) for key in chunk[:, 0]])
+            draws = _Draws.draw(spec, _Streams(rng, chunk[:, 0]))
             shortfall += (draws.holders - draws.pairs).sum(axis=0)
             done = slice(first + start, first + start + len(chunk))
-            for scheme, scheme_errors in zip(SCHEMES, _replicate(draws, acc, quantile, srs_size, chunk)):
+            for scheme, scheme_errors in zip(SCHEMES, _replicate(draws, acc, quantile, srs_size, rng, chunk)):
                 errors[scheme][done] = scheme_errors
     return SchemeComparison(
         replications=replications,
@@ -335,30 +366,32 @@ def compare_schemes(
     )
 
 
-def _replicate(draws: _Draws, acc, quantile, srs_size, keys) -> np.ndarray:
-    """Each scheme's errors (rows, in `SCHEMES` order) for the populations drawn from ``keys`` (R, 3, 2)."""
+def _replicate(draws: _Draws, acc, quantile, srs_size, rng, keys) -> np.ndarray:
+    """Each scheme's errors (rows, in `SCHEMES` order) for the populations drawn from ``keys`` (R, 3, 2).
+
+    ``rng`` is re-keyed to each population's report and SRS streams in turn.
+    """
     respondents = draws.holders.sum(axis=1)
     if not respondents.all():
         raise ValueError("no respondents: naive estimate undefined")
-    naive, augmented = _respondent_means(draws, acc, quantile, keys[:, 1])
+    naive, augmented = _respondent_means(draws, acc, quantile, _Streams(rng, keys[:, 1]))
     # The sample is drawn last, once the respondent estimates' arrays are freed.
     sizes = respondents if srs_size is None else np.full(len(keys), srs_size)
     sample = np.empty(sizes.sum())
     ends = np.cumsum(sizes).tolist()
-    for value, key, a, b in zip(draws.value, keys[:, 2], [0, *ends], ends):
-        np.take(value, rng_from_key(key).choice(len(value), size=b - a, replace=False), out=sample[a:b])
+    for value, sampler, a, b in zip(draws.value, _Streams(rng, keys[:, 2]), [0, *ends], ends):
+        np.take(value, sampler.choice(len(value), size=b - a, replace=False), out=sample[a:b])
     truth = draws.value.sum(axis=1) / draws.edges[-1]
     return np.array([naive, augmented, _segment_means(sample, sizes)]) - truth
 
 
-def _respondent_means(draws: _Draws, acc: AccuracyModel, quantile: float, keys: np.ndarray):
-    """The naive and the augmented mean of each replication; ``keys`` are the report streams' keys."""
+def _respondent_means(draws: _Draws, acc: AccuracyModel, quantile: float, reports: _Streams):
+    """The naive and the augmented mean of each replication; ``reports`` are its report streams."""
     n = draws.pairs.sum(axis=1)
     u, noise = np.empty(n.sum()), np.zeros(n.sum())
     ends = np.cumsum(n).tolist()
-    for key, a, b in zip(keys, [0, *ends], ends):
+    for rng, a, b in zip(reports, [0, *ends], ends):
         # The uniforms that decide exact reports, then the noise, if any.
-        rng = rng_from_key(key)
         rng.random(out=u[a:b])
         if acc.noise_sd > 0:
             noise[a:b] = rng.normal(0.0, acc.noise_sd, b - a)

@@ -221,6 +221,35 @@ class TestExitCodes:
         assert "estimate 0.0" not in err
         assert not (tmp_path / "r.json").exists()
 
+    # The library reduces seeds modulo 2**64, so a seed outside [0, 2**64)
+    # would give another seed's streams under its own name.
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**64 + 3])
+    @pytest.mark.parametrize("command", ["test", "survey"])
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_seed_outside_uint64_is_config_error(self, seed, command, source, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        text = SURVEY_INI if command == "survey" else "[run]\nseed = 11\n"
+        cfg.write_text(text.replace("[run]\nseed = 11", f"[run]\nseed = {seed}"), encoding="utf-8")
+        args = {
+            "test": ["--model", "normal", "--theta0", "0", "--theta1", "1", "--replicates", "1000"],
+            "survey": [],
+        }[command]
+        flag = [f"--seed={seed}"] if source == "flag" else []
+        out = tmp_path / "x.json"
+        assert run_cli(command, "--config", str(cfg), *args, *flag, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed: ")
+        assert str(seed) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_are_accepted(self, seed, tmp_path):
+        out = tmp_path / "t.json"
+        args = ["--model", "normal", "--theta0", "0", "--theta1", "1", "--replicates", "1000"]
+        assert run_cli("test", *args, f"--seed={seed}", "--out", str(out)) == 0
+        manifest = json.loads((tmp_path / "t.json.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["seed"] == seed
+
     def test_theta0_equal_theta1(self, capsys):
         assert run_cli("bound", "--model", "normal", "--theta0", "1", "--theta1", "1") == 2
 

@@ -20,7 +20,7 @@ from pxkit import (
     normal_density,
     tabulated_density,
 )
-from pxkit.densities import make_rng
+from pxkit.densities import make_rng, rekey, rng_from_key
 
 ALL_BUILTINS = {
     "normal": normal_density(0.3, 1.7),
@@ -276,6 +276,55 @@ def test_consecutive_draws_continue_one_stream(density, a, b):
     g = make_rng(11)
     blocked = np.concatenate([density.sample(a, g), density.sample(b, g)])
     assert np.array_equal(blocked, density.sample(a + b, make_rng(11)))
+
+
+# Draws that leave a generator anywhere in its stream.  A uniform or a normal
+# uses part of a four-word block (buffer_pos < 4); a uint32 draw keeps the
+# other half of its word for the next one (has_uint32 = 1).
+_MIXED_DRAWS = {
+    "normal": lambda g, n: g.normal(size=n),
+    "random": lambda g, n: g.random(n),
+    "uint32": lambda g, n: g.integers(0, 1000, size=n, dtype=np.uint32),
+    "choice": lambda g, n: g.choice(1000, size=n, replace=False),
+}
+_PARTIAL_BLOCK = [("random", 1)]
+_SPARE_HALF = [("uint32", 1)]
+_UINT64 = st.integers(0, 2**64 - 1)
+
+
+def _left_in(draws, key=(1, 2)):
+    g = rng_from_key(np.array(key, dtype=np.uint64))
+    for name, n in draws:
+        _MIXED_DRAWS[name](g, n)
+    return g
+
+
+def test_mixed_draws_leave_a_partial_block_and_a_spare_half():
+    assert _left_in(_PARTIAL_BLOCK).bit_generator.state["buffer_pos"] < 4
+    assert _left_in(_SPARE_HALF).bit_generator.state["has_uint32"] == 1
+
+
+@settings(deadline=None)
+@given(
+    key=st.tuples(_UINT64, _UINT64),
+    first=st.tuples(_UINT64, _UINT64),
+    draws=st.lists(st.tuples(st.sampled_from(sorted(_MIXED_DRAWS)), st.integers(1, 9)), max_size=8),
+)
+@example(key=(0, 0), first=(1, 2), draws=_PARTIAL_BLOCK)
+@example(key=(2**64 - 1, 5), first=(1, 2), draws=_SPARE_HALF)
+@example(key=(3, 4), first=(3, 4), draws=[*_SPARE_HALF, *_PARTIAL_BLOCK, ("choice", 5)])
+def test_rekeyed_generator_starts_as_a_new_one(key, first, draws):
+    # Whatever state the generator was left in, re-keying it gives the state
+    # and the draws of a generator built from the key.
+    g = rekey(_left_in(draws, first), list(key))
+    fresh = rng_from_key(np.array(key, dtype=np.uint64))
+    assert repr(g.bit_generator.state) == repr(fresh.bit_generator.state)
+    assert g.normal(size=3).tobytes() == fresh.normal(size=3).tobytes()
+    out, expected = np.empty(5), np.empty(5)
+    g.random(out=out)
+    fresh.random(out=expected)
+    assert out.tobytes() == expected.tobytes()
+    assert g.choice(1000, 7, replace=False).tobytes() == fresh.choice(1000, 7, replace=False).tobytes()
 
 
 @pytest.mark.parametrize("shape", [0.5, 1.0, 1.5, 2.0, 3.5, 10.0])

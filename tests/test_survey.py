@@ -2,8 +2,11 @@
 
 import math
 import statistics
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from pxkit import AccuracyModel, PopulationSpec, Stratum, compare_schemes, derive_seed
 from pxkit import survey
 from pxkit.cli import ExperimentConfig, apply_config_file
-from pxkit.densities import make_rng, rng_from_key
+from pxkit.densities import make_rng, rekey, rng_from_key
 
 TWO_STRATA = PopulationSpec(
     strata=(Stratum("A", 100, 0.0, 1.0), Stratum("B", 100, 10.0, 1.0)),
@@ -294,43 +297,58 @@ class TestCompareSchemes:
     def test_each_stage_draws_from_its_derived_stream(self, monkeypatch):
         # Replication rep's population, reports and SRS draw come from
         # make_rng(derive_seed(seed, rep, key)) with keys 0, 1 and 2: each
-        # generator compare_schemes builds starts in one of those states, each
-        # state is built once, each key's generators come in replication order,
-        # and each makes its own stage's draws and no other.
-        built = []
+        # state compare_schemes re-keys its generator to is one of those
+        # states, each state is set once, each key's states come in
+        # replication order, and each makes its own stage's draws and no other.
+        streams = []  # (state, draw calls) per re-key
 
         class Recording:
             def __init__(self, rng):
-                self.rng, self.state, self.calls = rng, repr(rng.bit_generator.state), []
+                self.rng = rng
 
             def __getattr__(self, name):
                 method = getattr(self.rng, name)
 
                 def call(*args, **kwargs):
-                    self.calls.append(name)
+                    streams[-1][1].append(name)
                     return method(*args, **kwargs)
 
                 return call
 
-        def recording(key):
-            built.append(Recording(rng_from_key(key)))
-            return built[-1]
+        def recording(rng, key):
+            rekey(rng.rng, key)
+            streams.append((repr(rng.rng.bit_generator.state), []))
+            return rng
 
-        monkeypatch.setattr(survey, "rng_from_key", recording)
+        monkeypatch.setattr(survey, "rng_from_key", lambda key: Recording(rng_from_key(key)))
+        monkeypatch.setattr(survey, "rekey", recording)
         compare_schemes(TWO_STRATA, AccuracyModel(0.5, 1.0), 0.5, 12, seed=4)
 
-        streams = {
+        derived = {
             repr(make_rng(derive_seed(4, rep, key)).bit_generator.state): (rep, key)
             for rep in range(12)
             for key in range(3)
         }
-        assert all(g.state in streams for g in built)
-        assert sorted(streams[g.state] for g in built) == sorted(streams.values())
+        assert all(state in derived for state, _ in streams)
+        assert sorted(derived[state] for state, _ in streams) == sorted(derived.values())
         stage_calls = (["normal", "random"] * len(TWO_STRATA.strata), ["random", "normal"], ["choice"])
         for key, calls in enumerate(stage_calls):
-            stage = [g for g in built if streams[g.state][1] == key]
-            assert [streams[g.state][0] for g in stage] == list(range(12))
-            assert [g.calls for g in stage] == [calls] * 12
+            stage = [(state, made) for state, made in streams if derived[state][1] == key]
+            assert [derived[state][0] for state, _ in stage] == list(range(12))
+            assert [made for _, made in stage] == [calls] * 12
+
+    @pytest.mark.parametrize("replications", [10, 1000])
+    def test_one_philox_generator_per_call(self, replications, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        compare_schemes(TWO_STRATA, AccuracyModel(0.5, 1.0), 0.5, replications, seed=1)
+        assert len(built) == 1
 
     def test_no_seed_sequence_per_stream(self, monkeypatch):
         built = []
@@ -414,6 +432,38 @@ class TestCompareSchemes:
         with pytest.raises(ValueError, match="attribute probability"):
             compare_schemes(spec, PERFECT, 1.0, 10, seed=0)
 
+
+
+def test_concurrent_calls_match_sequential():
+    # Each call re-keys a generator of its own.  The barrier starts two calls
+    # on different seeds together, and a short switch interval interleaves
+    # them within the calls; each must still get its sequential bits.
+    args = (TWO_STRATA, AccuracyModel(0.7, 1.0), 0.5, 200)
+    seeds = (1, 2)
+    want = [compare_schemes(*args, seed=seed) for seed in seeds]
+    barrier = threading.Barrier(len(seeds), timeout=60)
+
+    def repeat(seed):
+        out = []
+        for _ in range(20):
+            barrier.wait()
+            out.append(compare_schemes(*args, seed=seed))
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(repeat, seed) for seed in seeds]
+            got = [run.result() for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for results, expected in zip(got, want):
+        for comp in results:
+            assert {s: a.tobytes() for s, a in comp.errors.items()} == {
+                s: a.tobytes() for s, a in expected.errors.items()
+            }
+            assert repr(replace(comp, errors=None)) == repr(replace(expected, errors=None))
 
 
 # Two unequal strata for the exact oracles: 1,000 units, 50 drawn by srs_oracle.
