@@ -1,4 +1,4 @@
-"""The one rule for integer counts: budgets, replicate counts and sample sizes."""
+"""The one rule for integer counts: budgets, replicate counts, sample sizes and seeds."""
 
 from __future__ import annotations
 
@@ -16,3 +16,12 @@ def check_count(name: str, value, minimum: int, maximum: float = math.inf) -> in
         bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
         raise ValueError(f"{name} must be an integer {bounds}, got {value}")
     return int(value)
+
+
+def check_seed(seed) -> int:
+    """The seed as an int; raises ValueError unless an integer in [0, 2**64).
+
+    Every function that draws from a seed checks it here, so no two seeds
+    it accepts give the same streams.
+    """
+    return check_count("seed", seed, 0, 2**64 - 1)

@@ -23,11 +23,11 @@ for the same inputs.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error (including
 model parameters, hypotheses, replicate counts or survey settings the
-library rejects, a seed outside [0, 2**64), which the library would reduce
-to another seed, flags the subcommand or the chosen model does not read
-(such as --theta0 with the tabulated model, which reads no hypotheses),
-input files that cannot be read or parsed, and output paths that name a
-directory, lie under a regular file or would overwrite an input file).
+library rejects, a seed outside [0, 2**64), flags the subcommand or the
+chosen model does not read (such as --theta0 with the tabulated model,
+which reads no hypotheses), input files that cannot be read or parsed,
+and output paths that name a directory, lie under a regular file or would
+overwrite an input file).
 The PXKIT_OUT_DIR environment variable supplies the output directory when
 --out is omitted.
 """
@@ -43,6 +43,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ._checks import check_seed
 from .affinity import activation_measure, marginal_bound
 from .affinity import affinity as compute_affinity
 from .densities import load_tabulated_csv
@@ -185,11 +186,7 @@ class ExperimentConfig:
     """One experiment; each field's metadata (see `_option`) is its whole schema."""
 
     command: str = _option("run")
-    seed: int = _option(
-        "run", 0, int,
-        "base seed for all derived streams, an integer in [0, 2**64); the library reduces "
-        "seeds modulo 2**64, so no other seed gives streams of its own",
-    )
+    seed: int = _option("run", 0, int, "base seed for all derived streams, an integer in [0, 2**64)")
     out: str | None = _option(
         "run", None, str, "output path (default: $PXKIT_OUT_DIR/<command>.<format>)"
     )
@@ -494,8 +491,7 @@ def run(config: ExperimentConfig, config_file=None) -> int:
     """
     if config.format not in FORMATS:
         raise ConfigError(f"field 'format' must be csv or json, got {config.format!r}")
-    if not 0 <= config.seed < 1 << 64:
-        raise ConfigError(f"seed: must be an integer in [0, 2**64), got {config.seed}")
+    _build(config, check_seed, "seed")
     command = _COMMANDS[config.command]
     if config.plot_data is not None and command.plot is None:
         raise ConfigError(f"field 'plot_data' is not supported for {config.command!r}")

@@ -27,12 +27,14 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import check_seed
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox) for a non-negative integer seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) % (1 << 64))))
+    """Counter-based generator (Philox) for an integer seed in [0, 2**64); raises ValueError otherwise."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(seed))))
 
 
 def rng_from_key(key: np.ndarray) -> np.random.Generator:

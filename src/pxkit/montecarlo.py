@@ -3,12 +3,12 @@
 Estimates the two error probabilities of the first-statistic and
 joint-statistic tests by simulating under each hypothesis, and checks the
 estimates against the analytic affinity bounds.  Every stream is derived
-from the caller's seed with `seeding.derive_seed`, so reruns are
-bit-identical and replicates are decorrelated by construction.  Replicates
-are drawn, evaluated and decided vectorized in blocks of `_CHUNK` (32,768),
-so memory does not grow with the replicate count.  When a call spans more
-than one block, the theta1 arm runs on one worker thread while the caller's
-thread runs the theta0 arm (see `_estimate_errors`).
+from the caller's seed, an integer in [0, 2**64), with `seeding.derive_seed`,
+so reruns are bit-identical and replicates are decorrelated by construction.
+Replicates are drawn, evaluated and decided vectorized in blocks of `_CHUNK`
+(32,768), so memory does not grow with the replicate count.  When a call
+spans more than one block, the theta1 arm runs on one worker thread while
+the caller's thread runs the theta0 arm (see `_estimate_errors`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import densities
-from ._checks import check_count
+from ._checks import check_count, check_seed
 from .affinity import expanded_bound, marginal_bound
 from .kraft import decide
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses, joint_logpdf
@@ -93,6 +93,7 @@ def _estimate_errors(
     reaches the caller unchanged, the other arm stops at its next block
     boundary, and the worker is joined before the call returns.
     """
+    seed = check_seed(seed)
     replicates = check_replicates(replicates)
     keys = itertools.count()
     arms = [
@@ -129,7 +130,7 @@ def _estimate_errors(
         alpha_hat=alpha,
         beta_hat=beta,
         replicates=replicates,
-        seed=int(seed),
+        seed=seed,
         half_width_alpha=_half_width(alpha, replicates),
         half_width_beta=_half_width(beta, replicates),
     )
@@ -225,8 +226,9 @@ def sweep(
     bound, an `ExpandedModel` the joint-statistic (psi) test and its
     expanded bound; the table's ``kind`` says which.  Every bound is
     computed before the first estimate, so a quadrature failure raises
-    before any drawing.
+    before any drawing, and the seed is checked before the first bound.
     """
+    seed = check_seed(seed)
     if isinstance(model, MarginalFamily):
         kind, estimate, bound_of = "phi", estimate_phi_errors, marginal_bound
     elif isinstance(model, ExpandedModel):

@@ -12,6 +12,12 @@ hash on uint32 arrays, one row per key, and goes on to the Philox key that
 `densities.rng_from_key` builds those generators with no further hashing.
 Both give the same streams; `derive_seed` is numpy's own code and the
 reference the batch is tested against.
+
+Inside the hash an integer word (the base seed or a component) is taken
+modulo 2**64, so integers that differ by a multiple of 2**64 hash alike.
+Every function that takes a seed (`densities.make_rng`, the Monte Carlo
+estimators and `sweep`, `survey.compare_schemes`) rejects one outside
+[0, 2**64) with `_checks.check_seed`, so no two seeds it accepts alias.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ chunks of about `_CHUNK` population units: only the draws run once per
 replication, each from one of the replication's three streams, and
 pairing, report scoring, the quantile cut, the true mean and the three
 estimators are array passes over the whole chunk.  Each of those rules is
-written once, so a replication's errors have the same bits whatever the
-chunk size.  A call builds one Philox generator and re-keys it
+written once, and so is the layout they share: one helper (`_spans`) cuts
+a chunk's flat arrays into their (replication, stratum) segments, each its
+own contiguous slice.  So a replication's errors have the same bits
+whatever the chunk size.  A call builds one Philox generator and re-keys it
 (`densities.rekey`) before each stream's draws: no stage interleaves two
 streams, so each stream's draws are those of the generator
 ``make_rng(derive_seed(seed, rep, key))``, though no such generator is
@@ -33,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._checks import check_count
+from ._checks import check_count, check_seed
 from .densities import rekey, rng_from_key
 from .seeding import derive_keys
 
@@ -99,19 +101,23 @@ class AccuracyModel:
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
 
 
+def _spans(counts) -> list[slice]:
+    """The slices of the consecutive segments that ``counts`` (any shape, read row-major) lays out."""
+    ends = np.cumsum(counts).tolist()
+    return [slice(a, b) for a, b in zip([0, *ends], ends)]
+
+
 def _segment_means(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The mean of each of the consecutive segments of ``x`` that ``counts`` lays out.
 
-    Each segment is summed alone, on its own contiguous slice: numpy's
-    pairwise sum groups a segment's terms by its length only, and np.mean
-    divides the same sum by the count, so each mean has the bits of
+    Each segment is summed alone, on its own contiguous slice (`_spans`):
+    numpy's pairwise sum groups a segment's terms by its length only, and
+    np.mean divides the same sum by the count, so each mean has the bits of
     ``np.mean`` on that segment.  ``np.add.reduceat`` groups them
     differently.  An empty segment's mean is 0.
     """
-    counts = np.asarray(counts).ravel()
-    ends = np.cumsum(counts).tolist()
-    sums = [np.add.reduce(x[a:b]) for a, b in zip([0, *ends], ends)]
-    return np.array(sums) / np.maximum(counts, 1)
+    sums = [np.add.reduce(x[span]) for span in _spans(counts)]
+    return np.array(sums) / np.maximum(np.ravel(counts), 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +155,8 @@ class _Draws:
                 value[row, start:stop] = rng.normal(stratum.value_mean, stratum.value_sd, stratum.size)
                 np.less(rng.random(stratum.size), prob, out=has[row, start:stop])
         holding = np.flatnonzero(has)
-        bounds = np.append(np.add.outer(np.arange(len(rngs)) * edges[-1], edges[:-1]), value.size)
-        holders = np.diff(holding.searchsorted(bounds)).reshape(len(rngs), -1)
+        # Every stratum has a unit, so no segment of reduceat's is empty.
+        holders = np.add.reduceat(has, edges[:-1], axis=1, dtype=np.int64)
         pairs = np.minimum(holders, np.diff(edges) - holders)
         return cls(spec, value, has, edges, holding, holders, pairs)
 
@@ -164,8 +170,8 @@ class _Draws:
         """
         positions = self.holding if holding else np.flatnonzero(~self.has)
         counts = self.holders if holding else np.diff(self.edges) - self.holders
-        starts = (np.cumsum(counts) - counts.ravel()).tolist()
-        return np.concatenate([positions[a : a + n] for a, n in zip(starts, self.pairs.ravel().tolist())])
+        pairs = self.pairs.ravel().tolist()
+        return np.concatenate([positions[span][:n] for span, n in zip(_spans(counts), pairs)])
 
 
 class _Streams:
@@ -219,15 +225,15 @@ def _cuts(x: np.ndarray, counts: np.ndarray, q: float) -> np.ndarray:
     falls between order statistics a and b, read here from one row-wise sort
     of the segments padded with +inf, and the cut is interpolated from the
     nearer end as ``numpy.lib._function_base_impl._lerp`` does, so the bits
-    agree.  An index at n - 1 gives the maximum.  An empty segment's cut is NaN.
+    agree on data without zeros.  With a +0.0 or -0.0 in a segment, a zero
+    cut's sign can differ from numpy's; the scores cut here lie in (0, 1].
+    An index at n - 1 gives the maximum.  An empty segment's cut is NaN.
     """
     counts = np.asarray(counts)
     width = max(int(counts.max()), 1)
-    ends = np.cumsum(counts).tolist()
     padding = np.full(width, np.inf)
-    table = np.concatenate([
-        part for a, b in zip([0, *ends], ends) for part in (x[a:b], padding[: width - (b - a)])
-    ]).reshape(-1, width)
+    segments = [x[span] for span in _spans(counts)]
+    table = np.concatenate([p for seg in segments for p in (seg, padding[len(seg) :])]).reshape(-1, width)
     table.sort(axis=1)
     rows = np.arange(len(counts))
     v = (counts - 1) * q
@@ -252,11 +258,8 @@ def _augmented(own, own_counts, reported, reported_counts, shares) -> np.ndarray
     counts = own_counts + reported_counts
     if not counts.any(axis=1).all():
         raise ValueError("no respondents or proxy reports: augmented estimate undefined")
-    own_ends, reported_ends = np.cumsum(own_counts).tolist(), np.cumsum(reported_counts).tolist()
     pooled = np.concatenate([
-        part
-        for a, b, c, d in zip([0, *own_ends], own_ends, [0, *reported_ends], reported_ends)
-        for part in (own[a:b], reported[c:d])
+        part for o, r in zip(_spans(own_counts), _spans(reported_counts)) for part in (own[o], reported[r])
     ])
     means = _segment_means(pooled, counts).reshape(counts.shape)
     share_sum = weighted = np.zeros(len(counts))
@@ -320,9 +323,10 @@ def compare_schemes(
     are valid, and sets it to that generator's initial state before the
     stream's draws.  ``spec.seed`` is not read, so it does
     not change the result.  When ``srs_size`` is not given, the benchmark
-    sample matches the replication's respondent count.  The spec, the
-    replication count, ``quantile`` and ``srs_size`` are validated before
-    the first replication.
+    sample matches the replication's respondent count.  The seed (an
+    integer in [0, 2**64)), the spec, the replication count, ``quantile``
+    and ``srs_size`` are validated, in that order, before the first
+    replication.
 
     Replications run in chunks of ``_CHUNK // spec.total_size`` (at least
     one).  `seeding.derive_keys` computes the Philox keys of about `_KEYS`
@@ -331,6 +335,7 @@ def compare_schemes(
     the chunk.  The chunk size never changes an error's bits, and memory
     does not grow with ``replications`` beyond the three error arrays.
     """
+    seed = check_seed(seed)
     check_population(spec)
     replications = check_replications(replications)
     quantile = check_quantile(quantile)
@@ -357,7 +362,7 @@ def compare_schemes(
                 errors[scheme][done] = scheme_errors
     return SchemeComparison(
         replications=replications,
-        seed=int(seed),
+        seed=seed,
         mean_error={s: _summary(np.mean, a) for s, a in errors.items()},
         rmse={s: _summary(_rms, a) for s, a in errors.items()},
         stderr_mean={s: _summary(_stderr, a) for s, a in errors.items()},
@@ -378,9 +383,9 @@ def _replicate(draws: _Draws, acc, quantile, srs_size, rng, keys) -> np.ndarray:
     # The sample is drawn last, once the respondent estimates' arrays are freed.
     sizes = respondents if srs_size is None else np.full(len(keys), srs_size)
     sample = np.empty(sizes.sum())
-    ends = np.cumsum(sizes).tolist()
-    for value, sampler, a, b in zip(draws.value, _Streams(rng, keys[:, 2]), [0, *ends], ends):
-        np.take(value, sampler.choice(len(value), size=b - a, replace=False), out=sample[a:b])
+    for value, sampler, span in zip(draws.value, _Streams(rng, keys[:, 2]), _spans(sizes)):
+        drawn = sampler.choice(len(value), size=span.stop - span.start, replace=False)
+        np.take(value, drawn, out=sample[span])
     truth = draws.value.sum(axis=1) / draws.edges[-1]
     return np.array([naive, augmented, _segment_means(sample, sizes)]) - truth
 
@@ -389,12 +394,11 @@ def _respondent_means(draws: _Draws, acc: AccuracyModel, quantile: float, report
     """The naive and the augmented mean of each replication; ``reports`` are its report streams."""
     n = draws.pairs.sum(axis=1)
     u, noise = np.empty(n.sum()), np.zeros(n.sum())
-    ends = np.cumsum(n).tolist()
-    for rng, a, b in zip(reports, [0, *ends], ends):
+    for rng, span in zip(reports, _spans(n)):
         # The uniforms that decide exact reports, then the noise, if any.
-        rng.random(out=u[a:b])
+        rng.random(out=u[span])
         if acc.noise_sd > 0:
-            noise[a:b] = rng.normal(0.0, acc.noise_sd, b - a)
+            noise[span] = rng.normal(0.0, acc.noise_sd, span.stop - span.start)
     reported, score = _reports(draws.value.ravel()[draws.paired(holding=False)], u, noise, acc)
     kept = np.flatnonzero(score >= np.repeat(_cuts(score, n, 1.0 - quantile), n))
     # Reports come replication by replication and stratum by stratum.

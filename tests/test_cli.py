@@ -221,8 +221,8 @@ class TestExitCodes:
         assert "estimate 0.0" not in err
         assert not (tmp_path / "r.json").exists()
 
-    # The library reduces seeds modulo 2**64, so a seed outside [0, 2**64)
-    # would give another seed's streams under its own name.
+    # A seed outside [0, 2**64) is bad input (`_checks.check_seed`), from a
+    # flag or an INI file alike, and exits 2 before any file is written.
     @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**64 + 3])
     @pytest.mark.parametrize("command", ["test", "survey"])
     @pytest.mark.parametrize("source", ["flag", "ini"])

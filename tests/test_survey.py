@@ -231,6 +231,28 @@ def test_cut_is_numpys_linear_quantile(scores, quantile):
     assert np.array_equal(kept(scores, quantile), scores >= reference)
 
 
+# Data without zeros: with a +0.0 and a -0.0 in one segment, which one sorts
+# first is not fixed, so the sign of a zero cut can differ from numpy's.
+_SEGMENT_DATA = st.one_of(
+    st.floats(-1e150, -5e-324), st.floats(5e-324, 1e150), st.sampled_from([-2.0, 0.5, 1.0])
+)
+
+
+# Each segment is its own slice (`survey._spans`), whatever its neighbours;
+# an empty one has mean 0 and cut NaN.
+@given(counts=st.lists(st.integers(0, 12), min_size=1, max_size=30), q=st.floats(0.0, 1.0), data=st.data())
+def test_each_segment_has_numpys_mean_and_cut(counts, q, data):
+    x = np.array(data.draw(st.lists(_SEGMENT_DATA, min_size=sum(counts), max_size=sum(counts))), dtype=float)
+    means = survey._segment_means(x, np.array(counts)).tolist()
+    cuts = survey._cuts(x, np.array(counts), q).tolist()
+    for segment, mean, cut in zip(np.split(x, np.cumsum(counts)[:-1]), means, cuts):
+        if len(segment):
+            assert mean.hex() == float(np.mean(segment)).hex()
+            assert cut.hex() == float(np.quantile(segment, q)).hex()
+        else:
+            assert mean.hex() == (0.0).hex() and math.isnan(cut)
+
+
 class TestEstimators:
     def test_srs_census_is_exact(self):
         comp = compare_schemes(TWO_STRATA, PERFECT, 1.0, 10, seed=3, srs_size=TWO_STRATA.total_size)
