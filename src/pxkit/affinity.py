@@ -20,7 +20,6 @@ from .densities import ScalarDensity
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses
 from .quadrature import (
     _DEFAULT_CONFIG,
-    MIN_EVALUATIONS,
     QuadratureBudgetError,
     QuadratureConfig,
     integrate,
@@ -80,15 +79,17 @@ def _sqrt_product_integrand(f: ScalarDensity, g: ScalarDensity):
     return integrand
 
 
-def _integrate_overlap(
-    integrand, f: ScalarDensity, g: ScalarDensity, cfg: QuadratureConfig | None
+def affinity(
+    f: ScalarDensity,
+    g: ScalarDensity,
+    cfg: QuadratureConfig | None = None,
 ) -> AffinityResult:
-    """Integral of ``integrand`` over the common support of f and g, clamped to [0, 1].
+    """Affinity of two densities by adaptive quadrature over the common support.
 
     Disjoint supports give exactly 0 with no evaluation.  The location and
     scale hints of the infinite-interval substitution come from f and g.  A
     value or error estimate that is not finite raises ValueError before the
-    clamp.
+    value is clamped to [0, 1].
     """
     common = f.support.intersect(g.support)
     if common is None:
@@ -102,7 +103,7 @@ def _integrate_overlap(
     if not (math.isinf(lo) and math.isinf(hi)):
         anchor = lo if math.isinf(hi) else hi
         scale = max(scale, abs(center - anchor))
-    res = integrate(integrand, lo, hi, cfg, center=center, scale=scale)
+    res = integrate(_sqrt_product_integrand(f, g), lo, hi, cfg, center=center, scale=scale)
     if not (math.isfinite(res.value) and math.isfinite(res.abs_error)):
         raise ValueError(
             f"integral is not finite: {res.value} +/- {res.abs_error} after {res.evaluations} evaluations"
@@ -115,15 +116,6 @@ def _integrate_overlap(
     )
 
 
-def affinity(
-    f: ScalarDensity,
-    g: ScalarDensity,
-    cfg: QuadratureConfig | None = None,
-) -> AffinityResult:
-    """Affinity of two densities by adaptive quadrature over the common support."""
-    return _integrate_overlap(_sqrt_product_integrand(f, g), f, g, cfg)
-
-
 def hellinger_sq(
     f: ScalarDensity, g: ScalarDensity, cfg: QuadratureConfig | None = None
 ) -> float:
@@ -131,29 +123,11 @@ def hellinger_sq(
     return 2.0 * (1.0 - affinity(f, g, cfg).value)
 
 
-# The latest marginal_bound call: (family, hyp, cfg, result).  One tuple is
-# read and replaced whole, so threads that share it can only miss, never mix
-# one call's key with another's result.
-_last_marginal: tuple | None = None
-
-
 def marginal_bound(
     family: MarginalFamily, hyp: SimpleHypotheses, cfg: QuadratureConfig | None = None
 ) -> AffinityResult:
-    """Upper bound on the error-probability sum of the first-statistic test.
-
-    The latest result is kept and returned again for the same three
-    objects (compared with ``is``, so equal but distinct arguments, such as
-    ``None`` and a default `QuadratureConfig`, integrate anew).  So
-    `activation_measure` integrates the marginal once for both of its bounds.
-    """
-    global _last_marginal
-    last = _last_marginal
-    if last is not None and last[0] is family and last[1] is hyp and last[2] is cfg:
-        return last[3]
-    res = affinity(family.density_at(hyp.theta1), family.density_at(hyp.theta0), cfg)
-    _last_marginal = (family, hyp, cfg, res)
-    return res
+    """Upper bound on the error-probability sum of the first-statistic test."""
+    return affinity(family.density_at(hyp.theta1), family.density_at(hyp.theta0), cfg)
 
 
 def conditional_affinity(
@@ -173,104 +147,64 @@ def conditional_affinity(
 
 
 def expanded_bound(
-    em: ExpandedModel, hyp: SimpleHypotheses, cfg: QuadratureConfig | None = None
+    em: ExpandedModel,
+    hyp: SimpleHypotheses,
+    cfg: QuadratureConfig | None = None,
+    *,
+    marginal: AffinityResult | None = None,
 ) -> AffinityResult:
     """Upper bound on the error-probability sum of the joint-statistic test.
 
-    It is the integral over t1 of sqrt of the product of the marginal
+    The bound is the integral over t1 of sqrt of the product of the marginal
     densities times c(t1), the affinity of the two t2 conditionals at t1.
-    Each c(t1) is an inner adaptive quadrature at one tenth of half the
-    caller's absolute tolerance (``inner_tol``).
+    `ConditionalFamily` requires c to be one number over the marginals'
+    common support, so the integral is `marginal_bound` times c, with c
+    taken at one point of that support.  ``marginal`` is that marginal
+    bound when the caller already has it (`activation_measure` does);
+    otherwise it is integrated here with the caller's config unchanged.
 
-    A ``t1_free`` conditional has one c, so the bound is the product
-    `marginal_bound` times c, with c taken at one point of the marginals'
-    common support.  The marginal integral runs first, with the caller's
-    config unchanged, so in `activation_measure` it is the one the marginal
-    bound already ran.  The reported error is |c| times the marginal's error
-    plus ``inner_tol``.  A marginal of exactly 0 (disjoint supports
-    included) is returned as it is, with no conditional integral: the
-    expanded bound lies between 0 and the marginal bound.
+    c is a `conditional_affinity` at one tenth of half the caller's absolute
+    tolerance (``inner_tol``), and the reported error is |c| times the
+    marginal's error plus ``inner_tol``.  A marginal of exactly 0 (disjoint
+    supports included) is returned as it is, with no conditional integral:
+    the expanded bound lies between 0 and the marginal bound.
 
-    Otherwise the bound is an iterated integral: each outer node t1 of
-    nonzero weight gets its own inner integral, and the outer integral runs
-    at half the caller's absolute tolerance.  The reported error adds
-    ``inner_tol`` to the outer estimate.
-
-    The marginal or outer integral has a budget of ``max_evaluations`` and
-    the conditional integrals share another.  When either runs out, the
-    raised QuadratureBudgetError counts both, every node of the outer pass
-    in progress included (240 on the first pass).  Its value is the partial
-    marginal or outer sum (times c for a ``t1_free`` law) when that integral
-    ran out, and NaN when a conditional one did: without c there is no
-    estimate.
+    The marginal and the conditional integral each have a budget of
+    ``max_evaluations``.  When either runs out, the raised
+    QuadratureBudgetError counts both.  Its value is the partial marginal
+    sum times c when the marginal ran out, and NaN when the conditional did:
+    without c there is no estimate.
     """
     full = _DEFAULT_CONFIG if cfg is None else cfg
-    outer_tol = 0.5 * full.abs_tol
-    inner_tol = outer_tol / 10.0
-    m1 = em.marginal.density_at(hyp.theta1)
-    m0 = em.marginal.density_at(hyp.theta0)
-
-    def inner_cfg(budget: int) -> QuadratureConfig:
-        return QuadratureConfig(abs_tol=inner_tol, rel_tol=full.rel_tol, max_evaluations=budget)
-
-    if em.conditional.t1_free:
-        ran_out = False
+    inner_tol = 0.5 * full.abs_tol / 10.0
+    ran_out = False
+    if marginal is None:
         try:
-            mb = marginal_bound(em.marginal, hyp, cfg)
+            marginal = marginal_bound(em.marginal, hyp, cfg)
         except QuadratureBudgetError as exc:
             # c still runs, so the raised partial estimate is of the expanded bound.
             ran_out = True
-            mb = AffinityResult(exc.value, exc.value, exc.abs_error, exc.evaluations)
-        if mb.raw_value == 0.0 and not ran_out:
-            return mb
-        common = m1.support.intersect(m0.support)
-        # Any t1 serves; the centre hint, clamped into the common support, is one.
-        t1 = min(max(0.5 * m1.center + 0.5 * m0.center, common.lower), common.upper)
-        try:
-            inner = conditional_affinity(em, hyp, t1, inner_cfg(full.max_evaluations))
-        except QuadratureBudgetError as exc:
-            raise QuadratureBudgetError(math.nan, math.inf, mb.evaluations + exc.evaluations) from None
-        c = inner.raw_value
-        raw = mb.raw_value * c
-        err = abs(c) * mb.abs_error_estimate + inner_tol
-        evaluations = mb.evaluations + inner.evaluations
-        if ran_out:
-            raise QuadratureBudgetError(raw, err, evaluations) from None
-        return AffinityResult(min(1.0, max(0.0, raw)), raw, err, evaluations)
-
-    weight = _sqrt_product_integrand(m1, m0)
-    evals = [0, 0]  # outer nodes evaluated, inner evaluations
-
-    def inner_value(t1: float) -> float:
-        remaining = full.max_evaluations - evals[1]
-        if remaining < MIN_EVALUATIONS:
-            raise QuadratureBudgetError(math.nan, math.inf, 0)
-        try:
-            inner = conditional_affinity(em, hyp, t1, inner_cfg(remaining))
-        except QuadratureBudgetError as exc:
-            evals[1] += exc.evaluations
-            raise QuadratureBudgetError(math.nan, math.inf, 0) from None
-        evals[1] += inner.evaluations
-        return inner.raw_value
-
-    def outer_integrand(t1_values):
-        evals[0] += t1_values.size
-        w = weight(t1_values)
-        live = np.flatnonzero(w)
-        c = np.zeros_like(w)
-        c[live] = [inner_value(t1) for t1 in t1_values[live].tolist()]
-        return w * c
-
-    outer_cfg = QuadratureConfig(abs_tol=outer_tol, rel_tol=full.rel_tol,
+            marginal = AffinityResult(exc.value, exc.value, exc.abs_error, exc.evaluations)
+    if marginal.raw_value == 0.0 and not ran_out:
+        return marginal
+    m1 = em.marginal.density_at(hyp.theta1)
+    m0 = em.marginal.density_at(hyp.theta0)
+    common = m1.support.intersect(m0.support)
+    # Any t1 serves; the centre hint, clamped into the common support, is one.
+    t1 = min(max(0.5 * m1.center + 0.5 * m0.center, common.lower), common.upper)
+    inner_cfg = QuadratureConfig(abs_tol=inner_tol, rel_tol=full.rel_tol,
                                  max_evaluations=full.max_evaluations)
     try:
-        res = _integrate_overlap(outer_integrand, m1, m0, outer_cfg)
+        inner = conditional_affinity(em, hyp, t1, inner_cfg)
     except QuadratureBudgetError as exc:
-        raise QuadratureBudgetError(exc.value, exc.abs_error + inner_tol, sum(evals)) from None
-    if res.evaluations == 0:
-        return res  # disjoint supports: no integral, so no inner tolerance either
-    err = res.abs_error_estimate + inner_tol
-    return AffinityResult(res.value, res.raw_value, err, res.evaluations + evals[1])
+        raise QuadratureBudgetError(math.nan, math.inf, marginal.evaluations + exc.evaluations) from None
+    c = inner.raw_value
+    raw = marginal.raw_value * c
+    err = abs(c) * marginal.abs_error_estimate + inner_tol
+    evaluations = marginal.evaluations + inner.evaluations
+    if ran_out:
+        raise QuadratureBudgetError(raw, err, evaluations) from None
+    return AffinityResult(min(1.0, max(0.0, raw)), raw, err, evaluations)
 
 
 def activation_measure(
@@ -278,12 +212,11 @@ def activation_measure(
 ) -> BoundComparison:
     """Drop in the error-sum bound obtained by activating the second statistic.
 
-    For a ``t1_free`` conditional the marginal integral runs once: the
-    expanded bound reuses the `marginal_bound` result just computed, and
-    adds one conditional integral.
+    The marginal integral runs once: the expanded bound is built from the
+    `marginal_bound` result computed here, with one conditional integral.
     """
     mb = marginal_bound(em.marginal, hyp, cfg)
-    eb = expanded_bound(em, hyp, cfg)
+    eb = expanded_bound(em, hyp, cfg, marginal=mb)
     r = mb.value - eb.value
     combined = mb.abs_error_estimate + eb.abs_error_estimate
     return BoundComparison(

@@ -53,15 +53,19 @@ class ConditionalFamily:
     with t1 elementwise and ``sample(len(t1), rng)`` draws one t2 per
     entry of t1.  The support must not depend on t1.
 
-    ``t1_free`` declares that the law of t2 does not depend on t1.  Then
-    `expanded_bound` is the marginal bound times one conditional affinity,
-    taken at one point of the marginals' common support, in place of an
-    iterated integral.  It is a promise about the law that nothing checks:
-    a wrong True gives a wrong bound.
+    The affinity of ``density_at(t1, theta1)`` and ``density_at(t1,
+    theta0)`` must be the same at every t1 of the marginals' common support.
+    Then the expanded bound, the integral over t1 of sqrt(m1*m0) times that
+    affinity, is the marginal bound times one conditional affinity, which
+    `expanded_bound` takes at one t1.  The condition holds when the law of
+    t2 does not depend on t1, and also when t1 acts on t2 only through a
+    one-to-one change of variable that both hypotheses share, such as the
+    shift in t2 | t1 ~ N(b*t1 + c*theta, tau^2), because a change of
+    variable leaves the affinity unchanged.  It is a promise about the law
+    that nothing checks: a family that breaks it gets a wrong bound.
     """
 
     density_at: Callable[[np.ndarray | float, float], ScalarDensity]
-    t1_free: bool = False
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,7 @@ def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:
     sd2 = sigma / math.sqrt(n2)
     return ExpandedModel(
         marginal=MarginalFamily(lambda theta: normal_density(theta, sd1)),
-        conditional=ConditionalFamily(lambda t1, theta: normal_density(theta, sd2), t1_free=True),
+        conditional=ConditionalFamily(lambda t1, theta: normal_density(theta, sd2)),
     )
 
 
@@ -122,7 +126,7 @@ def make_normal_variance_expansion(n: int) -> ExpandedModel:
     scale = 2.0 / (n - 1)
     return ExpandedModel(
         marginal=MarginalFamily(lambda theta: normal_density(theta, sd)),
-        conditional=ConditionalFamily(lambda t1, theta: gamma_density(shape, scale), t1_free=True),
+        conditional=ConditionalFamily(lambda t1, theta: gamma_density(shape, scale)),
     )
 
 

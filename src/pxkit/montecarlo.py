@@ -208,8 +208,12 @@ class SweepTable:
 
 
 def row_seed(base_seed: int, theta1: float) -> int:
-    """Seed of the sweep's estimate at this alternative value."""
-    return derive_seed(base_seed, float(theta1))
+    """Seed of the sweep's estimate at this alternative value.
+
+    The base seed is checked as every seeded function checks it
+    (`_checks.check_seed`), so -1 is not 2**64 - 1 under another name.
+    """
+    return derive_seed(check_seed(base_seed), float(theta1))
 
 
 def sweep(

@@ -272,8 +272,8 @@ def integrate(
 
     Converges when the summed panel error is below
     max(cfg.abs_tol, cfg.rel_tol * |integral|).  There is no per-call
-    override: an iterated integral passes each level a config that holds
-    its share of the tolerance and of the evaluation budget.
+    override: a caller that needs another tolerance, such as the
+    conditional integral of `affinity.expanded_bound`, passes its own config.
     Raises QuadratureBudgetError when max_evaluations is hit first, and
     ValueError unless lower < upper and both hints are finite (a scale
     <= 0 means 1).

@@ -14,7 +14,11 @@ The cells, with their closed forms:
   10^0 ... 10^6 in half decades: (2 sqrt(t0 t1) / (t0 + t1))^k;
 - the variance expansion through `expanded_bound`, n = 2 ... 8,
   rel_tol in {1e-7, 1e-3}, theta 0 against delta in {0.5, 1, 2}:
-  exp(-n delta^2 / 8).
+  exp(-n delta^2 / 8);
+- the two-stage normal model through `expanded_bound`, (n1, n2) in
+  {(1, 1), (1, 4), (4, 1), (3, 2)}, sigma in {0.5, 1, 2}, rel_tol in
+  {1e-7, 1e-3}, theta 0 against delta in {0.5, 1, 2}:
+  exp(-delta^2 (n1 + n2) / (8 sigma^2)).
 """
 
 import math
@@ -27,6 +31,7 @@ from pxkit import (
     exponential_density,
     gamma_density,
     make_normal_variance_expansion,
+    make_two_stage_normal,
     normal_density,
 )
 
@@ -76,7 +81,25 @@ def _variance_cells():
                 )
 
 
-CELLS = [*_exponential_cells(), *_normal_cells(), *_gamma_cells(), *_variance_cells()]
+def _two_stage_cells():
+    for n1, n2 in ((1, 1), (1, 4), (4, 1), (3, 2)):
+        for sigma in (0.5, 1.0, 2.0):
+            for rel_tol in (1e-7, 1e-3):
+                for delta in (0.5, 1.0, 2.0):
+                    exact = math.exp(-delta * delta * (n1 + n2) / (8 * sigma * sigma))
+                    name = f"two-stage n1 {n1} n2 {n2} sigma {sigma:g} rel_tol {rel_tol:g} delta {delta:g}"
+                    yield name, exact, (
+                        lambda n1=n1, n2=n2, sigma=sigma, rel_tol=rel_tol, delta=delta: expanded_bound(
+                            make_two_stage_normal(n1, n2, sigma),
+                            SimpleHypotheses(0.0, delta),
+                            QuadratureConfig(rel_tol=rel_tol),
+                        )
+                    )
+
+
+CELLS = [
+    *_exponential_cells(), *_normal_cells(), *_gamma_cells(), *_variance_cells(), *_two_stage_cells()
+]
 
 # 75 cells when the grid was added.  In the exponential, normal and gamma
 # cells the integrator's location and scale hints miss the narrower density;
@@ -116,7 +139,7 @@ KNOWN_VIOLATIONS = {
 
 def test_grid_has_its_cells():
     names = [name for name, _, _ in CELLS]
-    assert len(names) == len(set(names)) == 187
+    assert len(names) == len(set(names)) == 259
     assert KNOWN_VIOLATIONS <= set(names)
 
 

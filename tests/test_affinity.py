@@ -6,7 +6,6 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,8 +46,9 @@ def exponential_affinity(theta0, theta1):
     return 2.0 * math.sqrt(theta0 * theta1) / (theta0 + theta1)
 
 
-# t2 | t1 ~ N(t1/2 + theta, 1): the conditional law moves with t1, so
-# expanded_bound runs one inner integral per outer node.
+# t2 | t1 ~ N(t1/2 + theta, 1): the conditional law moves with t1, but by a
+# shift both hypotheses share, so c is exp(-1/8) at every t1 and the expanded
+# bound is exp(-1/8) * exp(-1/8) = exp(-1/4).
 def _t1_dependent_conditional_at(t1, theta):
     return normal_density(0.5 * float(t1) + theta, 1.0)
 
@@ -156,13 +156,6 @@ def integrals(monkeypatch):
 
 
 class TestMarginalBound:
-    def test_repeat_with_the_same_objects_runs_no_integral(self, integrals):
-        family, hyp, cfg = make_normal_location(1.0), SimpleHypotheses(0, 1), QuadratureConfig()
-        first = marginal_bound(family, hyp, cfg)
-        assert integrals[0] == 1
-        assert marginal_bound(family, hyp, cfg) is first
-        assert integrals[0] == 1
-
     def test_equal_but_distinct_arguments_integrate_anew(self, integrals):
         family, hyp = make_normal_location(1.0), SimpleHypotheses(0.0, 1)
         first = marginal_bound(family, hyp)
@@ -221,25 +214,23 @@ class TestExpandedBound:
         assert eb.value == pytest.approx(mb.value, abs=1e-8)
         assert eb.value == pytest.approx(gaussian_affinity(0, 1, 1 / math.sqrt(n)), abs=1e-8)
 
-    @pytest.mark.parametrize("t1_free", [False, True])
-    def test_disjoint_marginal_supports(self, t1_free):
+    def test_disjoint_marginal_supports(self):
         # t1 is uniform on [theta, theta + 1], so theta = 0 and 5 never overlap.
         def conditional_at(t1, theta):
             raise AssertionError("no conditional is needed when the marginals are disjoint")
 
         em = ExpandedModel(
             MarginalFamily(lambda theta: tabulated_density([theta, theta + 1.0], [1.0, 1.0])),
-            ConditionalFamily(conditional_at, t1_free=t1_free),
+            ConditionalFamily(conditional_at),
         )
         assert expanded_bound(em, SimpleHypotheses(0, 5)) == AffinityResult(0.0, 0.0, 0.0, 0)
 
-    @pytest.mark.parametrize("t1_free", [False, True])
-    def test_zero_marginal_runs_no_conditional(self, t1_free):
-        # The marginal weight underflows to 0 at every node, so no t1 needs c.
+    def test_zero_marginal_runs_no_conditional(self):
+        # The marginal weight underflows to 0 at every node, so c is not needed.
         def conditional_at(t1, theta):
             raise AssertionError("no conditional is needed when the marginal weight is 0")
 
-        em = ExpandedModel(make_normal_location(1.0), ConditionalFamily(conditional_at, t1_free))
+        em = ExpandedModel(make_normal_location(1.0), ConditionalFamily(conditional_at))
         res = expanded_bound(em, SimpleHypotheses(0, 1000))
         assert (res.value, res.raw_value, res.evaluations) == (0.0, 0.0, 240)
 
@@ -248,6 +239,11 @@ class TestExpandedBound:
         res = expanded_bound(em, SimpleHypotheses(0, 0.001))
         assert res.value == pytest.approx(math.exp(-0.25e-6), abs=1e-9)
         assert res.raw_value < 1.0
+
+    def test_t1_dependent_matches_closed_form(self):
+        res = expanded_bound(T1_DEPENDENT, SimpleHypotheses(0, 1))
+        assert abs(res.raw_value - math.exp(-0.25)) <= res.abs_error_estimate
+        assert res.evaluations == 480
 
 
 _T1_FREE_CASES = pytest.mark.parametrize(
@@ -267,7 +263,7 @@ _T1_FREE_CASES = pytest.mark.parametrize(
 
 
 class TestT1FreeShortcut:
-    """A t1-free expanded bound is the marginal bound times one conditional affinity."""
+    """The expanded bound is the marginal bound times one conditional affinity."""
 
     @_T1_FREE_CASES
     def test_product_of_marginal_and_conditional(self, em, cfg):
@@ -275,34 +271,24 @@ class TestT1FreeShortcut:
         got = expanded_bound(em, hyp, cfg)
         full = QuadratureConfig() if cfg is None else cfg
         inner_tol = 0.5 * full.abs_tol / 10.0
-        # Integrated afresh, not through marginal_bound's kept result; any t1 serves.
+        # Integrated here, apart from expanded_bound's own integrals; any t1 serves.
         mb = affinity(em.marginal.density_at(hyp.theta1), em.marginal.density_at(hyp.theta0), cfg)
         c = conditional_affinity(em, hyp, -2.5, QuadratureConfig(inner_tol, full.rel_tol))
         assert got.raw_value == mb.raw_value * c.raw_value
         assert got.abs_error_estimate == abs(c.raw_value) * mb.abs_error_estimate + inner_tol
         assert got.evaluations == mb.evaluations + c.evaluations
 
-    @_T1_FREE_CASES
-    def test_agrees_with_nested_path(self, em, cfg):
-        nested = replace(em, conditional=replace(em.conditional, t1_free=False))
-        hyp = SimpleHypotheses(0, 1)
-        product, full = expanded_bound(em, hyp, cfg), expanded_bound(nested, hyp, cfg)
-        assert abs(product.raw_value - full.raw_value) <= (
-            product.abs_error_estimate + full.abs_error_estimate
-        )
-        assert product.evaluations < full.evaluations
-
     @pytest.mark.parametrize(
-        "em", [make_two_stage_normal(2, 3, 0.7), make_normal_variance_expansion(3)],
-        ids=["two_stage", "variance"],
+        "em",
+        [make_two_stage_normal(2, 3, 0.7), make_normal_variance_expansion(3), T1_DEPENDENT],
+        ids=["two_stage", "variance", "t1_dependent"],
     )
     def test_factory_declaration_holds(self, em):
-        assert em.conditional.t1_free
-        x = np.linspace(0.05, 4.0, 9)  # inside the gamma support (0, inf) too
-        ref = em.conditional.density_at(0.0, 0.0).logpdf(x)
-        for t1 in (-3.0, 0.4, 7.5):
-            got = em.conditional.density_at(t1, 0.0).logpdf(x)
-            np.testing.assert_array_equal(got, ref)
+        # The ConditionalFamily contract: one conditional affinity at every t1.
+        hyp = SimpleHypotheses(0, 1)
+        cs = [conditional_affinity(em, hyp, t1) for t1 in (-3.0, 0.4, 7.5)]
+        for c in cs[1:]:
+            assert abs(c.raw_value - cs[0].raw_value) <= c.abs_error_estimate + cs[0].abs_error_estimate
 
     def test_inner_integral_counts(self, monkeypatch):
         module = importlib.import_module("pxkit.affinity")
@@ -318,10 +304,10 @@ class TestT1FreeShortcut:
         assert len(calls) == 1
         calls.clear()
         expanded_bound(T1_DEPENDENT, SimpleHypotheses(0, 1))
-        assert len(calls) > 1
+        assert len(calls) == 1
 
     def test_evaluation_counts(self):
-        # Deterministic: the outer integral plus one inner integral.  A change
+        # Deterministic: the marginal integral plus the conditional one.  A change
         # in either count is a change in the quadrature, not noise.
         hyp = SimpleHypotheses(0, 1)
         assert expanded_bound(make_two_stage_normal(1, 1, 1.0), hyp).evaluations == 480
@@ -353,11 +339,13 @@ class TestActivationMeasure:
         activation_measure(make_two_stage_normal(1, 1, 1.0), SimpleHypotheses(0, 1))
         assert integrals[0] == 2
 
-    def test_t1_dependent_keeps_its_nested_integrals(self, integrals):
-        # The marginal, the outer integral and one inner integral per live outer node.
-        comp = activation_measure(T1_DEPENDENT, SimpleHypotheses(0, 1))
-        assert integrals[0] == 234
-        assert comp.expanded_bound == 0.7788007830714051
+    def test_repeat_with_the_same_objects_integrates_anew(self, integrals):
+        # Nothing is kept between calls: each runs its own two integrals.
+        em, hyp = make_two_stage_normal(1, 1, 1.0), SimpleHypotheses(0, 1)
+        first = activation_measure(em, hyp)
+        assert integrals[0] == 2
+        assert activation_measure(em, hyp) == first
+        assert integrals[0] == 4
 
     def test_r_measure_is_bound_difference(self):
         comp = activation_measure(make_two_stage_normal(2, 1, 1.0), SimpleHypotheses(0, 0.7))
@@ -422,36 +410,14 @@ class TestBudget:
         assert err.value.evaluations <= 300
         assert math.isfinite(err.value.value)
 
-    def test_expanded_bound_inner_budget_error_has_no_estimate(self):
-        # The 240 outer nodes of the first pass, and 8 inner integrals of 240
-        # evaluations before fewer than 240 remain for the ninth.
-        cfg = QuadratureConfig(max_evaluations=2000)
-        with pytest.raises(QuadratureBudgetError) as err:
-            expanded_bound(T1_DEPENDENT, SimpleHypotheses(0, 1), cfg)
-        assert err.value.evaluations == 2160
-        assert math.isnan(err.value.value)
-        assert err.value.abs_error == math.inf
-
-    def test_expanded_bound_starts_no_inner_integral_it_cannot_finish(self):
-        # After the 240 outer nodes of the first pass and 8 inner integrals of
-        # 240, the 180 evaluations left are fewer than any integral's first
-        # pass, so the ninth is never started.
-        cfg = QuadratureConfig(max_evaluations=2100)
-        with pytest.raises(QuadratureBudgetError) as err:
-            expanded_bound(T1_DEPENDENT, SimpleHypotheses(0, 1), cfg)
-        assert err.value.evaluations == 240 + 1920
-
-    @pytest.mark.parametrize("t1_free", [True, False])
-    def test_expanded_bound_outer_budget_error_carries_partial_sum(self, monkeypatch, t1_free):
-        # With every conditional affinity 1/2 at no cost, only the outer
-        # integral spends the budget, and its partial sum is exp(-1/8) / 2,
-        # whether one inner value serves every node or each node has its own.
+    def test_expanded_bound_outer_budget_error_carries_partial_sum(self, monkeypatch):
+        # With the conditional affinity 1/2 at no cost, only the marginal
+        # integral spends the budget, and the raised partial sum is exp(-1/8) / 2.
         module = importlib.import_module("pxkit.affinity")
         monkeypatch.setattr(
             module, "conditional_affinity", lambda *args: AffinityResult(0.5, 0.5, 0.0, 0)
         )
         em = make_two_stage_normal(1, 1, 1.0)
-        em = replace(em, conditional=replace(em.conditional, t1_free=t1_free))
         cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-16, max_evaluations=300)
         with pytest.raises(QuadratureBudgetError) as err:
             expanded_bound(em, SimpleHypotheses(0, 1), cfg)
@@ -461,9 +427,9 @@ class TestBudget:
 
 
 def test_concurrent_activations_match_sequential():
-    # Two threads share marginal_bound's kept result; each must still get its
-    # own model's bounds.  The barrier starts each pair of calls together, and
-    # a short switch interval interleaves them within the calls.
+    # Two threads run activation_measure at once; each must get its own
+    # model's bounds.  The barrier starts each pair of calls together, and a
+    # short switch interval interleaves them within the calls.
     jobs = [
         (make_two_stage_normal(2, 3, 0.7), SimpleHypotheses(0, 1)),
         (make_normal_variance_expansion(4), SimpleHypotheses(-0.5, 1.5)),

@@ -20,6 +20,7 @@ from pxkit import (
     make_two_stage_normal,
     normal_density,
     product_affinity_iid,
+    row_seed,
     sweep,
 )
 from pxkit._checks import check_seed
@@ -70,6 +71,7 @@ SEEDED = {
     "estimate_phi_errors": lambda s: estimate_phi_errors(make_normal_location(1.0), HYP, 1000, s),
     "estimate_psi_errors": lambda s: estimate_psi_errors(make_two_stage_normal(1, 1, 1.0), HYP, 1000, s),
     "sweep": lambda s: sweep(make_normal_location(1.0), 0.0, [1.0], 1000, s),
+    "row_seed": lambda s: row_seed(s, 1.0),
     "make_rng": make_rng,
 }
 
@@ -89,10 +91,12 @@ def test_seed_range_ends_are_accepted(site, seed):
     SEEDED[site](seed)
 
 
-@pytest.mark.parametrize("site", ["compare_schemes", "estimate_phi_errors", "estimate_psi_errors", "sweep"])
+@pytest.mark.parametrize(
+    "site", ["compare_schemes", "estimate_phi_errors", "estimate_psi_errors", "sweep", "row_seed"]
+)
 def test_integral_float_seed_is_the_integer(site):
     got, want = SEEDED[site](3.0), SEEDED[site](3)
-    if site != "sweep":
+    if site not in ("sweep", "row_seed"):
         assert type(got.seed) is int
     if site == "compare_schemes":
         got, want = ({s: e.tobytes() for s, e in c.errors.items()} for c in (got, want))

@@ -216,7 +216,7 @@ class TestExitCodes:
         )
         assert code == 1
         err = capsys.readouterr().err
-        # The 240 outer nodes of the first pass, then the one inner integral runs out at 990.
+        # The marginal's 240 evaluations, then the one conditional integral runs out at 990.
         assert "after 1230 evaluations: estimate nan" in err
         assert "estimate 0.0" not in err
         assert not (tmp_path / "r.json").exists()
