@@ -27,6 +27,7 @@ from pxkit import (
     expanded_bound,
     exponential_density,
     hellinger_sq,
+    integrate,
     make_exponential_rate,
     make_normal_location,
     make_normal_variance_expansion,
@@ -56,6 +57,42 @@ def _t1_dependent_conditional_at(t1, theta):
 T1_DEPENDENT = ExpandedModel(
     make_normal_location(1.0), ConditionalFamily(_t1_dependent_conditional_at)
 )
+
+
+def _marginal_if(given, em, hyp):
+    """The marginal bound to hand expanded_bound, as activation_measure does, or None."""
+    return marginal_bound(em.marginal, hyp) if given else None
+
+
+def _nested_expanded_bound(em, hyp, cfg):
+    """The expanded bound as the iterated integral over t1 of sqrt(m1*m0) * c(t1).
+
+    Each outer node of nonzero weight gets its own conditional integral, at
+    one tenth of the outer tolerance.  Returns the value, its error estimate
+    and the evaluations of both levels.
+    """
+    full = QuadratureConfig() if cfg is None else cfg
+    outer_tol = 0.5 * full.abs_tol
+    inner_cfg = QuadratureConfig(outer_tol / 10.0, full.rel_tol)
+    m1, m0 = em.marginal.density_at(hyp.theta1), em.marginal.density_at(hyp.theta0)
+    inner_evaluations = [0]
+
+    def integrand(t1_values):
+        w = np.exp(0.5 * (m1.logpdf(t1_values) + m0.logpdf(t1_values)))
+        c = np.zeros_like(w)
+        for i in np.flatnonzero(w):
+            inner = conditional_affinity(em, hyp, float(t1_values[i]), inner_cfg)
+            inner_evaluations[0] += inner.evaluations
+            c[i] = inner.raw_value
+        return w * c
+
+    common = m1.support.intersect(m0.support)
+    res = integrate(
+        integrand, common.lower, common.upper, QuadratureConfig(outer_tol, full.rel_tol),
+        center=0.5 * m1.center + 0.5 * m0.center,
+        scale=max(m1.scale, m0.scale) + abs(0.5 * m1.center - 0.5 * m0.center),
+    )
+    return res.value, res.abs_error + inner_cfg.abs_tol, res.evaluations + inner_evaluations[0]
 
 
 class TestAffinityValues:
@@ -214,7 +251,8 @@ class TestExpandedBound:
         assert eb.value == pytest.approx(mb.value, abs=1e-8)
         assert eb.value == pytest.approx(gaussian_affinity(0, 1, 1 / math.sqrt(n)), abs=1e-8)
 
-    def test_disjoint_marginal_supports(self):
+    @pytest.mark.parametrize("marginal_given", [False, True])
+    def test_disjoint_marginal_supports(self, marginal_given):
         # t1 is uniform on [theta, theta + 1], so theta = 0 and 5 never overlap.
         def conditional_at(t1, theta):
             raise AssertionError("no conditional is needed when the marginals are disjoint")
@@ -223,15 +261,20 @@ class TestExpandedBound:
             MarginalFamily(lambda theta: tabulated_density([theta, theta + 1.0], [1.0, 1.0])),
             ConditionalFamily(conditional_at),
         )
-        assert expanded_bound(em, SimpleHypotheses(0, 5)) == AffinityResult(0.0, 0.0, 0.0, 0)
+        hyp = SimpleHypotheses(0, 5)
+        res = expanded_bound(em, hyp, marginal=_marginal_if(marginal_given, em, hyp))
+        assert res == AffinityResult(0.0, 0.0, 0.0, 0)
 
-    def test_zero_marginal_runs_no_conditional(self):
-        # The marginal weight underflows to 0 at every node, so c is not needed.
+    @pytest.mark.parametrize("marginal_given", [False, True])
+    def test_zero_marginal_runs_no_conditional(self, marginal_given):
+        # The marginal weight underflows to 0 at every node, so c is not needed,
+        # whether expanded_bound integrates the marginal or is handed it.
         def conditional_at(t1, theta):
             raise AssertionError("no conditional is needed when the marginal weight is 0")
 
         em = ExpandedModel(make_normal_location(1.0), ConditionalFamily(conditional_at))
-        res = expanded_bound(em, SimpleHypotheses(0, 1000))
+        hyp = SimpleHypotheses(0, 1000)
+        res = expanded_bound(em, hyp, marginal=_marginal_if(marginal_given, em, hyp))
         assert (res.value, res.raw_value, res.evaluations) == (0.0, 0.0, 240)
 
     def test_tiny_separation_stays_below_one(self):
@@ -277,6 +320,14 @@ class TestT1FreeShortcut:
         assert got.raw_value == mb.raw_value * c.raw_value
         assert got.abs_error_estimate == abs(c.raw_value) * mb.abs_error_estimate + inner_tol
         assert got.evaluations == mb.evaluations + c.evaluations
+
+    @_T1_FREE_CASES
+    def test_agrees_with_nested_path(self, em, cfg):
+        hyp = SimpleHypotheses(0, 1)
+        product = expanded_bound(em, hyp, cfg)
+        nested, nested_error, nested_evaluations = _nested_expanded_bound(em, hyp, cfg)
+        assert abs(product.raw_value - nested) <= product.abs_error_estimate + nested_error
+        assert product.evaluations < nested_evaluations
 
     @pytest.mark.parametrize(
         "em",
@@ -410,18 +461,23 @@ class TestBudget:
         assert err.value.evaluations <= 300
         assert math.isfinite(err.value.value)
 
-    def test_expanded_bound_outer_budget_error_carries_partial_sum(self, monkeypatch):
-        # With the conditional affinity 1/2 at no cost, only the marginal
-        # integral spends the budget, and the raised partial sum is exp(-1/8) / 2.
+    @pytest.mark.parametrize("conditional_costs", [False, True])
+    def test_expanded_bound_outer_budget_error_carries_partial_sum(
+        self, monkeypatch, conditional_costs
+    ):
+        # With the conditional affinity 1/2, only the marginal integral runs
+        # out, and the raised partial sum is exp(-1/8) / 2.  The raised count
+        # adds the conditional's evaluations, if it spent any, to the 300.
+        cost = 240 if conditional_costs else 0
         module = importlib.import_module("pxkit.affinity")
         monkeypatch.setattr(
-            module, "conditional_affinity", lambda *args: AffinityResult(0.5, 0.5, 0.0, 0)
+            module, "conditional_affinity", lambda *args: AffinityResult(0.5, 0.5, 0.0, cost)
         )
         em = make_two_stage_normal(1, 1, 1.0)
         cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-16, max_evaluations=300)
         with pytest.raises(QuadratureBudgetError) as err:
             expanded_bound(em, SimpleHypotheses(0, 1), cfg)
-        assert err.value.evaluations == 300
+        assert err.value.evaluations == 300 + cost
         assert err.value.value == pytest.approx(0.5 * gaussian_affinity(0, 1, 1.0), abs=1e-12)
         assert 0 < err.value.abs_error < 1e-9
 
