@@ -7,21 +7,20 @@ state of their own: they draw from the caller's `numpy.random.Generator`,
 so the generator's state fully determines the draw, and consecutive calls
 on one generator continue its stream (``n = a`` then ``n = b`` gives the
 same values as one call with ``n = a + b``).  `make_rng` builds the
-generator from an integer seed; `rng_from_key` builds the same generator
-from the Philox key that `seeding.derive_keys` computed for that seed, and
-`rekey` sets an existing Philox generator to the state `rng_from_key` starts
-in, so that one generator can serve many streams in turn.  No other pxkit
-module constructs a Philox generator.  A density may also hold
-one law per entry of a parameter array (a conditional family at an array of
-t1): ``logpdf`` then pairs its argument with those entries elementwise and
-``sample`` draws one value per entry.
+generator from an integer seed, and `rekey` sets an existing Philox
+generator to the state ``numpy.random.Philox(key=key)`` starts in, for the
+key that `seeding.derive_keys` computed for a seed, so that one generator
+can serve many streams in turn.  No other pxkit module constructs a Philox
+generator.  A density may also hold one law per entry of a parameter array
+(a conditional family at an array of t1): ``logpdf`` then pairs its
+argument with those entries elementwise and ``sample`` draws one value per
+entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -37,18 +36,8 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(seed))))
 
 
-def rng_from_key(key: np.ndarray) -> np.random.Generator:
-    """The generator `make_rng` builds, from its Philox key (a row of `seeding.derive_keys`).
-
-    Its state and draws equal ``make_rng``'s; no `SeedSequence` is built.
-    `rekey` puts a generator this function built back in this state for
-    another key, without building a new one.
-    """
-    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
-
-
 def rekey(rng: np.random.Generator, key) -> np.random.Generator:
-    """Set the Philox generator ``rng`` to the state ``rng_from_key(key)`` starts in; return it.
+    """Set the Philox generator ``rng`` to the state ``numpy.random.Philox(key=key)`` starts in; return it.
 
     ``key`` is two integers in [0, 2**64), such as a row of
     `seeding.derive_keys` as a list.  The whole state is set: counter,
@@ -68,26 +57,6 @@ def rekey(rng: np.random.Generator, key) -> np.random.Generator:
         "uinteger": 0,
     }
     return rng
-
-
-@cache
-def _key_sequence() -> type:
-    """A seed sequence whose state is a fixed Philox key, defined on first use.
-
-    `numpy.random.bit_generator` loads `numpy.random`, which importing this
-    module (and so ``import pxkit.cli``) must not.  Philox asks its seed
-    sequence for exactly its key, two uint64 words, and nothing else.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeySequence(ISeedSequence):
-        def __init__(self, key):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key
-
-    return KeySequence
 
 
 @dataclass(frozen=True)

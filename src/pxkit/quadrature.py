@@ -77,7 +77,6 @@ _WK = np.array([
     0.063092092629978553290700663189204,
     0.022935322010529224963732008058970,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)  # where the Gauss nodes sit in _XK; _estimates slices 1::2
 _WG = np.array([
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,

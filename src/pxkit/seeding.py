@@ -8,10 +8,11 @@ state.
 `derive_seed` hashes one key with numpy's `SeedSequence`.  `derive_keys`
 takes many keys of small integers at once: it runs the same `SeedSequence`
 hash on uint32 arrays, one row per key, and goes on to the Philox key that
-`densities.make_rng` would give each derived seed, so
-`densities.rng_from_key` builds those generators with no further hashing.
-Both give the same streams; `derive_seed` is numpy's own code and the
-reference the batch is tested against.
+`densities.make_rng` would give each derived seed.  The state
+``numpy.random.Philox(key=key)`` starts in is that seed's, and
+`densities.rekey` sets a generator to it with no further hashing.  Both
+give the same streams; `derive_seed` is numpy's own code and the reference
+the batch is tested against.
 
 Inside the hash an integer word (the base seed or a component) is taken
 modulo 2**64, so integers that differ by a multiple of 2**64 hash alike.
@@ -61,10 +62,10 @@ def derive_keys(base_seed, rows) -> np.ndarray:
     """The Philox key of ``make_rng(derive_seed(base_seed, *row))`` for each row.
 
     ``rows`` is an (n, k) integer array with entries in [0, 2**32); the
-    result is an (n, 2) uint64 array, one key per row, for
-    `densities.rng_from_key`.  The base seed is keyed as `derive_seed` keys
-    it.  Raises ValueError for any other ``rows`` and TypeError for a base
-    seed that `derive_seed` rejects.
+    result is an (n, 2) uint64 array, one key per row, for `densities.rekey`
+    or ``numpy.random.Philox(key=key)``.  The base seed is keyed as
+    `derive_seed` keys it.  Raises ValueError for any other ``rows`` and
+    TypeError for a base seed that `derive_seed` rejects.
     """
     return _philox_keys(_derived_seeds(base_seed, rows))
 

@@ -36,7 +36,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._checks import check_count, check_seed
-from .densities import rekey, rng_from_key
+from .densities import make_rng, rekey
 from .seeding import derive_keys
 
 SCHEMES = ("naive_attribute_only", "augmented", "srs_oracle")
@@ -178,8 +178,8 @@ class _Streams:
     """The streams of ``keys`` (an (R, 2) uint64 array of Philox keys) in turn, on one generator.
 
     Iterating yields ``rng`` once per key, re-keyed to the state
-    ``rng_from_key(key)`` starts in; a stage makes one stream's draws
-    before it asks for the next.
+    ``numpy.random.Philox(key=key)`` starts in; a stage makes one stream's
+    draws before it asks for the next.
     """
 
     def __init__(self, rng: np.random.Generator, keys: np.ndarray):
@@ -319,11 +319,13 @@ def compare_schemes(
     draw from three streams, with keys 0, 1 and 2; only srs_oracle reads the
     third.  Each stream's draws are those of the generator
     ``densities.make_rng`` builds from ``derive_seed(seed, replication
-    index, key)``: the call builds one Philox generator, once its inputs
-    are valid, and sets it to that generator's initial state before the
-    stream's draws.  ``spec.seed`` is not read, so it does
-    not change the result.  When ``srs_size`` is not given, the benchmark
-    sample matches the replication's respondent count.  The seed (an
+    index, key)``: once its inputs are valid, the call builds one
+    generator with ``make_rng(seed)`` and, before each stream's draws, sets
+    it to the state ``numpy.random.Philox(key=key)`` starts in for the
+    stream's Philox key, which is that generator's initial state.  The
+    state it is built in reaches no result.  ``spec.seed`` is not read, so
+    it does not change the result.  When ``srs_size`` is not given, the
+    benchmark sample matches the replication's respondent count.  The seed (an
     integer in [0, 2**64)), the spec, the replication count, ``quantile``
     and ``srs_size`` are validated, in that order, before the first
     replication.
@@ -345,7 +347,7 @@ def compare_schemes(
     shortfall = np.zeros(len(spec.strata), dtype=np.int64)
     per_chunk = max(1, _CHUNK // spec.total_size)
     per_keys = per_chunk * max(1, _KEYS // per_chunk)
-    rng = rng_from_key(np.zeros(2, dtype=np.uint64))  # re-keyed before each stream's draws
+    rng = make_rng(seed)  # re-keyed before each stream's draws, so never drawn from as built
     for first in range(0, replications, per_keys):
         # Row 3 * rep + key is (rep, key).
         rows = np.arange(3 * first, 3 * min(first + per_keys, replications))

@@ -1,5 +1,6 @@
 """The package namespace: every public name, with montecarlo and survey loaded on first use."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -95,3 +96,21 @@ def test_cli_import_does_not_load_seeding():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _constructs_a_generator(path):
+    """Whether the module at ``path`` calls ``Philox(`` or ``Generator(``, under any prefix."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("Philox", "Generator"):
+                return True
+    return False
+
+
+def test_only_densities_constructs_a_philox_generator():
+    # Every MC and survey stream starts in densities (`make_rng` or `rekey`),
+    # so its docstring's rule holds only while no other module builds one.
+    modules = sorted(Path(pxkit.__file__).parent.glob("*.py"))
+    assert [p.name for p in modules if _constructs_a_generator(p)] == ["densities.py"]

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pxkit import derive_seed, seeding
-from pxkit.densities import make_rng, rng_from_key
+from pxkit.densities import make_rng
 
 # Python int and float keys define every MC and survey stream, so their
 # derived seeds are pinned.
@@ -110,7 +110,8 @@ def test_rows_outside_uint32_rejected(rows):
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**63 + 11])
 def test_key_built_generator_draws_as_make_rng(seed):
-    built = rng_from_key(seeding._philox_keys(np.array([seed], dtype=np.uint64))[0])
+    key = seeding._philox_keys(np.array([seed], dtype=np.uint64))[0]
+    built = np.random.Generator(np.random.Philox(key=key))
     reference = make_rng(seed)
     assert repr(built.bit_generator.state) == repr(reference.bit_generator.state)
     for draw in (

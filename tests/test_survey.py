@@ -7,7 +7,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from pxkit import AccuracyModel, PopulationSpec, Stratum, compare_schemes, derive_seed
 from pxkit import survey
 from pxkit.cli import ExperimentConfig, apply_config_file
-from pxkit.densities import make_rng, rekey, rng_from_key
+from pxkit.densities import make_rng, rekey
 
 TWO_STRATA = PopulationSpec(
     strata=(Stratum("A", 100, 0.0, 1.0), Stratum("B", 100, 10.0, 1.0)),
@@ -342,7 +342,7 @@ class TestCompareSchemes:
             streams.append((repr(rng.rng.bit_generator.state), []))
             return rng
 
-        monkeypatch.setattr(survey, "rng_from_key", lambda key: Recording(rng_from_key(key)))
+        monkeypatch.setattr(survey, "make_rng", lambda seed: Recording(make_rng(seed)))
         monkeypatch.setattr(survey, "rekey", recording)
         compare_schemes(TWO_STRATA, AccuracyModel(0.5, 1.0), 0.5, 12, seed=4)
 
@@ -386,7 +386,30 @@ class TestCompareSchemes:
         assert len(built) == 2  # the patch sees derive_seed's and make_rng's
         built.clear()
         compare_schemes(TWO_STRATA, AccuracyModel(0.5, 1.0), 0.5, 10, seed=1)
-        assert built == []
+        assert built == [(1,)]  # make_rng's one hash of the call's seed, none for its 30 streams
+
+    def test_starting_state_reaches_no_result(self, monkeypatch):
+        # The call's generator, left mid-block and holding a spare 32-bit
+        # half, gives the bits of one in the state make_rng builds.
+        args = (TWO_STRATA, AccuracyModel(0.5, 1.0), 0.5, 100)
+        want = compare_schemes(*args, seed=6, srs_size=30)
+
+        def left_in_stream(seed):
+            g = make_rng(seed)
+            g.random(1)
+            g.integers(0, 1000, size=1, dtype=np.uint32)
+            state = g.bit_generator.state
+            assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+            return g
+
+        monkeypatch.setattr(survey, "make_rng", left_in_stream)
+        got = compare_schemes(*args, seed=6, srs_size=30)
+        for field in fields(survey.SchemeComparison):
+            if field.name != "errors":
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
+        assert {s: e.tobytes() for s, e in got.errors.items()} == {
+            s: e.tobytes() for s, e in want.errors.items()
+        }
 
     def test_large_finite_errors_give_finite_summaries(self):
         # Stratum A's values reach about 1e300, so squared errors overflow a double.
@@ -444,13 +467,13 @@ class TestCompareSchemes:
              "compare_srs_size"],
     )
     def test_non_integral_counts_rejected(self, call, count, monkeypatch):
-        monkeypatch.setattr(survey, "rng_from_key", lambda *args: pytest.fail("replicated"))
+        monkeypatch.setattr(survey, "make_rng", lambda *args: pytest.fail("replicated"))
         with pytest.raises(ValueError, match=f"{count} must be an integer"):
             call()
 
     def test_no_possible_respondent_rejected_before_replicating(self, monkeypatch):
         spec = replace(TWO_STRATA, attribute_prob=(0.0, 0.0))
-        monkeypatch.setattr(survey, "rng_from_key", lambda *args: pytest.fail("replicated"))
+        monkeypatch.setattr(survey, "make_rng", lambda *args: pytest.fail("replicated"))
         with pytest.raises(ValueError, match="attribute probability"):
             compare_schemes(spec, PERFECT, 1.0, 10, seed=0)
 
