@@ -15,6 +15,15 @@ generator.  A density may also hold one law per entry of a parameter array
 (a conditional family at an array of t1): ``logpdf`` then pairs its
 argument with those entries elementwise and ``sample`` draws one value per
 entry.
+
+No pxkit function writes into an array it did not allocate: not into the
+array a ``logpdf`` or a ``sample`` returns, not into a caller's argument.  So
+a density may return a cached or read-only array.  Each shipped ``logpdf``
+allocates its output once and finishes it in place, and keeps at most one
+more array: the normal's standardised argument or, for the gamma and the
+tabulated density, the argument with the points outside the support
+replaced.  On the support it applies the operations of the plain expression
+in their order, so its bits are that expression's; outside, it gives -inf.
 """
 
 from __future__ import annotations
@@ -101,6 +110,10 @@ class ScalarDensity:
     ``scale`` are location/spread hints used to parameterize variable
     transformations when integrating over infinite supports; they carry no
     probabilistic meaning of their own, and both must be finite.
+
+    Neither callable's result is written by any pxkit function, so either
+    may return an array it keeps, cached or read-only; and neither may
+    write into its argument, which may be read-only too.
     """
 
     support: Interval
@@ -137,9 +150,14 @@ def normal_density(mean: float, sd: float) -> ScalarDensity:
 
     def logpdf(x):
         # z and z * z overflow to inf only where the density underflows to 0 anyway.
+        # The formula reads z twice, so z is kept beside the output.
         with np.errstate(over="ignore"):
-            z = (np.asarray(x, dtype=float) - mean) / sd
-            return -0.5 * z * z - log_norm
+            z = np.asarray(x, dtype=float) - mean
+            z /= sd
+            out = -0.5 * z
+            out *= z
+            out -= log_norm
+            return out
 
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(mean, sd, size=int(n))
@@ -162,11 +180,14 @@ def exponential_density(rate: float) -> ScalarDensity:
 
     def logpdf(x):
         x = np.asarray(x, dtype=float)
-        inside = x >= 0.0
-        safe = np.where(inside, x, 0.0)
-        # rate * x overflows to inf only where the density underflows to 0 anyway.
+        # An argument outside the support becomes inf, which the two steps
+        # below take to -inf exactly; rate * x overflows to inf only where
+        # the density underflows to 0 anyway.
+        out = np.where(x >= 0.0, x, math.inf)
         with np.errstate(over="ignore"):
-            return np.where(inside, log_rate - rate * safe, -math.inf)
+            out *= rate
+            np.subtract(log_rate, out, out=out)
+        return out
 
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(1.0 / rate, size=int(n))
@@ -192,8 +213,15 @@ def gamma_density(shape: float, scale: float) -> ScalarDensity:
         x = np.asarray(x, dtype=float)
         inside = (x > 0.0) & np.isfinite(x)
         safe = np.where(inside, x, 1.0)
-        out = (shape - 1.0) * np.log(safe) - safe / scale - log_norm
-        return np.where(inside, out, -math.inf)
+        # An explicit output keeps a 0-d argument's result an array; the
+        # formula reads safe twice, so safe is kept beside it.
+        out = np.log(safe, out=np.empty_like(safe))
+        out *= shape - 1.0
+        safe /= scale
+        out -= safe
+        out -= log_norm
+        np.putmask(out, ~inside, -math.inf)
+        return out
 
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.gamma(shape, scale, size=int(n))
@@ -242,8 +270,12 @@ def tabulated_density(grid, values) -> ScalarDensity:
         x = np.asarray(x, dtype=float)
         inside = (x >= lo) & (x <= hi)
         safe = np.where(inside, x, lo)
+        # interp returns a scalar for a 0-d argument; asarray makes it an array.
+        out = np.asarray(np.interp(safe, grid, values))
         with np.errstate(divide="ignore"):
-            return np.where(inside, np.log(np.interp(safe, grid, values)), -math.inf)
+            np.log(out, out=out)
+        np.putmask(out, ~inside, -math.inf)
+        return out
 
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         # Inverse CDF: the cumulative mass is quadratic on each segment.

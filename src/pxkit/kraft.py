@@ -17,12 +17,17 @@ def decide(l1, l0) -> tuple[np.ndarray, np.ndarray]:
     """The rejection rule over arrays of log densities under the alternative and the null.
 
     Returns ``(reject_h0, half_log_ratio)`` elementwise.  Raises ValueError
-    if any observation has zero density under both hypotheses.
+    if any observation has zero density under both hypotheses.  The inputs
+    are only read; the one float array allocated here holds the maximum for
+    that check and then becomes the half log ratio.
     """
     l1 = np.asarray(l1, dtype=float)
     l0 = np.asarray(l0, dtype=float)
     # maximum propagates NaN, so (-inf, NaN) is not both-zero; np.fmax would say it is.
-    if np.any(np.maximum(l1, l0) == -math.inf):
+    log_ratio = np.maximum(l1, l0)
+    if np.any(log_ratio == -math.inf):
         raise ValueError("observation has zero density under both hypotheses")
-    log_ratio = 0.5 * (l1 - l0)
+    # For 0-d inputs the maximum is a numpy scalar, which cannot be written.
+    log_ratio = np.subtract(l1, l0, out=log_ratio if log_ratio.ndim else None)
+    log_ratio *= 0.5
     return log_ratio > 0.0, log_ratio

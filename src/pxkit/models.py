@@ -130,8 +130,12 @@ def make_normal_variance_expansion(n: int) -> ExpandedModel:
     )
 
 
-def joint_logpdf(em: ExpandedModel, t1, t2, theta: float):
-    """Vectorized log joint density over paired (t1, t2) arrays."""
+def joint_logpdf(em: ExpandedModel, t1, t2, theta: float, *, out=None):
+    """Vectorized log joint density over paired (t1, t2) arrays.
+
+    ``out``, as in a numpy ufunc, is an array of the broadcast shape that
+    receives the sum and is returned; by default a new one is allocated.
+    """
     t1 = np.asarray(t1, dtype=float)
     lm = em.marginal.density_at(theta).logpdf(t1)
-    return lm + em.conditional.density_at(t1, theta).logpdf(t2)
+    return np.add(lm, em.conditional.density_at(t1, theta).logpdf(t2), out=out)

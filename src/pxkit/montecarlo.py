@@ -6,7 +6,15 @@ estimates against the analytic affinity bounds.  Every stream is derived
 from the caller's seed, an integer in [0, 2**64), with `seeding.derive_seed`,
 so reruns are bit-identical and replicates are decorrelated by construction.
 Replicates are drawn, evaluated and decided vectorized in blocks of `_CHUNK`
-(32,768), so memory does not grow with the replicate count.  When a call
+(32,768), so memory does not grow with the replicate count.  Each hypothesis
+arm holds one ``(2, _CHUNK)`` float buffer for the whole call, into which
+the joint-statistic estimator writes its two joint log densities
+(`models.joint_logpdf` with ``out``).  So a block allocates its draws, each
+density's own log-density output (a shipped ``logpdf`` allocates that and at
+most one intermediate) and `kraft.decide`'s one float array.  The
+first-statistic estimator hands a density's output to `kraft.decide` as it
+is and leaves the buffer unwritten.  Nothing is kept between calls, and no
+array that a density or a sampler returns is written.  When a call
 spans more than one block, the theta1 arm runs on one worker thread while
 the caller's thread runs the theta0 arm (see `_estimate_errors`).
 """
@@ -77,14 +85,16 @@ def _estimate_errors(
     """Error probabilities of the test that rejects when ``logpdf(t, theta1)`` wins.
 
     ``sample(theta, n, rngs)`` draws n statistics under theta from the
-    ``streams`` generators in ``rngs``; ``logpdf(t, theta)`` is their log
-    density.  Stream seeds are derived from ``seed`` with keys 0, 1, ...,
-    the theta0 streams first, and each stream is one generator for the
-    whole call.  Each arm draws, evaluates and decides its replicates in
-    blocks of `_CHUNK` and sums its rejections as an integer count, so the
-    estimate equals that of one full-length draw and memory does not depend
-    on ``replicates``.  Decisions use the strict positive-half-log-ratio
-    rule of `kraft.decide`.
+    ``streams`` generators in ``rngs``; ``logpdf(t, theta, out)`` is their
+    log density, written into ``out`` and returned, or returned in an array
+    of its own.  ``out`` is a row of the arm's one ``(2, block)`` buffer,
+    which every block of the arm reuses.  Stream seeds are derived from
+    ``seed`` with keys 0, 1, ..., the theta0 streams first, and each stream
+    is one generator for the whole call.  Each arm draws, evaluates and
+    decides its replicates in blocks of `_CHUNK` and sums its rejections as
+    an integer count, so the estimate equals that of one full-length draw
+    and memory does not depend on ``replicates``.  Decisions use the strict
+    positive-half-log-ratio rule of `kraft.decide`.
 
     A call of more than one block runs the theta1 arm on one worker thread
     while the caller's thread runs the theta0 arm; numpy draws without the
@@ -104,12 +114,15 @@ def _estimate_errors(
 
     def rejections(theta, rngs) -> int:
         count = 0
+        rows = np.empty((2, min(_CHUNK, replicates)))
         try:
             for start in range(0, replicates, _CHUNK):
                 if failed.is_set():
                     break
-                t = sample(theta, min(_CHUNK, replicates - start), rngs)
-                reject = decide(logpdf(t, hyp.theta1), logpdf(t, hyp.theta0))[0]
+                n = min(_CHUNK, replicates - start)
+                t = sample(theta, n, rngs)
+                l1 = logpdf(t, hyp.theta1, rows[0, :n])
+                reject = decide(l1, logpdf(t, hyp.theta0, rows[1, :n]))[0]
                 count += int(np.count_nonzero(reject))
         except BaseException:
             failed.set()
@@ -148,7 +161,7 @@ def estimate_phi_errors(
     return _estimate_errors(
         lambda theta, n, rngs: density[theta].sample(n, rngs[0]),
         1,
-        lambda t, theta: density[theta].logpdf(t),
+        lambda t, theta, out: density[theta].logpdf(t),
         hyp,
         replicates,
         seed,
@@ -171,7 +184,12 @@ def estimate_psi_errors(
         return t1, em.conditional.density_at(t1, theta).sample(n, rngs[1])
 
     return _estimate_errors(
-        sample, 2, lambda t, theta: joint_logpdf(em, *t, theta), hyp, replicates, seed
+        sample,
+        2,
+        lambda t, theta, out: joint_logpdf(em, *t, theta, out=out),
+        hyp,
+        replicates,
+        seed,
     )
 
 

@@ -1,0 +1,124 @@
+"""pxkit writes into no array it did not allocate.
+
+A density's ``logpdf`` and ``sample`` may return arrays they keep, cached or
+read-only, and a caller's arrays are only read.  The families here return
+read-only arrays, so any write into one raises; each estimate must equal
+the one of a writable twin, and that of the shipped model, bit for bit.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from pxkit import (
+    ConditionalFamily,
+    ExpandedModel,
+    MarginalFamily,
+    SimpleHypotheses,
+    estimate_phi_errors,
+    estimate_psi_errors,
+    exponential_density,
+    gamma_density,
+    make_exponential_rate,
+    make_normal_location,
+    make_normal_variance_expansion,
+    make_two_stage_normal,
+    normal_density,
+)
+from pxkit.kraft import decide
+from pxkit.models import joint_logpdf
+from pxkit.montecarlo import _CHUNK
+
+HYP = SimpleHypotheses(0.5, 1.5)
+
+
+def _frozen(a):
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+def _wrapped(density, read_only):
+    """The same law, whose logpdf and sample return read-only arrays when asked."""
+    finish = _frozen if read_only else np.asarray
+    return replace(
+        density,
+        logpdf=lambda x: finish(density.logpdf(x)),
+        sample=lambda n, rng: finish(density.sample(n, rng)),
+    )
+
+
+def _marginal(make, read_only):
+    return MarginalFamily(lambda theta: _wrapped(make(theta), read_only))
+
+
+# (make the marginal at theta, make the conditional at (t1, theta), the shipped model)
+PHI = {
+    "normal": (lambda theta: normal_density(theta, 1.0), make_normal_location(1.0)),
+    "exponential": (exponential_density, make_exponential_rate()),
+}
+PSI = {
+    "two-stage": (
+        lambda theta: normal_density(theta, 1.0),
+        lambda t1, theta: normal_density(theta, 1.0),
+        make_two_stage_normal(1, 1, 1.0),
+    ),
+    "variance": (
+        lambda theta: normal_density(theta, 0.5),
+        lambda t1, theta: gamma_density(1.5, 2.0 / 3.0),
+        make_normal_variance_expansion(4),
+    ),
+}
+REPLICATES = [10**4, _CHUNK + 1]
+
+
+def _expanded(marginal, conditional, read_only):
+    return ExpandedModel(
+        _marginal(marginal, read_only),
+        ConditionalFamily(lambda t1, theta: _wrapped(conditional(t1, theta), read_only)),
+    )
+
+
+@pytest.mark.parametrize("replicates", REPLICATES)
+@pytest.mark.parametrize("law", sorted(PHI))
+def test_phi_estimate_reads_only(law, replicates):
+    make, shipped = PHI[law]
+    got = estimate_phi_errors(_marginal(make, True), HYP, replicates, seed=17)
+    assert got == estimate_phi_errors(_marginal(make, False), HYP, replicates, seed=17)
+    assert got == estimate_phi_errors(shipped, HYP, replicates, seed=17)
+
+
+@pytest.mark.parametrize("replicates", REPLICATES)
+@pytest.mark.parametrize("model", sorted(PSI))
+def test_psi_estimate_reads_only(model, replicates):
+    marginal, conditional, shipped = PSI[model]
+    got = estimate_psi_errors(_expanded(marginal, conditional, True), HYP, replicates, seed=17)
+    twin = _expanded(marginal, conditional, False)
+    assert got == estimate_psi_errors(twin, HYP, replicates, seed=17)
+    assert got == estimate_psi_errors(shipped, HYP, replicates, seed=17)
+
+
+@pytest.mark.parametrize("model", sorted(PSI))
+def test_joint_logpdf_fills_out(model):
+    marginal, conditional, shipped = PSI[model]
+    rng = np.random.default_rng(5)
+    t1 = _frozen(rng.normal(1.0, 1.0, size=257))
+    t2 = _frozen(np.abs(rng.normal(1.0, 1.0, size=257)))
+    for em in (_expanded(marginal, conditional, True), shipped):
+        want = joint_logpdf(em, t1, t2, HYP.theta1)
+        buf = np.empty(t1.shape)
+        assert joint_logpdf(em, t1, t2, HYP.theta1, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+
+
+def test_decide_reads_only():
+    l1 = _frozen([0.0, -math.inf, math.inf, math.nan, -0.0, 2.5, -1e308])
+    l0 = _frozen([-0.0, 0.0, -math.inf, 1.0, 0.0, 2.5, 1e308])
+    with np.errstate(over="ignore"):
+        reject, log_ratio = decide(l1, l0)
+        want = 0.5 * (l1 - l0)
+    assert log_ratio.tobytes() == want.tobytes()
+    assert reject.tolist() == (want > 0.0).tolist()
+    assert not np.shares_memory(log_ratio, l1) and not np.shares_memory(log_ratio, l0)
