@@ -1,8 +1,29 @@
-"""The one rule for integer counts: budgets, replicate counts, sample sizes and seeds."""
+"""The rules for numeric parameters: real values in an interval, integer counts and seeds."""
 
 from __future__ import annotations
 
 import math
+
+
+def check_real(
+    name: str, value, lower: float = -math.inf, upper: float = math.inf, ends: str = "()"
+) -> float:
+    """``value`` as a float when it lies in the interval from ``lower`` to ``upper``.
+
+    ``ends`` gives the interval's brackets: "()", "[)", "(]" or "[]", a
+    square bracket for a closed end.  The defaults ask for a finite value.
+    Otherwise raises a ValueError whose message starts with ``name`` and
+    shows the value, built only then.  NaN fails every comparison, so every
+    interval rejects it.  The range is tested on ``value`` itself, then
+    ``float`` converts it: a value that does not compare with a float (such
+    as a str) raises TypeError, and an int beyond the float range that
+    passes raises OverflowError.
+    """
+    # The open interval first: most values lie inside it, and a closed end
+    # then costs one equality test.
+    if lower < value < upper or value == lower and ends[0] == "[" or value == upper and ends[1] == "]":
+        return float(value)
+    raise ValueError(f"{name} must lie in {ends[0]}{lower}, {upper}{ends[1]}, got {value!r}")
 
 
 def check_count(name: str, value, minimum: int, maximum: float = math.inf) -> int:

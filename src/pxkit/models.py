@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import check_count
+from ._checks import check_count, check_real
 from .densities import ScalarDensity, gamma_density, normal_density, exponential_density
 
 
@@ -29,8 +29,8 @@ class SimpleHypotheses:
     theta1: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta0) and math.isfinite(self.theta1)):
-            raise ValueError("hypothesis parameters must be finite")
+        check_real("theta0", self.theta0)
+        check_real("theta1", self.theta1)
         if self.theta0 == self.theta1:
             raise ValueError("theta0 and theta1 must differ")
 
@@ -78,8 +78,7 @@ class ExpandedModel:
 
 def make_normal_location(sigma: float) -> MarginalFamily:
     """Normal location family: theta is the mean, sigma fixed."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_real("sigma", sigma, 0)
     return MarginalFamily(lambda theta: normal_density(theta, sigma))
 
 
@@ -99,8 +98,7 @@ def make_two_stage_normal(n1: int, n2: int, sigma: float) -> ExpandedModel:
     expanded model genuinely tightens the testing bound.
     """
     n1, n2 = check_count("n1", n1, 1), check_count("n2", n2, 1)
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_real("sigma", sigma, 0)
     sd1 = sigma / math.sqrt(n1)
     sd2 = sigma / math.sqrt(n2)
     return ExpandedModel(

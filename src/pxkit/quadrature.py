@@ -22,12 +22,13 @@ so its 240 t-nodes and their t-only factors (1-t^2, 1+t^2, (1-t^2)^2, or
 1-t and (1-t)^2) are computed once at import; a call computes only the
 terms in (c, s), in the same order, so the bits equal computing every
 factor per call.  Finite intervals and bisection passes compute their
-nodes per pass.  A first pass that meets the tolerance is returned at once:
-the panel heap and the bisection pass are built only when a bisection
-starts.  Subdivision order is deterministic, so results are bit-identical
-across runs.  One ``np.errstate`` covers all passes of a call, so overflow
-and invalid operations print no numpy warning; a non-finite integrand value
-shows in the result instead.
+nodes per pass.  A first pass that meets the tolerance is returned before
+any bisection state exists; otherwise the panel heap and the bisection pass
+are built once, before the bisection loop.  Subdivision order is
+deterministic, so results are bit-identical across runs.  One
+``np.errstate`` covers all passes of a call, so overflow and invalid
+operations print no numpy warning; a non-finite integrand value shows in
+the result instead.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._checks import check_count
+from ._checks import check_count, check_real
 
 # 15-point Kronrod nodes on [-1, 1] (ascending) with Kronrod weights; the
 # odd-indexed nodes form the embedded 7-point Gauss rule.
@@ -104,8 +105,8 @@ class QuadratureConfig:
     max_evaluations: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        check_real("abs_tol", self.abs_tol, 0)
+        check_real("rel_tol", self.rel_tol, 0)
         budget = check_count("max_evaluations", self.max_evaluations, MIN_EVALUATIONS)
         object.__setattr__(self, "max_evaluations", budget)
 
@@ -279,8 +280,8 @@ def integrate(
     """
     if not lower < upper:
         raise ValueError(f"bad integration interval ({lower}, {upper})")
-    if not (math.isfinite(center) and math.isfinite(scale)):
-        raise ValueError(f"center and scale hints must be finite, got ({center}, {scale})")
+    check_real("center", center)
+    check_real("scale", scale)
     cfg = _DEFAULT_CONFIG if cfg is None else cfg
 
     first, g = _transform(fn, lower, upper, center, scale)
@@ -294,21 +295,23 @@ def integrate(
             total += v
             err_total += e
         evals = MIN_EVALUATIONS
-        heap = []  # built when the first bisection starts; a converged first pass needs none
+        # The loop's own test, so a NaN error returns here as it would leave the loop.
+        if not err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            return QuadResult(value=float(total), abs_error=float(err_total), evaluations=evals)
+
+        edges = first.edges
+        heap = [(-e, seq, left, right, v, e) for seq, (left, right, (v, e))
+                in enumerate(zip(edges, edges[1:], estimates))]
+        heapq.heapify(heap)
+        seq = len(heap)
+
+        def bisection_pass(t):
+            return g(*first.factors_of(t))
+
         splits = 0
         while err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             if evals + 30 > cfg.max_evaluations:
                 raise QuadratureBudgetError(total, err_total, evals)
-            if not heap:
-                edges = first.edges
-                heap = [(-e, seq, left, right, v, e) for seq, (left, right, (v, e))
-                        in enumerate(zip(edges, edges[1:], estimates))]
-                heapq.heapify(heap)
-                seq = len(heap)
-
-                def bisection_pass(t):
-                    return g(*first.factors_of(t))
-
             neg_e, _, left, right, v, e = heapq.heappop(heap)
             mid = 0.5 * (left + right)
             (v1, e1), (v2, e2) = _panels(bisection_pass, (left, mid), (mid, right))

@@ -35,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._checks import check_count, check_seed
+from ._checks import check_count, check_real, check_seed
 from .densities import make_rng, rekey
 from .seeding import derive_keys
 
@@ -53,10 +53,8 @@ class Stratum:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "size", check_count(f"stratum {self.label!r}: size", self.size, 1))
-        if not math.isfinite(self.value_mean):
-            raise ValueError(f"stratum {self.label!r}: value_mean must be finite")
-        if not 0 <= self.value_sd < math.inf:
-            raise ValueError(f"stratum {self.label!r}: value_sd must be finite and nonnegative")
+        check_real(f"stratum {self.label!r}: value_mean", self.value_mean)
+        check_real(f"stratum {self.label!r}: value_sd", self.value_sd, 0, ends="[)")
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,8 @@ class PopulationSpec:
             raise ValueError("need at least one stratum")
         if len(self.attribute_prob) != len(self.strata):
             raise ValueError("need exactly one attribute probability per stratum")
-        if any(not 0.0 <= p <= 1.0 for p in self.attribute_prob):
-            raise ValueError("attribute probabilities must lie in [0, 1]")
+        for stratum, p in zip(self.strata, self.attribute_prob):
+            check_real(f"stratum {stratum.label!r}: attribute_prob", p, 0, 1, "[]")
         labels = [s.label for s in self.strata]
         if len(set(labels)) != len(labels):
             raise ValueError("stratum labels must be unique")
@@ -95,10 +93,8 @@ class AccuracyModel:
     noise_sd: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_accurate <= 1.0:
-            raise ValueError(f"p_accurate must lie in [0, 1], got {self.p_accurate}")
-        if not 0 <= self.noise_sd < math.inf:
-            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
+        check_real("p_accurate", self.p_accurate, 0, 1, "[]")
+        check_real("noise_sd", self.noise_sd, 0, ends="[)")
 
 
 def _spans(counts) -> list[slice]:
@@ -207,9 +203,7 @@ def _reports(target_value: np.ndarray, u: np.ndarray, noise: np.ndarray, acc: Ac
 
 def check_quantile(quantile: float) -> float:
     """The kept share of proxy reports as a float; raises ValueError outside (0, 1]."""
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
-    return float(quantile)
+    return check_real("quantile", quantile, 0, 1, "(]")
 
 
 def check_srs_size(srs_size: int, population_size: int) -> int:

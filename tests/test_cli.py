@@ -408,6 +408,27 @@ class TestExitCodes:
         assert err.startswith("config error: ") and field in err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["bound", "--model", "normal", "--theta0=0", "--theta1=1", "--rel-tol=-1"],
+             "rel_tol must lie in (0, inf), got -1.0"),
+            (["bound", "--model", "normal", "--theta0=nan", "--theta1=1"],
+             "theta0 must lie in (-inf, inf), got nan"),
+            (["test", "--model", "exponential", "--theta0=0", "--theta1=1", "--replicates", "1000"],
+             "rate must lie in (0, inf), got 0.0"),
+            (["survey", "--config", "{tmp}/prob.ini"],
+             "stratum 'A': attribute_prob must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_out_of_range_value_is_named_with_its_value(self, args, message, tmp_path, capsys):
+        ini = SURVEY_INI.replace("A, 50, 0.0, 1.0, 0.9", "A, 50, 0.0, 1.0, 1.5")
+        (tmp_path / "prob.ini").write_text(ini, encoding="utf-8")
+        args = [a.format(tmp=tmp_path) for a in args]
+        assert run_cli(*args, "--out", str(tmp_path / "x.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.rstrip().endswith(message), err
+
 
 class TestConfigRoundTrip:
     def test_full_round_trip(self, tmp_path):

@@ -1,5 +1,6 @@
 """Density construction, evaluation, CSV loading and sampler correctness."""
 
+import inspect
 import itertools
 import math
 
@@ -105,7 +106,11 @@ class TestValidation:
         ],
     )
     def test_non_finite_parameters(self, make, args):
-        with pytest.raises(ValueError, match="finite"):
+        # The message names the non-finite parameter and its interval, and shows its value.
+        name, value = next((n, a) for n, a in zip(inspect.signature(make).parameters, args)
+                           if not math.isfinite(a))
+        interval = r"\(-inf, inf\)" if name == "mean" else r"\(0, inf\)"
+        with pytest.raises(ValueError, match=rf"^{name} must lie in {interval}, got {value!r}$"):
             make(*args)
 
     @pytest.mark.parametrize(
@@ -114,7 +119,7 @@ class TestValidation:
     )
     def test_overflowing_hints_rejected(self, make, args):
         # Finite parameters whose integration hints (1/rate; shape*scale) overflow.
-        with pytest.raises(ValueError, match="hints must be finite"):
+        with pytest.raises(ValueError, match=r"^center must lie in \(-inf, inf\), got inf$"):
             make(*args)
 
     @pytest.mark.parametrize("hints", [(math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0),
@@ -122,7 +127,8 @@ class TestValidation:
     def test_density_hints_must_be_finite(self, hints):
         center, scale = hints
         base = normal_density(0.0, 1.0)
-        with pytest.raises(ValueError, match="hints must be finite"):
+        name, value = ("center", center) if not math.isfinite(center) else ("scale", scale)
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \(-inf, inf\), got {value!r}$"):
             ScalarDensity(base.support, base.logpdf, base.sample, center=center, scale=scale)
 
     def test_tabulated_rejects_degenerate_input(self):

@@ -50,7 +50,7 @@ class TestNormalLocation:
     "make", [make_normal_location, lambda s: make_two_stage_normal(1, 1, s)], ids=["normal", "two_stage"]
 )
 def test_non_finite_sigma_is_named(make, sigma):
-    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+    with pytest.raises(ValueError, match=rf"^sigma must lie in \(0, inf\), got {sigma!r}$"):
         make(sigma)
 
 
@@ -70,7 +70,7 @@ class TestExponentialRate:
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
     def test_bad_rate_is_named(self, rate):
-        with pytest.raises(ValueError, match="rate must be positive and finite"):
+        with pytest.raises(ValueError, match=rf"^rate must lie in \(0, inf\), got {rate!r}$"):
             make_exponential_rate().density_at(rate)
 
 

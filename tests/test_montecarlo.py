@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -244,6 +246,43 @@ class TestArms:
         other = HYP.theta1 if fail_theta == HYP.theta0 else HYP.theta0
         assert len(threads[fail_theta]) == 1
         assert len(threads[other]) < blocks
+
+    def test_concurrent_calls_match_sequential(self):
+        # Every multi-block call starts its own worker and gives each arm its
+        # own buffer (psi) or none (phi).  The barrier starts a phi and a psi
+        # caller together, and a short switch interval interleaves the four
+        # arms within the calls; each must still get its sequential bits.
+        calls = {
+            "phi": (estimate_phi_errors, make_exponential_rate(), SimpleHypotheses(1.0, 2.0)),
+            "psi": (estimate_psi_errors, make_two_stage_normal(1, 1, 1.0), HYP),
+        }
+        sizes = (_CHUNK + 1, 3 * _CHUNK + 7)
+        want = {
+            kind: [repr(estimate(model, hyp, n, seed=31)) for n in sizes]
+            for kind, (estimate, model, hyp) in calls.items()
+        }
+        barrier = threading.Barrier(len(calls), timeout=60)
+
+        def repeat(kind):
+            estimate, model, hyp = calls[kind]
+            out = []
+            for _ in range(4):
+                barrier.wait()
+                out.append([repr(estimate(model, hyp, n, seed=31)) for n in sizes])
+            return out
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+                runs = {kind: pool.submit(repeat, kind) for kind in calls}
+                got = {kind: run.result() for kind, run in runs.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        for kind, results in got.items():
+            assert results == [want[kind]] * 4
 
 
 class TestCheckBound:
