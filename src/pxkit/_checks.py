@@ -16,13 +16,17 @@ def check_real(
     shows the value, built only then.  NaN fails every comparison, so every
     interval rejects it.  The range is tested on ``value`` itself, then
     ``float`` converts it: a value that does not compare with a float (such
-    as a str) raises TypeError, and an int beyond the float range that
-    passes raises OverflowError.
+    as a str) raises TypeError, and an int or Fraction beyond the float
+    range that passes raises OverflowError, its message too naming ``name``
+    and showing the value.
     """
     # The open interval first: most values lie inside it, and a closed end
     # then costs one equality test.
     if lower < value < upper or value == lower and ends[0] == "[" or value == upper and ends[1] == "]":
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise OverflowError(f"{name} must lie in the float range, got {value!r}") from None
     raise ValueError(f"{name} must lie in {ends[0]}{lower}, {upper}{ends[1]}, got {value!r}")
 
 

@@ -156,9 +156,13 @@ def normal_density(mean: float, sd: float) -> ScalarDensity:
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(mean, sd, size=int(n))
 
-    # The fields in order (support, logpdf, sample, center, scale): a
-    # dataclass binds positional arguments faster than keywords.
-    return ScalarDensity(_WHOLE_LINE, logpdf, sample, mean, sd)
+    return ScalarDensity(
+        support=_WHOLE_LINE,
+        logpdf=logpdf,
+        sample=sample,
+        center=mean,
+        scale=sd,
+    )
 
 
 def exponential_density(rate: float) -> ScalarDensity:
@@ -180,7 +184,13 @@ def exponential_density(rate: float) -> ScalarDensity:
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(1.0 / rate, size=int(n))
 
-    return ScalarDensity(_HALF_LINE, logpdf, sample, 1.0 / rate, 1.0 / rate)
+    return ScalarDensity(
+        support=_HALF_LINE,
+        logpdf=logpdf,
+        sample=sample,
+        center=1.0 / rate,
+        scale=1.0 / rate,
+    )
 
 
 def gamma_density(shape: float, scale: float) -> ScalarDensity:
@@ -206,7 +216,13 @@ def gamma_density(shape: float, scale: float) -> ScalarDensity:
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.gamma(shape, scale, size=int(n))
 
-    return ScalarDensity(_HALF_LINE, logpdf, sample, shape * scale, math.sqrt(shape) * scale)
+    return ScalarDensity(
+        support=_HALF_LINE,
+        logpdf=logpdf,
+        sample=sample,
+        center=shape * scale,
+        scale=math.sqrt(shape) * scale,
+    )
 
 
 def tabulated_density(grid, values) -> ScalarDensity:
@@ -266,7 +282,13 @@ def tabulated_density(grid, values) -> ScalarDensity:
         d = np.clip(d, 0.0, dx[idx])
         return grid[idx] + d
 
-    return ScalarDensity(Interval(lo, hi), logpdf, sample, 0.5 * (lo + hi), 0.5 * (hi - lo))
+    return ScalarDensity(
+        support=Interval(lo, hi),
+        logpdf=logpdf,
+        sample=sample,
+        center=0.5 * (lo + hi),
+        scale=0.5 * (hi - lo),
+    )
 
 
 def _parses(cell: str) -> bool:

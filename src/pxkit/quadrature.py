@@ -255,6 +255,14 @@ def _transform(fn: Callable, lower: float, upper: float, center: float, scale: f
     return first, g
 
 
+def _unconverged(total: float, err_total: float, cfg: QuadratureConfig) -> bool:
+    """The one stopping rule: bisect while the summed error exceeds the tolerance.
+
+    A NaN error fails the comparison, so it stops the bisection.
+    """
+    return err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total))
+
+
 def integrate(
     fn: Callable[[np.ndarray], np.ndarray],
     lower: float,
@@ -295,37 +303,34 @@ def integrate(
             total += v
             err_total += e
         evals = MIN_EVALUATIONS
-        # The loop's own test, so a NaN error returns here as it would leave the loop.
-        if not err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            return QuadResult(value=float(total), abs_error=float(err_total), evaluations=evals)
+        if _unconverged(total, err_total, cfg):
+            edges = first.edges
+            heap = [(-e, seq, left, right, v, e) for seq, (left, right, (v, e))
+                    in enumerate(zip(edges, edges[1:], estimates))]
+            heapq.heapify(heap)
+            seq = len(heap)
 
-        edges = first.edges
-        heap = [(-e, seq, left, right, v, e) for seq, (left, right, (v, e))
-                in enumerate(zip(edges, edges[1:], estimates))]
-        heapq.heapify(heap)
-        seq = len(heap)
+            def bisection_pass(t):
+                return g(*first.factors_of(t))
 
-        def bisection_pass(t):
-            return g(*first.factors_of(t))
-
-        splits = 0
-        while err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            if evals + 30 > cfg.max_evaluations:
-                raise QuadratureBudgetError(total, err_total, evals)
-            neg_e, _, left, right, v, e = heapq.heappop(heap)
-            mid = 0.5 * (left + right)
-            (v1, e1), (v2, e2) = _panels(bisection_pass, (left, mid), (mid, right))
-            evals += 30
-            total += v1 + v2 - v
-            err_total += e1 + e2 - e
-            heapq.heappush(heap, (-e1, seq, left, mid, v1, e1))
-            seq += 1
-            heapq.heappush(heap, (-e2, seq, mid, right, v2, e2))
-            seq += 1
-            splits += 1
-            if splits % 64 == 0:
-                # Recompute sums to shed accumulated floating-point drift.
-                total = math.fsum(item[4] for item in heap)
-                err_total = math.fsum(item[5] for item in heap)
+            splits = 0
+            while _unconverged(total, err_total, cfg):
+                if evals + 30 > cfg.max_evaluations:
+                    raise QuadratureBudgetError(total, err_total, evals)
+                neg_e, _, left, right, v, e = heapq.heappop(heap)
+                mid = 0.5 * (left + right)
+                (v1, e1), (v2, e2) = _panels(bisection_pass, (left, mid), (mid, right))
+                evals += 30
+                total += v1 + v2 - v
+                err_total += e1 + e2 - e
+                heapq.heappush(heap, (-e1, seq, left, mid, v1, e1))
+                seq += 1
+                heapq.heappush(heap, (-e2, seq, mid, right, v2, e2))
+                seq += 1
+                splits += 1
+                if splits % 64 == 0:
+                    # Recompute sums to shed accumulated floating-point drift.
+                    total = math.fsum(item[4] for item in heap)
+                    err_total = math.fsum(item[5] for item in heap)
 
     return QuadResult(value=float(total), abs_error=float(err_total), evaluations=evals)

@@ -237,11 +237,13 @@ def _assert_same_verdict(site, v):
                 mp.setattr(importlib.import_module(module), "check_real", _unchecked(name))
             want = _outcome(call, v)
     want_type = None if want is None else type(want)
-    if site in OVERFLOW_NOW and want is None and isinstance(_outcome(float, v), OverflowError):
+    v_overflows = isinstance(_outcome(float, v), OverflowError)
+    if site in OVERFLOW_NOW and want is None and v_overflows:
         want_type = OverflowError
     assert (None if got is None else type(got)) is want_type, (site, v, got, want)
-    if isinstance(rejected, ValueError):
-        # The old range test rejected it: the rule's message names the input and shows its value.
+    if isinstance(rejected, ValueError) or isinstance(got, OverflowError) and v_overflows:
+        # The old range test rejected it, or the value has no float: the
+        # rule's message names the input and shows its value.
         assert str(got).startswith(f"{name} must lie in "), str(got)
         assert str(got).endswith(f", got {v!r}"), str(got)
 
@@ -288,6 +290,13 @@ def test_real_rule_message_names_the_interval_and_value(args, message):
     with pytest.raises(ValueError) as exc:
         check_real("p", *args)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("v", [10**400, -(10**400), Fraction(10**400, 3)])
+def test_real_rule_names_a_value_beyond_the_float_range(v):
+    with pytest.raises(OverflowError) as exc:
+        check_real("p", v)
+    assert str(exc.value) == f"p must lie in the float range, got {v!r}"
 
 
 @pytest.mark.parametrize(
