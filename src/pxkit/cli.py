@@ -82,13 +82,18 @@ def _require(config: ExperimentConfig, *names: str) -> None:
 def _build(config, make, *names, args=None):
     """``make`` of the named config fields (or of ``args``); bad input in them is a ConfigError.
 
-    Bad input is a value ``make`` rejects or a file it cannot read.
+    Bad input is a value ``make`` rejects or a file it cannot read.  The
+    error starts with the names of the fields, or only with the one that a
+    range check's message names (``"<name> must ..."``, as `_checks` words
+    it), so no field that is fine is named.
     """
     _require(config, *names)
     try:
         return make(*(args if args is not None else [getattr(config, n) for n in names]))
     except (ValueError, OSError) as exc:
-        raise ConfigError(f"{', '.join(names)}: {exc}") from None
+        message = str(exc)
+        named = [n for n in names if message.startswith(f"{n} must ")]
+        raise ConfigError(f"{', '.join(named or names)}: {message}") from None
 
 
 # Model name -> constructor and the config fields it reads.  "tabulated" has

@@ -114,6 +114,16 @@ class ScalarDensity:
     Neither callable's result is written by any pxkit function, so either
     may return an array it keeps, cached or read-only; and neither may
     write into its argument, which may be read-only too.
+
+    ``law`` declares the law that ``logpdf`` computes, as a tuple of the
+    family's name and its parameters: ``("normal", mean, sd)``,
+    ``("exponential", rate)`` or ``("gamma", shape, scale)``; None, the
+    default, declares nothing.  Where two declared laws have a closed-form
+    log likelihood ratio (`kraft._log_ratio`), the Monte Carlo estimators
+    decide from it without calling ``logpdf``, so ``law`` must describe
+    ``logpdf``: a `dataclasses.replace` that changes ``logpdf`` to another
+    law must reset ``law`` to None.  A wrapper that computes the same law,
+    such as a tracer's, keeps it.
     """
 
     support: Interval
@@ -121,6 +131,7 @@ class ScalarDensity:
     sample: Callable[[int, np.random.Generator], np.ndarray]
     center: float = 0.0
     scale: float = 1.0
+    law: tuple | None = None
 
     def __post_init__(self) -> None:
         # A parameter whose reciprocal or product overflows gives an infinite
@@ -162,6 +173,7 @@ def normal_density(mean: float, sd: float) -> ScalarDensity:
         sample=sample,
         center=mean,
         scale=sd,
+        law=("normal", mean, sd),
     )
 
 
@@ -190,6 +202,7 @@ def exponential_density(rate: float) -> ScalarDensity:
         sample=sample,
         center=1.0 / rate,
         scale=1.0 / rate,
+        law=("exponential", rate),
     )
 
 
@@ -222,6 +235,7 @@ def gamma_density(shape: float, scale: float) -> ScalarDensity:
         sample=sample,
         center=shape * scale,
         scale=math.sqrt(shape) * scale,
+        law=("gamma", shape, scale),
     )
 
 

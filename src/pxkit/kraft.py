@@ -4,6 +4,13 @@ The test rejects when the square root of the density ratio under the
 alternative versus the null exceeds 1, i.e. when the half-log-ratio is
 strictly positive.  Ties retain the null.  Decisions are computed in log
 space so extreme observations cannot overflow.
+
+`decide` takes the two log densities.  For two densities that declare their
+laws (``ScalarDensity.law``), `_log_ratio` gives the log ratio in closed
+form instead, where the pair has one that is affine in the observation:
+identical laws, normals of one standard deviation, and exponentials.  The
+Monte Carlo estimators reject where it is positive, which is `decide`'s
+rule without evaluating either density.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+_ZERO_BOTH = "observation has zero density under both hypotheses"
 
 
 def decide(l1, l0) -> tuple[np.ndarray, np.ndarray]:
@@ -26,8 +35,93 @@ def decide(l1, l0) -> tuple[np.ndarray, np.ndarray]:
     # maximum propagates NaN, so (-inf, NaN) is not both-zero; np.fmax would say it is.
     log_ratio = np.maximum(l1, l0)
     if np.any(log_ratio == -math.inf):
-        raise ValueError("observation has zero density under both hypotheses")
+        raise ValueError(_ZERO_BOTH)
     # For 0-d inputs the maximum is a numpy scalar, which cannot be written.
     log_ratio = np.subtract(l1, l0, out=log_ratio if log_ratio.ndim else None)
     log_ratio *= 0.5
     return log_ratio > 0.0, log_ratio
+
+
+def _check_support(family: str, x: np.ndarray) -> None:
+    """Raise ValueError if some x lies outside the support that ``family``'s logpdf gives.
+
+    The normal's log density is -inf only at +-inf (at NaN it is NaN); the
+    exponential's outside [0, inf) and the gamma's outside (0, inf), NaN
+    included in both.  The block's extremes decide it, as NaN propagates
+    into both.
+    """
+    lo, hi = np.min(x), np.max(x)
+    if family == "normal":
+        outside = not (-math.inf < lo and hi < math.inf) and np.isinf(x).any()
+    else:
+        outside = not ((lo >= 0.0 if family == "exponential" else lo > 0.0) and hi < math.inf)
+    if outside:
+        raise ValueError(_ZERO_BOTH)
+
+
+def _log_ratio(f1, f0):
+    """Closed-form ``log f1(x) - log f0(x)`` of two declared laws, or None where it has none.
+
+    The closed forms are 0 for identical laws, ``(x - m) * ((mean1 - mean0)
+    / sd / sd)`` for normals of one sd, with m the midpoint of the means,
+    and ``(rate0 - rate1) * x + (log rate1 - log rate0)`` for exponentials.
+    Any other pair, or a density whose ``law`` is None, gives None.  The
+    normal's x - m has the exact sign even where m falls between two
+    floats, as it does for means one ulp apart.
+
+    The result is ``ratio(x, out)``, which writes the log ratio at the float
+    array x into ``out``, an array of x's shape, and returns it; for
+    identical laws it returns 0.0 and leaves ``out`` alone.  Like `decide`,
+    it raises ValueError when some x has zero density under both laws, by
+    lying outside their support (`_check_support`); a point whose densities
+    both underflow inside it, which no draw from either law reaches, gets
+    its ratio.  Its sign survives scales of 10^+-300: the normal's slope
+    divides by sd twice, where sd**2 would underflow to 0, and a product
+    that overflows keeps its sign as +-inf; a ratio loses its sign only by
+    underflowing below the smallest float.  So ``ratio(x, out) > 0`` is
+    `decide`'s rejection except within rounding of a tie.
+    """
+    law1, law0 = f1.law, f0.law
+    if law1 is None or law0 is None or law1[0] != law0[0]:
+        return None
+    family = law1[0]
+    if law1 == law0:
+
+        def ratio(x, out):
+            _check_support(family, x)
+            return 0.0
+
+    elif family == "normal" and law1[2] == law0[2]:
+        (_, mean1, sd), mean0 = law1, law0[1]
+        # The midpoint as mid + mid_err exactly (Knuth's two-sum of the halves),
+        # so x - mid - mid_err has the sign of x less the true midpoint.
+        half0, half1 = 0.5 * mean0, 0.5 * mean1
+        mid = half0 + half1
+        mid_err = (half0 - (mid - (mid - half0))) + (half1 - (mid - half0))
+        slope = (mean1 - mean0) / sd / sd  # sd * sd underflows to 0 below 1e-162
+
+        def ratio(x, out):
+            _check_support(family, x)
+            # Overflow gives +-inf of the right sign; 0 * inf is a NaN tie.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(x, mid, out=out)
+                if mid_err:
+                    out -= mid_err
+                out *= slope
+            return out
+
+    elif family == "exponential":
+        rate1, rate0 = law1[1], law0[1]
+        slope = rate0 - rate1
+        offset = math.log(rate1) - math.log(rate0)
+
+        def ratio(x, out):
+            _check_support(family, x)
+            with np.errstate(over="ignore"):
+                np.multiply(x, slope, out=out)
+                out += offset
+            return out
+
+    else:
+        return None
+    return ratio

@@ -7,16 +7,27 @@ from the caller's seed, an integer in [0, 2**64), with `seeding.derive_seed`,
 so reruns are bit-identical and replicates are decorrelated by construction.
 Replicates are drawn, evaluated and decided vectorized in blocks of `_CHUNK`
 (32,768), so memory does not grow with the replicate count.  Each hypothesis
-arm holds one ``(2, _CHUNK)`` float buffer for the whole call, into which
-the joint-statistic estimator writes its two joint log densities
-(`models.joint_logpdf` with ``out``).  So a block allocates its draws, each
-density's own log-density output (a shipped ``logpdf`` allocates that and at
-most one intermediate) and `kraft.decide`'s one float array.  The
-first-statistic estimator hands a density's output to `kraft.decide` as it
-is and leaves the buffer unwritten.  Nothing is kept between calls, and no
-array that a density or a sampler returns is written.  When a call
-spans more than one block, the theta1 arm runs on one worker thread while
-the caller's thread runs the theta0 arm (see `_estimate_errors`).
+arm holds one ``(2, _CHUNK)`` float buffer for the whole call.
+
+A block takes one of two paths.  When the two hypotheses' marginal
+densities (and, for the joint statistic, the block's two conditional
+densities) declare laws with a closed-form log likelihood ratio
+(`kraft._log_ratio`), it rejects where that ratio is positive, and no
+density is evaluated: the buffer's first row holds the marginal ratio,
+and for the joint statistic the second holds the conditional one, which
+is added into the first.
+Otherwise it evaluates the log densities and decides with `kraft.decide`:
+the joint-statistic estimator writes its two joint log densities into the
+buffer (`models.joint_logpdf` with ``out``), and the first-statistic one
+hands a density's own output to `decide` and leaves the buffer unwritten.
+This path serves tabulated, custom and mixed-law families.  Either way a
+block allocates its draws, the comparison's booleans and, on the second
+path, each density's log-density output (a shipped ``logpdf`` allocates
+that and at most one intermediate) and `decide`'s one float array.
+Nothing is kept between calls, and no array that a density or a sampler
+returns is written.  When a call spans more than one block, the theta1 arm
+runs on one worker thread while the caller's thread runs the theta0 arm
+(see `_estimate_errors`).
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import numpy as np
 from . import densities
 from ._checks import check_count, check_real, check_seed
 from .affinity import expanded_bound, marginal_bound
-from .kraft import decide
+from .kraft import _log_ratio, decide
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses, joint_logpdf
 from .quadrature import QuadratureConfig
 from .seeding import derive_seed
@@ -80,21 +91,20 @@ def check_replicates(replicates: int) -> int:
 
 
 def _estimate_errors(
-    sample, streams: int, logpdf, hyp: SimpleHypotheses, replicates: int, seed: int
+    sample, streams: int, reject, hyp: SimpleHypotheses, replicates: int, seed: int
 ) -> ErrorProbEstimate:
-    """Error probabilities of the test that rejects when ``logpdf(t, theta1)`` wins.
+    """Error probabilities of the test whose rejections ``reject`` gives.
 
     ``sample(theta, n, rngs)`` draws n statistics under theta from the
-    ``streams`` generators in ``rngs``; ``logpdf(t, theta, out)`` is their
-    log density, written into ``out`` and returned, or returned in an array
-    of its own.  ``out`` is a row of the arm's one ``(2, block)`` buffer,
-    which every block of the arm reuses.  Stream seeds are derived from
-    ``seed`` with keys 0, 1, ..., the theta0 streams first, and each stream
-    is one generator for the whole call.  Each arm draws, evaluates and
-    decides its replicates in blocks of `_CHUNK` and sums its rejections as
-    an integer count, so the estimate equals that of one full-length draw
-    and memory does not depend on ``replicates``.  Decisions use the strict
-    positive-half-log-ratio rule of `kraft.decide`.
+    ``streams`` generators in ``rngs``; ``reject(t, rows)`` says which of
+    them reject theta0, by the strict rule of `kraft.decide`.  ``rows`` is
+    the arm's one ``(2, block)`` buffer cut to the block's n columns, which
+    every block of the arm reuses and ``reject`` may write.  Stream seeds
+    are derived from ``seed`` with keys 0, 1, ..., the theta0 streams first,
+    and each stream is one generator for the whole call.  Each arm draws,
+    evaluates and decides its replicates in blocks of `_CHUNK` and sums its
+    rejections as an integer count, so the estimate equals that of one
+    full-length draw and memory does not depend on ``replicates``.
 
     A call of more than one block runs the theta1 arm on one worker thread
     while the caller's thread runs the theta0 arm; numpy draws without the
@@ -120,10 +130,7 @@ def _estimate_errors(
                 if failed.is_set():
                     break
                 n = min(_CHUNK, replicates - start)
-                t = sample(theta, n, rngs)
-                l1 = logpdf(t, hyp.theta1, rows[0, :n])
-                reject = decide(l1, logpdf(t, hyp.theta0, rows[1, :n]))[0]
-                count += int(np.count_nonzero(reject))
+                count += int(np.count_nonzero(reject(sample(theta, n, rngs), rows[:, :n])))
         except BaseException:
             failed.set()
             raise
@@ -158,10 +165,18 @@ def estimate_phi_errors(
     reports rejection / retention frequencies.
     """
     density = {theta: family.density_at(theta) for theta in (hyp.theta0, hyp.theta1)}
+    f1, f0 = density[hyp.theta1], density[hyp.theta0]
+    ratio = _log_ratio(f1, f0)
+
+    def reject(t, rows):
+        if ratio is None:
+            return decide(f1.logpdf(t), f0.logpdf(t))[0]
+        return ratio(t, rows[0]) > 0.0
+
     return _estimate_errors(
         lambda theta, n, rngs: density[theta].sample(n, rngs[0]),
         1,
-        lambda t, theta, out: density[theta].logpdf(t),
+        reject,
         hyp,
         replicates,
         seed,
@@ -178,19 +193,26 @@ def estimate_psi_errors(
     """
 
     marginal = {theta: em.marginal.density_at(theta) for theta in (hyp.theta0, hyp.theta1)}
+    ratio = _log_ratio(marginal[hyp.theta1], marginal[hyp.theta0])
 
     def sample(theta, n, rngs):
         t1 = marginal[theta].sample(n, rngs[0])
         return t1, em.conditional.density_at(t1, theta).sample(n, rngs[1])
 
-    return _estimate_errors(
-        sample,
-        2,
-        lambda t, theta, out: joint_logpdf(em, *t, theta, out=out),
-        hyp,
-        replicates,
-        seed,
-    )
+    def reject(t, rows):
+        t1, t2 = t
+        if ratio is not None:
+            conditional = _log_ratio(
+                *(em.conditional.density_at(t1, theta) for theta in (hyp.theta1, hyp.theta0))
+            )
+            if conditional is not None:
+                r = ratio(t1, rows[0])
+                r += conditional(t2, rows[1])
+                return r > 0.0
+        l1 = joint_logpdf(em, t1, t2, hyp.theta1, out=rows[0])
+        return decide(l1, joint_logpdf(em, t1, t2, hyp.theta0, out=rows[1]))[0]
+
+    return _estimate_errors(sample, 2, reject, hyp, replicates, seed)
 
 
 def check_bound(estimate: ErrorProbEstimate, bound: float) -> BoundCheck:

@@ -419,6 +419,9 @@ class TestExitCodes:
              "rate must lie in (0, inf), got 0.0"),
             (["survey", "--config", "{tmp}/prob.ini"],
              "stratum 'A': attribute_prob must lie in [0, 1], got 1.5"),
+            # The whole line: the prefix names only the field the message names.
+            (["bound", "--model", "normal", "--theta0=0", "--theta1=1", "--rel-tol=-1"],
+             "config error: rel_tol: rel_tol must lie in (0, inf), got -1.0"),
         ],
     )
     def test_out_of_range_value_is_named_with_its_value(self, args, message, tmp_path, capsys):

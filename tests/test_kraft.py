@@ -1,20 +1,28 @@
-"""The square-root density-ratio rule: ties, antisymmetry, degenerate collapse."""
+"""The square-root density-ratio rule: ties, antisymmetry, degenerate collapse, closed forms."""
 
 import itertools
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from pxkit import (
     SimpleHypotheses,
+    exponential_density,
+    gamma_density,
     joint_logpdf,
     make_normal_location,
     make_normal_variance_expansion,
     make_two_stage_normal,
+    normal_density,
     tabulated_density,
 )
-from pxkit.kraft import decide
+from pxkit.densities import make_rng
+from pxkit.kraft import _log_ratio, decide
 
 NORMAL = make_normal_location(1.0)
 HYP = SimpleHypotheses(0.0, 1.0)
@@ -122,3 +130,146 @@ def test_zero_density_check_matches_isneginf(l1, l0):
         want = 0.5 * (np.array([0.0, l1]) - np.array([0.0, l0]))
     assert log_ratio.tobytes() == want.tobytes()
     assert reject.tolist() == [False, bool(want[1] > 0.0)]
+
+
+# The closed-form rule of the Monte Carlo estimators against `decide`.
+
+_EPS = np.finfo(float).eps
+# A disagreement is a near-tie when the exact log ratio lies within this
+# many eps of the summed magnitudes of the terms `decide`'s log densities
+# cancel: the closed form is no less accurate than those.
+_TIE_ULPS = 16
+
+
+def _exact_and_terms(law1, law0, x):
+    """The exact log ratio at x and the magnitude of the terms of the two log densities.
+
+    Both as Fractions, so no magnitude overflows.  The log normalisers and
+    log rates are the rounded floats, an error inside the stated bound.
+    """
+    x = Fraction(x)
+    if law1[0] == "normal":
+        sd = Fraction(law1[2])
+        z1, z0 = (x - Fraction(law1[1])) / sd, (x - Fraction(law0[1])) / sd
+        log_norm = abs(Fraction(math.log(law1[2]) + math.log(math.sqrt(2.0 * math.pi))))
+        return (z0 * z0 - z1 * z1) / 2, (z1 * z1 + z0 * z0) / 2 + 2 * log_norm
+    rate1, rate0 = Fraction(law1[1]), Fraction(law0[1])
+    log1, log0 = Fraction(math.log(law1[1])), Fraction(math.log(law0[1]))
+    return log1 - log0 - (rate1 - rate0) * x, abs(log1) + abs(log0) + (rate1 + rate0) * x
+
+
+def _rule(ratio, x):
+    """The closed-form rejections at x, or ValueError's type when it raises."""
+    try:
+        return ratio(x, np.empty_like(x)) > 0.0
+    except ValueError:
+        return ValueError
+
+
+def _reference(f1, f0, x):
+    try:
+        return decide(f1.logpdf(x), f0.logpdf(x))[0]
+    except ValueError:
+        return ValueError
+
+
+def _scale(exponent):
+    return 10.0**exponent
+
+
+_scales = st.floats(-300, 300).map(_scale)
+_shapes = st.floats(-2, 2).map(_scale)
+_signs = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def _law_pairs(draw):
+    """Two densities of a pair that has a closed form: equal-sd normals, exponentials, one law twice."""
+    kind = draw(st.sampled_from(["normal", "exponential", "identical"]))
+    if kind == "normal":
+        sd = draw(_scales)
+        mean0 = draw(st.sampled_from([0.0, 1.0, -1.0])) * draw(_scales)
+        mean1 = mean0 + draw(_signs) * draw(st.floats(1e-3, 20)) * sd
+        assume(math.isfinite(mean1) and mean1 != mean0)
+        return normal_density(mean1, sd), normal_density(mean0, sd)
+    if kind == "exponential":
+        rate0 = draw(_scales)
+        rate1 = rate0 * _scale(draw(_signs) * draw(st.floats(1e-3, 3)))
+        assume(0.0 < rate1 < math.inf and rate1 != rate0)
+        return exponential_density(rate1), exponential_density(rate0)
+    make = draw(st.sampled_from([
+        st.builds(normal_density, st.floats(-1e300, 1e300), _scales),
+        st.builds(exponential_density, _scales),
+        st.builds(gamma_density, _shapes, _scales),
+    ]))
+    f = draw(make)
+    return f, replace(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_law_pairs(), seed=st.integers(0, 2**32))
+@example(pair=(normal_density(1.0, 1e-300), normal_density(0.0, 1e-300)), seed=1)
+@example(pair=(normal_density(1e300, 1e300), normal_density(-1e300, 1e300)), seed=2)
+@example(pair=(exponential_density(1e300), exponential_density(1e-300)), seed=3)
+# Means one ulp apart, with sd below an ulp: the draws are the means, and
+# the midpoint lies between two floats and rounds to the alternative's mean.
+@example(pair=(normal_density(1.0 + 2**-51, 1e-17), normal_density(1.0 + 2**-52, 1e-17)), seed=5)
+@example(pair=(gamma_density(1e-3, 1e-300), gamma_density(1e-3, 1e-300)), seed=4)
+def test_closed_form_rule_matches_decide(pair, seed):
+    """On draws from both hypotheses, ratio > 0 rejects where `decide` does.
+
+    Both raise ValueError together (a draw outside the support, such as a
+    gamma draw that underflows to 0), or they agree at every draw but a
+    near-tie.  Near-ties are counted as a Hypothesis event; none has been seen.
+    """
+    f1, f0 = pair
+    ratio = _log_ratio(f1, f0)
+    assert ratio is not None
+    rng = make_rng(seed)
+    near_ties = 0
+    for f in pair:
+        x = f.sample(1000, rng)
+        got, want = _rule(ratio, x), _reference(f1, f0, x)
+        if got is ValueError or want is ValueError:
+            assert got is want
+            continue
+        for i in np.flatnonzero(got != want):
+            exact, terms = _exact_and_terms(f1.law, f0.law, float(x[i]))
+            assert abs(exact) <= _TIE_ULPS * Fraction(_EPS) * terms, (f1.law, f0.law, x[i])
+            near_ties += 1
+    event(f"near-tie disagreements: {near_ties}")
+
+
+def test_closed_form_exists_only_for_declared_pairs():
+    assert _log_ratio(normal_density(0, 1), normal_density(1, 2)) is None
+    assert _log_ratio(gamma_density(2, 1), gamma_density(2, 3)) is None
+    assert _log_ratio(normal_density(0, 1), exponential_density(1)) is None
+    assert _log_ratio(tabulated_density([0, 1], [1, 1]), tabulated_density([0, 1], [1, 1])) is None
+    f = normal_density(0, 1)
+    assert _log_ratio(replace(f, law=None), f) is None
+    assert _log_ratio(f, f)(np.array([-1e308, 0.0]), np.empty(2)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "f1, f0, x",
+    [
+        (normal_density(1, 1), normal_density(0, 1), [0.0, math.inf]),
+        (normal_density(0, 1), normal_density(0, 1), [-math.inf, math.nan]),
+        (exponential_density(2), exponential_density(1), [1.0, -1e-300]),
+        (exponential_density(2), exponential_density(1), [1.0, math.inf]),
+        (exponential_density(1), exponential_density(1), [math.nan]),
+        (gamma_density(2, 1), gamma_density(2, 1), [0.0, 1.0]),
+        (gamma_density(2, 1), gamma_density(2, 1), [1.0, math.nan]),
+    ],
+    ids=["normal-inf", "normal-identical-inf", "exponential-negative", "exponential-inf",
+         "exponential-nan", "gamma-zero", "gamma-nan"],
+)
+def test_closed_form_raises_where_decide_does(f1, f0, x):
+    x = np.array(x)
+    assert _rule(_log_ratio(f1, f0), x) is _reference(f1, f0, x) is ValueError
+
+
+def test_normal_nan_is_a_tie_as_in_decide():
+    f1, f0 = normal_density(1, 1), normal_density(0, 1)
+    x = np.array([math.nan, 2.0])
+    assert _rule(_log_ratio(f1, f0), x).tolist() == _reference(f1, f0, x).tolist() == [False, True]

@@ -13,7 +13,9 @@ import pytest
 from scipy.stats import norm
 
 from pxkit import (
+    ConditionalFamily,
     ErrorProbEstimate,
+    ExpandedModel,
     MarginalFamily,
     QuadratureBudgetError,
     QuadratureConfig,
@@ -283,6 +285,35 @@ class TestArms:
         assert threading.active_count() == before
         for kind, results in got.items():
             assert results == [want[kind]] * 4
+
+
+def _drawing(density, value, keep_law):
+    """The density, whose sampler draws only ``value``; its law is declared when ``keep_law``."""
+    return replace(
+        density, sample=lambda n, rng: np.full(n, value), law=density.law if keep_law else None
+    )
+
+
+# Both paths, the closed-form ratio and decide on the log densities, raise
+# for a draw outside both hypotheses' supports.  The variance model's
+# conditional ratio is identically 0, yet a t2 of 0 has zero gamma density.
+@pytest.mark.parametrize("keep_law", [True, False], ids=["closed-form", "decide"])
+class TestDrawOutsideBothSupports:
+    def test_psi_conditional_draw(self, keep_law):
+        em = make_normal_variance_expansion(4)
+        conditional = ConditionalFamily(
+            lambda t1, theta: _drawing(em.conditional.density_at(t1, theta), 0.0, keep_law)
+        )
+        with pytest.raises(ValueError, match="zero density under both"):
+            estimate_psi_errors(ExpandedModel(em.marginal, conditional), HYP, 1000, seed=1)
+
+    @pytest.mark.parametrize("value", [-1.0, math.inf])
+    def test_phi_draw(self, keep_law, value):
+        family = MarginalFamily(
+            lambda theta: _drawing(make_exponential_rate().density_at(theta), value, keep_law)
+        )
+        with pytest.raises(ValueError, match="zero density under both"):
+            estimate_phi_errors(family, SimpleHypotheses(1.0, 2.0), 1000, seed=1)
 
 
 class TestCheckBound:

@@ -4,6 +4,9 @@ A density's ``logpdf`` and ``sample`` may return arrays they keep, cached or
 read-only, and a caller's arrays are only read.  The families here return
 read-only arrays, so any write into one raises; each estimate must equal
 the one of a writable twin, and that of the shipped model, bit for bit.
+Their densities declare no law, so the estimators evaluate and compare
+their log densities; one test keeps the shipped laws, so the estimators
+decide from the closed-form log ratio on read-only samples instead.
 """
 
 import math
@@ -40,18 +43,23 @@ def _frozen(a):
     return a
 
 
-def _wrapped(density, read_only):
-    """The same law, whose logpdf and sample return read-only arrays when asked."""
+def _wrapped(density, read_only, keep_law=False):
+    """The same law, whose logpdf and sample return read-only arrays when asked.
+
+    Unless ``keep_law``, the law is not declared, so the estimators take the
+    path that evaluates ``logpdf``.
+    """
     finish = _frozen if read_only else np.asarray
     return replace(
         density,
         logpdf=lambda x: finish(density.logpdf(x)),
         sample=lambda n, rng: finish(density.sample(n, rng)),
+        law=density.law if keep_law else None,
     )
 
 
-def _marginal(make, read_only):
-    return MarginalFamily(lambda theta: _wrapped(make(theta), read_only))
+def _marginal(make, read_only, keep_law=False):
+    return MarginalFamily(lambda theta: _wrapped(make(theta), read_only, keep_law))
 
 
 # (make the marginal at theta, make the conditional at (t1, theta), the shipped model)
@@ -74,10 +82,12 @@ PSI = {
 REPLICATES = [10**4, _CHUNK + 1]
 
 
-def _expanded(marginal, conditional, read_only):
+def _expanded(marginal, conditional, read_only, keep_law=False):
     return ExpandedModel(
-        _marginal(marginal, read_only),
-        ConditionalFamily(lambda t1, theta: _wrapped(conditional(t1, theta), read_only)),
+        _marginal(marginal, read_only, keep_law),
+        ConditionalFamily(
+            lambda t1, theta: _wrapped(conditional(t1, theta), read_only, keep_law)
+        ),
     )
 
 
@@ -98,6 +108,25 @@ def test_psi_estimate_reads_only(model, replicates):
     twin = _expanded(marginal, conditional, False)
     assert got == estimate_psi_errors(twin, HYP, replicates, seed=17)
     assert got == estimate_psi_errors(shipped, HYP, replicates, seed=17)
+
+
+@pytest.mark.parametrize("replicates", REPLICATES)
+@pytest.mark.parametrize("model", sorted(PHI) + sorted(PSI))
+def test_closed_form_path_reads_only(model, replicates, monkeypatch):
+    # Read-only samples whose laws are declared: no logpdf is called.
+    def no_logpdf(*args, **kwargs):
+        raise AssertionError("the closed-form path evaluated a log density")
+
+    monkeypatch.setattr("pxkit.montecarlo.decide", no_logpdf)
+    monkeypatch.setattr("pxkit.montecarlo.joint_logpdf", no_logpdf)
+    if model in PHI:
+        make, shipped = PHI[model]
+        family, estimate = _marginal(make, True, keep_law=True), estimate_phi_errors
+    else:
+        marginal, conditional, shipped = PSI[model]
+        family, estimate = _expanded(marginal, conditional, True, keep_law=True), estimate_psi_errors
+    got = estimate(family, HYP, replicates, seed=17)
+    assert got == estimate(shipped, HYP, replicates, seed=17)
 
 
 @pytest.mark.parametrize("model", sorted(PSI))
