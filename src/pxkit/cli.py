@@ -82,7 +82,8 @@ def _require(config: ExperimentConfig, *names: str) -> None:
 def _build(config, make, *names, args=None):
     """``make`` of the named config fields (or of ``args``); bad input in them is a ConfigError.
 
-    Bad input is a value ``make`` rejects or a file it cannot read.  The
+    Bad input is a value ``make`` rejects, an integer too large for the
+    float arithmetic it does (OverflowError), or a file it cannot read.  The
     error starts with the names of the fields, or only with the one that a
     range check's message names (``"<name> must ..."``, as `_checks` words
     it), so no field that is fine is named.
@@ -90,7 +91,7 @@ def _build(config, make, *names, args=None):
     _require(config, *names)
     try:
         return make(*(args if args is not None else [getattr(config, n) for n in names]))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         message = str(exc)
         named = [n for n in names if message.startswith(f"{n} must ")]
         raise ConfigError(f"{', '.join(named or names)}: {message}") from None

@@ -51,7 +51,11 @@ class ConditionalFamily:
     ``t1`` is a scalar (one conditional density, for quadrature) or an
     array; for an array, the returned density's ``logpdf(t2)`` pairs t2
     with t1 elementwise and ``sample(len(t1), rng)`` draws one t2 per
-    entry of t1.  The support must not depend on t1.
+    entry of t1.  The support must not depend on t1.  The joint-statistic
+    estimator adds the log ratio of the two conditional densities at the
+    block's t1 to that of the marginals, each in closed form where the two
+    laws have one (`kraft._log_ratio_rule`), so it never evaluates the
+    joint density itself.
 
     The affinity of ``density_at(t1, theta1)`` and ``density_at(t1,
     theta0)`` must be the same at every t1 of the marginals' common support.
@@ -128,12 +132,12 @@ def make_normal_variance_expansion(n: int) -> ExpandedModel:
     )
 
 
-def joint_logpdf(em: ExpandedModel, t1, t2, theta: float, *, out=None):
-    """Vectorized log joint density over paired (t1, t2) arrays.
+def joint_logpdf(em: ExpandedModel, t1, t2, theta: float):
+    """Vectorized log joint density over paired (t1, t2) arrays: marginal plus conditional.
 
-    ``out``, as in a numpy ufunc, is an array of the broadcast shape that
-    receives the sum and is returned; by default a new one is allocated.
+    The Monte Carlo estimators do not call it: they add the two factors' log
+    likelihood ratios (`kraft._log_ratio_rule`), which tests check against it.
     """
     t1 = np.asarray(t1, dtype=float)
     lm = em.marginal.density_at(theta).logpdf(t1)
-    return np.add(lm, em.conditional.density_at(t1, theta).logpdf(t2), out=out)
+    return np.add(lm, em.conditional.density_at(t1, theta).logpdf(t2))

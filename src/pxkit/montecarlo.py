@@ -9,25 +9,22 @@ Replicates are drawn, evaluated and decided vectorized in blocks of `_CHUNK`
 (32,768), so memory does not grow with the replicate count.  Each hypothesis
 arm holds one ``(2, _CHUNK)`` float buffer for the whole call.
 
-A block takes one of two paths.  When the two hypotheses' marginal
-densities (and, for the joint statistic, the block's two conditional
-densities) declare laws with a closed-form log likelihood ratio
-(`kraft._log_ratio`), it rejects where that ratio is positive, and no
-density is evaluated: the buffer's first row holds the marginal ratio,
-and for the joint statistic the second holds the conditional one, which
-is added into the first.
-Otherwise it evaluates the log densities and decides with `kraft.decide`:
-the joint-statistic estimator writes its two joint log densities into the
-buffer (`models.joint_logpdf` with ``out``), and the first-statistic one
-hands a density's own output to `decide` and leaves the buffer unwritten.
-This path serves tabulated, custom and mixed-law families.  Either way a
-block allocates its draws, the comparison's booleans and, on the second
-path, each density's log-density output (a shipped ``logpdf`` allocates
-that and at most one intermediate) and `decide`'s one float array.
-Nothing is kept between calls, and no array that a density or a sampler
-returns is written.  When a call spans more than one block, the theta1 arm
-runs on one worker thread while the caller's thread runs the theta0 arm
-(see `_estimate_errors`).
+Every block is decided by one rule.  It computes the log likelihood ratio
+log f1 - log f0 of each replicate into the arm's buffer, by
+`kraft._log_ratio_rule` of each pair of densities, and rejects where it is
+positive (`_estimate_errors`).  The buffer's first row holds the ratio of
+the marginal densities of the first statistic; for the joint statistic the
+second row holds the ratio of the block's two conditional densities, which
+is added into the first.  A pair of declared laws with a closed-form ratio
+(`kraft._log_ratio`) evaluates no density; any other pair (tabulated,
+custom or mixed-law families) writes the difference of its two log
+densities into its row.  A block allocates its draws, the comparison's
+booleans and, for a pair without a closed form, each density's
+log-density output (a shipped ``logpdf`` allocates that and at most one
+intermediate).  Nothing is kept between calls, and no array that a density
+or a sampler returns is written.  When a call spans more than one block,
+the theta1 arm runs on one worker thread while the caller's thread runs
+the theta0 arm (see `_estimate_errors`).
 """
 
 from __future__ import annotations
@@ -43,8 +40,8 @@ import numpy as np
 from . import densities
 from ._checks import check_count, check_real, check_seed
 from .affinity import expanded_bound, marginal_bound
-from .kraft import _log_ratio, decide
-from .models import ExpandedModel, MarginalFamily, SimpleHypotheses, joint_logpdf
+from .kraft import _log_ratio_rule
+from .models import ExpandedModel, MarginalFamily, SimpleHypotheses
 from .quadrature import QuadratureConfig
 from .seeding import derive_seed
 
@@ -91,15 +88,16 @@ def check_replicates(replicates: int) -> int:
 
 
 def _estimate_errors(
-    sample, streams: int, reject, hyp: SimpleHypotheses, replicates: int, seed: int
+    sample, streams: int, log_ratio, hyp: SimpleHypotheses, replicates: int, seed: int
 ) -> ErrorProbEstimate:
-    """Error probabilities of the test whose rejections ``reject`` gives.
+    """Error probabilities of the test that rejects where ``log_ratio`` is positive.
 
     ``sample(theta, n, rngs)`` draws n statistics under theta from the
-    ``streams`` generators in ``rngs``; ``reject(t, rows)`` says which of
-    them reject theta0, by the strict rule of `kraft.decide`.  ``rows`` is
-    the arm's one ``(2, block)`` buffer cut to the block's n columns, which
-    every block of the arm reuses and ``reject`` may write.  Stream seeds
+    ``streams`` generators in ``rngs``; ``log_ratio(t, rows)`` gives their
+    log likelihood ratios of theta1 to theta0, and each one above 0 rejects
+    theta0 (a tie of 0 retains it).  ``rows`` is the arm's one ``(2,
+    block)`` buffer cut to the block's n columns, which every block of the
+    arm reuses and ``log_ratio`` may write.  Stream seeds
     are derived from ``seed`` with keys 0, 1, ..., the theta0 streams first,
     and each stream is one generator for the whole call.  Each arm draws,
     evaluates and decides its replicates in blocks of `_CHUNK` and sums its
@@ -130,7 +128,7 @@ def _estimate_errors(
                 if failed.is_set():
                     break
                 n = min(_CHUNK, replicates - start)
-                count += int(np.count_nonzero(reject(sample(theta, n, rngs), rows[:, :n])))
+                count += int(np.count_nonzero(log_ratio(sample(theta, n, rngs), rows[:, :n]) > 0.0))
         except BaseException:
             failed.set()
             raise
@@ -165,18 +163,11 @@ def estimate_phi_errors(
     reports rejection / retention frequencies.
     """
     density = {theta: family.density_at(theta) for theta in (hyp.theta0, hyp.theta1)}
-    f1, f0 = density[hyp.theta1], density[hyp.theta0]
-    ratio = _log_ratio(f1, f0)
-
-    def reject(t, rows):
-        if ratio is None:
-            return decide(f1.logpdf(t), f0.logpdf(t))[0]
-        return ratio(t, rows[0]) > 0.0
-
+    ratio = _log_ratio_rule(density[hyp.theta1], density[hyp.theta0])
     return _estimate_errors(
         lambda theta, n, rngs: density[theta].sample(n, rngs[0]),
         1,
-        reject,
+        lambda t, rows: ratio(t, rows[0]),
         hyp,
         replicates,
         seed,
@@ -193,26 +184,20 @@ def estimate_psi_errors(
     """
 
     marginal = {theta: em.marginal.density_at(theta) for theta in (hyp.theta0, hyp.theta1)}
-    ratio = _log_ratio(marginal[hyp.theta1], marginal[hyp.theta0])
+    ratio = _log_ratio_rule(marginal[hyp.theta1], marginal[hyp.theta0])
 
     def sample(theta, n, rngs):
         t1 = marginal[theta].sample(n, rngs[0])
         return t1, em.conditional.density_at(t1, theta).sample(n, rngs[1])
 
-    def reject(t, rows):
+    def log_ratio(t, rows):
         t1, t2 = t
-        if ratio is not None:
-            conditional = _log_ratio(
-                *(em.conditional.density_at(t1, theta) for theta in (hyp.theta1, hyp.theta0))
-            )
-            if conditional is not None:
-                r = ratio(t1, rows[0])
-                r += conditional(t2, rows[1])
-                return r > 0.0
-        l1 = joint_logpdf(em, t1, t2, hyp.theta1, out=rows[0])
-        return decide(l1, joint_logpdf(em, t1, t2, hyp.theta0, out=rows[1]))[0]
+        r = ratio(t1, rows[0])
+        conditional = (em.conditional.density_at(t1, theta) for theta in (hyp.theta1, hyp.theta0))
+        r += _log_ratio_rule(*conditional)(t2, rows[1])
+        return r
 
-    return _estimate_errors(sample, 2, reject, hyp, replicates, seed)
+    return _estimate_errors(sample, 2, log_ratio, hyp, replicates, seed)
 
 
 def check_bound(estimate: ErrorProbEstimate, bound: float) -> BoundCheck:

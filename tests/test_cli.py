@@ -422,6 +422,13 @@ class TestExitCodes:
             # The whole line: the prefix names only the field the message names.
             (["bound", "--model", "normal", "--theta0=0", "--theta1=1", "--rel-tol=-1"],
              "config error: rel_tol: rel_tol must lie in (0, inf), got -1.0"),
+            # A count too large for float arithmetic is bad input, not a traceback.
+            (["r-measure", "--model", "variance-expansion", "--n", "1" + "0" * 400,
+              "--theta0", "0", "--theta1", "1"],
+             "config error: n: int too large to convert to float"),
+            (["r-measure", "--model", "two-stage-normal", "--n1", "1" + "0" * 400,
+              "--theta0", "0", "--theta1", "1"],
+             "config error: n1, n2, sigma: int too large to convert to float"),
         ],
     )
     def test_out_of_range_value_is_named_with_its_value(self, args, message, tmp_path, capsys):

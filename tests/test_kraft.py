@@ -22,7 +22,7 @@ from pxkit import (
     tabulated_density,
 )
 from pxkit.densities import make_rng
-from pxkit.kraft import _log_ratio, decide
+from pxkit.kraft import _log_ratio, _log_ratio_rule, decide
 
 NORMAL = make_normal_location(1.0)
 HYP = SimpleHypotheses(0.0, 1.0)
@@ -269,7 +269,41 @@ def test_closed_form_raises_where_decide_does(f1, f0, x):
     assert _rule(_log_ratio(f1, f0), x) is _reference(f1, f0, x) is ValueError
 
 
-def test_normal_nan_is_a_tie_as_in_decide():
-    f1, f0 = normal_density(1, 1), normal_density(0, 1)
+def test_normal_closed_form_raises_at_nan():
+    # `decide` takes the normal's NaN log density for a tie; the closed forms
+    # raise at a NaN for every law, as the logpdf difference does.
     x = np.array([math.nan, 2.0])
-    assert _rule(_log_ratio(f1, f0), x).tolist() == _reference(f1, f0, x).tolist() == [False, True]
+    for f1, f0 in [(normal_density(1, 1), normal_density(0, 1)), (normal_density(0, 1),) * 2]:
+        with pytest.raises(ValueError, match="NaN or has zero density under both"):
+            _log_ratio(f1, f0)(x, np.empty_like(x))
+
+
+# Pairs without a closed form: an unequal-sd normal pair, a tabulated pair,
+# and law-stripped normals of one sd.
+_UNDECLARED = {
+    "normal-scale": (normal_density(0, 1.5), normal_density(0, 1)),
+    "tabulated": (tabulated_density([0, 1, 2], [1, 2, 1]), tabulated_density([0, 1, 2], [2, 1, 1])),
+    "law-stripped": tuple(replace(normal_density(m, 1), law=None) for m in (1, 0)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_UNDECLARED))
+def test_rule_without_closed_form_is_the_logpdf_difference(pair):
+    f1, f0 = _UNDECLARED[pair]
+    x = np.concatenate([f.sample(500, make_rng(seed)) for seed, f in enumerate((f1, f0))])
+    out = np.empty_like(x)
+    got = _log_ratio_rule(f1, f0)(x, out)
+    assert got is out
+    assert got.tobytes() == (f1.logpdf(x) - f0.logpdf(x)).tobytes()
+    assert (got > 0.0).tolist() == decide(f1.logpdf(x), f0.logpdf(x))[0].tolist()
+
+
+def _raising_logpdf(x):
+    raise AssertionError("a log density was evaluated")
+
+
+def test_rule_without_closed_form_raises_at_nan_before_any_logpdf():
+    f1, f0 = (replace(normal_density(0, sd), logpdf=_raising_logpdf) for sd in (1.5, 1))
+    x = np.array([1.0, math.nan])
+    with pytest.raises(ValueError, match="NaN or has zero density under both"):
+        _log_ratio_rule(f1, f0)(x, np.empty(2))

@@ -34,7 +34,7 @@ from pxkit import (
     row_seed,
     sweep,
 )
-from pxkit.densities import make_rng, normal_density
+from pxkit.densities import gamma_density, make_rng, normal_density
 from pxkit.kraft import decide
 from pxkit.models import joint_logpdf
 from pxkit.montecarlo import _CHUNK, check_replicates
@@ -160,8 +160,23 @@ class TestBlocks:
             (estimate_phi_errors, make_exponential_rate(), SimpleHypotheses(1.0, 2.0)),
             (estimate_psi_errors, make_two_stage_normal(1, 1, 1.0), HYP),
             (estimate_psi_errors, make_normal_variance_expansion(2), HYP),
+            # No closed form: a normal scale family, and a closed-form
+            # marginal pair beside a conditional pair without one.
+            (
+                estimate_phi_errors,
+                MarginalFamily(lambda theta: normal_density(0.0, theta)),
+                SimpleHypotheses(1.0, 1.5),
+            ),
+            (
+                estimate_psi_errors,
+                ExpandedModel(
+                    NORMAL, ConditionalFamily(lambda t1, theta: gamma_density(2.0, 1.0 + theta))
+                ),
+                SimpleHypotheses(0.0, 0.5),
+            ),
         ],
-        ids=["phi-normal", "phi-exponential", "psi-two-stage", "psi-variance-2"],
+        ids=["phi-normal", "phi-exponential", "psi-two-stage", "psi-variance-2",
+             "phi-normal-scale", "psi-mixed"],
     )
     # One block or fewer runs both arms on the caller's thread; the rest
     # run the theta1 arm on a worker and cross block boundaries in both arms.
@@ -294,9 +309,11 @@ def _drawing(density, value, keep_law):
     )
 
 
-# Both paths, the closed-form ratio and decide on the log densities, raise
-# for a draw outside both hypotheses' supports.  The variance model's
+# A draw outside both hypotheses' supports raises, whether its pair's log
+# ratio is a closed form of the declared laws or the difference of the two
+# log densities (the "decide" id: `decide`'s check).  The variance model's
 # conditional ratio is identically 0, yet a t2 of 0 has zero gamma density.
+# A NaN draw raises too, for the normal as for the other laws.
 @pytest.mark.parametrize("keep_law", [True, False], ids=["closed-form", "decide"])
 class TestDrawOutsideBothSupports:
     def test_psi_conditional_draw(self, keep_law):
@@ -314,6 +331,23 @@ class TestDrawOutsideBothSupports:
         )
         with pytest.raises(ValueError, match="zero density under both"):
             estimate_phi_errors(family, SimpleHypotheses(1.0, 2.0), 1000, seed=1)
+
+    @pytest.mark.parametrize("draws_nan", ["phi", "psi-marginal", "psi-conditional"])
+    def test_normal_nan_draw(self, keep_law, draws_nan):
+        em = make_two_stage_normal(1, 1, 1.0)
+        marginal = MarginalFamily(
+            lambda theta: _drawing(em.marginal.density_at(theta), math.nan, keep_law)
+        )
+        conditional = ConditionalFamily(
+            lambda t1, theta: _drawing(em.conditional.density_at(t1, theta), math.nan, keep_law)
+        )
+        with pytest.raises(ValueError, match="NaN or has zero density under both"):
+            if draws_nan == "phi":
+                estimate_phi_errors(marginal, HYP, 1000, seed=1)
+            elif draws_nan == "psi-marginal":
+                estimate_psi_errors(ExpandedModel(marginal, em.conditional), HYP, 1000, seed=1)
+            else:
+                estimate_psi_errors(ExpandedModel(em.marginal, conditional), HYP, 1000, seed=1)
 
 
 class TestCheckBound:

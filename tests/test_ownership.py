@@ -4,9 +4,9 @@ A density's ``logpdf`` and ``sample`` may return arrays they keep, cached or
 read-only, and a caller's arrays are only read.  The families here return
 read-only arrays, so any write into one raises; each estimate must equal
 the one of a writable twin, and that of the shipped model, bit for bit.
-Their densities declare no law, so the estimators evaluate and compare
-their log densities; one test keeps the shipped laws, so the estimators
-decide from the closed-form log ratio on read-only samples instead.
+Their densities declare no law, so the estimators' log likelihood ratio
+is the difference of the read-only log densities; one test keeps the
+shipped laws, whose closed-form ratio reads only the read-only samples.
 """
 
 import math
@@ -31,7 +31,6 @@ from pxkit import (
     normal_density,
 )
 from pxkit.kraft import decide
-from pxkit.models import joint_logpdf
 from pxkit.montecarlo import _CHUNK
 
 HYP = SimpleHypotheses(0.5, 1.5)
@@ -43,16 +42,21 @@ def _frozen(a):
     return a
 
 
+def _no_logpdf(x):
+    raise AssertionError("the closed-form log ratio evaluated a log density")
+
+
 def _wrapped(density, read_only, keep_law=False):
     """The same law, whose logpdf and sample return read-only arrays when asked.
 
-    Unless ``keep_law``, the law is not declared, so the estimators take the
-    path that evaluates ``logpdf``.
+    Unless ``keep_law``, the law is not declared, so the estimators evaluate
+    ``logpdf``; with it, they take the closed-form log ratio, and ``logpdf``
+    raises.
     """
     finish = _frozen if read_only else np.asarray
     return replace(
         density,
-        logpdf=lambda x: finish(density.logpdf(x)),
+        logpdf=_no_logpdf if keep_law else lambda x: finish(density.logpdf(x)),
         sample=lambda n, rng: finish(density.sample(n, rng)),
         law=density.law if keep_law else None,
     )
@@ -112,13 +116,8 @@ def test_psi_estimate_reads_only(model, replicates):
 
 @pytest.mark.parametrize("replicates", REPLICATES)
 @pytest.mark.parametrize("model", sorted(PHI) + sorted(PSI))
-def test_closed_form_path_reads_only(model, replicates, monkeypatch):
-    # Read-only samples whose laws are declared: no logpdf is called.
-    def no_logpdf(*args, **kwargs):
-        raise AssertionError("the closed-form path evaluated a log density")
-
-    monkeypatch.setattr("pxkit.montecarlo.decide", no_logpdf)
-    monkeypatch.setattr("pxkit.montecarlo.joint_logpdf", no_logpdf)
+def test_closed_form_path_reads_only(model, replicates):
+    # Read-only samples whose laws are declared, and whose logpdf raises.
     if model in PHI:
         make, shipped = PHI[model]
         family, estimate = _marginal(make, True, keep_law=True), estimate_phi_errors
@@ -127,19 +126,6 @@ def test_closed_form_path_reads_only(model, replicates, monkeypatch):
         family, estimate = _expanded(marginal, conditional, True, keep_law=True), estimate_psi_errors
     got = estimate(family, HYP, replicates, seed=17)
     assert got == estimate(shipped, HYP, replicates, seed=17)
-
-
-@pytest.mark.parametrize("model", sorted(PSI))
-def test_joint_logpdf_fills_out(model):
-    marginal, conditional, shipped = PSI[model]
-    rng = np.random.default_rng(5)
-    t1 = _frozen(rng.normal(1.0, 1.0, size=257))
-    t2 = _frozen(np.abs(rng.normal(1.0, 1.0, size=257)))
-    for em in (_expanded(marginal, conditional, True), shipped):
-        want = joint_logpdf(em, t1, t2, HYP.theta1)
-        buf = np.empty(t1.shape)
-        assert joint_logpdf(em, t1, t2, HYP.theta1, out=buf) is buf
-        assert buf.tobytes() == want.tobytes()
 
 
 def test_decide_reads_only():
