@@ -1,4 +1,9 @@
-"""The rules for numeric parameters: real values in an interval, integer counts and seeds."""
+"""The rules for numeric parameters: real values in an interval, integer counts and seeds.
+
+They own the range pxkit can represent: a real must have a float, and a
+count must fit numpy's int64.  A value beyond it is bad input like any
+other, a ValueError naming the parameter and showing the value.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ def check_real(
     interval rejects it.  The range is tested on ``value`` itself, then
     ``float`` converts it: a value that does not compare with a float (such
     as a str) raises TypeError, and an int or Fraction beyond the float
-    range that passes raises OverflowError, its message too naming ``name``
+    range that passes raises ValueError, its message too naming ``name``
     and showing the value.
     """
     # The open interval first: most values lie inside it, and a closed end
@@ -26,20 +31,21 @@ def check_real(
         try:
             return float(value)
         except OverflowError:
-            raise OverflowError(f"{name} must lie in the float range, got {value!r}") from None
+            raise ValueError(f"{name} must lie in the float range, got {value!r}") from None
     raise ValueError(f"{name} must lie in {ends[0]}{lower}, {upper}{ends[1]}, got {value!r}")
 
 
-def check_count(name: str, value, minimum: int, maximum: float = math.inf) -> int:
+def check_count(name: str, value, minimum: int, maximum: int = 2**63 - 1) -> int:
     """``value`` as an int when it is an integer in [minimum, maximum].
 
-    Otherwise raises a ValueError whose message starts with ``name``.  NaN
-    fails the range test and inf fails ``% 1 == 0`` (inf % 1 is NaN), so
-    neither reaches ``int``; an integral float such as 10.0 gives 10.
+    Otherwise raises a ValueError whose message starts with ``name`` and
+    states the interval.  The default ceiling is numpy's int64 maximum, as
+    counts index arrays and count draws in that type.  NaN fails the range
+    test and inf fails ``% 1 == 0`` (inf % 1 is NaN), so neither reaches
+    ``int``; an integral float such as 10.0 gives 10.
     """
     if not (minimum <= value <= maximum and value % 1 == 0):
-        bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value}")
+        raise ValueError(f"{name} must be an integer in [{minimum}, {maximum}], got {value}")
     return int(value)
 
 

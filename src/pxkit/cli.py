@@ -82,16 +82,16 @@ def _require(config: ExperimentConfig, *names: str) -> None:
 def _build(config, make, *names, args=None):
     """``make`` of the named config fields (or of ``args``); bad input in them is a ConfigError.
 
-    Bad input is a value ``make`` rejects, an integer too large for the
-    float arithmetic it does (OverflowError), or a file it cannot read.  The
-    error starts with the names of the fields, or only with the one that a
-    range check's message names (``"<name> must ..."``, as `_checks` words
-    it), so no field that is fine is named.
+    Bad input is a value ``make`` rejects (a number pxkit cannot represent
+    included, which `_checks` rejects with ValueError) or a file it cannot
+    read.  The error starts with the names of the fields, or only with the
+    one that a range check's message names (``"<name> must ..."``, as
+    `_checks` words it), so no field that is fine is named.
     """
     _require(config, *names)
     try:
         return make(*(args if args is not None else [getattr(config, n) for n in names]))
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         message = str(exc)
         named = [n for n in names if message.startswith(f"{n} must ")]
         raise ConfigError(f"{', '.join(named or names)}: {message}") from None
@@ -307,8 +307,9 @@ def _hypotheses(config: ExperimentConfig, sweeping: bool = False):
 
     The alternatives are ``theta1_list`` when ``sweeping``, else ``theta1``;
     the densities are the marginal ones at its theta1 and at theta0.
-    Building them at every hypothesis checks the thetas against the
-    family's parameter space (the exponential rate is positive).
+    Building them at every hypothesis, each under its own field, checks the
+    thetas against the family's parameter space (the exponential rate is
+    positive).
     """
     make, *names = _MODELS.get(config.model, (None,))
     model = _build(config, make, *names) if make else None
@@ -321,7 +322,8 @@ def _hypotheses(config: ExperimentConfig, sweeping: bool = False):
     for theta1 in config.theta1_list if sweeping else (config.theta1,):
         hyps.append(_build(config, SimpleHypotheses, *names, args=(config.theta0, theta1)))
         densities = [
-            _build(config, marginal.density_at, *names, args=(t,)) for t in (theta1, config.theta0)
+            _build(config, marginal.density_at, n, args=(t,))
+            for n, t in ((names[1], theta1), (names[0], config.theta0))
         ]
     return model, hyps, densities
 

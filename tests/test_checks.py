@@ -32,7 +32,7 @@ from pxkit import (
     row_seed,
     sweep,
 )
-from pxkit._checks import check_real, check_seed
+from pxkit._checks import check_count, check_real, check_seed
 from pxkit.densities import Interval, ScalarDensity, make_rng
 from pxkit.montecarlo import check_replicates
 from pxkit.survey import check_quantile, check_replications, check_srs_size
@@ -55,13 +55,21 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["inf", "nan", "2.5", "below_minimum"])
+@pytest.mark.parametrize("bad", ["inf", "nan", "2.5", "below_minimum", "10**400"])
 @pytest.mark.parametrize("site", list(COUNTS))
 def test_bad_count_is_value_error_naming_the_field(site, bad):
     field, call, minimum = COUNTS[site]
-    value = {"inf": math.inf, "nan": math.nan, "2.5": 2.5, "below_minimum": minimum - 1}[bad]
+    values = {"inf": math.inf, "nan": math.nan, "2.5": 2.5, "below_minimum": minimum - 1, "10**400": 10**400}
+    value = values[bad]
     with pytest.raises(ValueError, match="^" + re.escape(field) + " must be an integer"):
         call(value)
+
+
+def test_default_count_ceiling_is_the_int64_maximum():
+    assert check_count("k", 2**63 - 1, 0) == 2**63 - 1
+    with pytest.raises(ValueError) as exc:
+        check_count("k", 2**63, 0)
+    assert str(exc.value) == "k must be an integer in [0, 9223372036854775807], got 9223372036854775808"
 
 
 @pytest.mark.parametrize("site", ["check_replicates", "check_replications", "check_srs_size", "check_seed"])
@@ -183,11 +191,12 @@ REAL_SITES = {
 }
 
 # These sites compared an int with inf but did not convert it, so an int (or a
-# Fraction) beyond the float range passed.  The rule converts every value it
-# passes, so they raise OverflowError for it now, as the other sites already
-# did.  Of the five, only the tolerances were usable: the others raised
-# OverflowError at their first use.
-OVERFLOW_NOW = {
+# Fraction) beyond the float range passed.  Of the five, only the tolerances
+# were usable: the others raised OverflowError at their first use.  The rule
+# converts every value it passes, so every site now rejects a value without a
+# float as bad input, a ValueError, where the old sites raised OverflowError
+# or accepted it.
+ACCEPTED_BEFORE = {
     "QuadratureConfig.abs_tol",
     "QuadratureConfig.rel_tol",
     "make_normal_location.sigma",
@@ -238,14 +247,17 @@ def _assert_same_verdict(site, v):
             want = _outcome(call, v)
     want_type = None if want is None else type(want)
     v_overflows = isinstance(_outcome(float, v), OverflowError)
-    if site in OVERFLOW_NOW and want is None and v_overflows:
-        want_type = OverflowError
+    if v_overflows and (want_type is OverflowError or site in ACCEPTED_BEFORE and want is None):
+        want_type = ValueError
     assert (None if got is None else type(got)) is want_type, (site, v, got, want)
-    if isinstance(rejected, ValueError) or isinstance(got, OverflowError) and v_overflows:
+    if isinstance(rejected, ValueError) or isinstance(got, ValueError) and v_overflows:
         # The old range test rejected it, or the value has no float: the
         # rule's message names the input and shows its value.
         assert str(got).startswith(f"{name} must lie in "), str(got)
         assert str(got).endswith(f", got {v!r}"), str(got)
+    if v_overflows and not isinstance(rejected, ValueError):
+        # It passed the range test but has no float.
+        assert str(got) == f"{name} must lie in the float range, got {v!r}", str(got)
 
 
 @pytest.mark.parametrize("v", REAL_INPUTS, ids=repr)
@@ -265,10 +277,10 @@ def test_real_rule_keeps_every_verdict_on_any_number(site, v):
 @pytest.mark.parametrize(
     "site, v, want",
     [
-        ("normal_density.mean", 10**400, OverflowError),
+        ("normal_density.mean", 10**400, ValueError),
         ("exponential_density.rate", "2", TypeError),
         ("normal_density.mean", True, None),
-        ("QuadratureConfig.abs_tol", 10**400, OverflowError),  # accepted before: OVERFLOW_NOW
+        ("QuadratureConfig.abs_tol", 10**400, ValueError),  # accepted before: ACCEPTED_BEFORE
     ],
 )
 def test_real_rule_edge_cases(site, v, want):
@@ -294,8 +306,9 @@ def test_real_rule_message_names_the_interval_and_value(args, message):
 
 @pytest.mark.parametrize("v", [10**400, -(10**400), Fraction(10**400, 3)])
 def test_real_rule_names_a_value_beyond_the_float_range(v):
-    with pytest.raises(OverflowError) as exc:
+    with pytest.raises(ValueError) as exc:
         check_real("p", v)
+    assert type(exc.value) is ValueError
     assert str(exc.value) == f"p must lie in the float range, got {v!r}"
 
 

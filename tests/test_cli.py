@@ -385,6 +385,11 @@ class TestExitCodes:
              "noise_sd"),
             (["survey", "--config", "{tmp}/nan_mean.ini"], "value_mean"),
             (["survey", "--config", "{tmp}/nan_sd.ini"], "value_sd"),
+            # A count beyond numpy's int64 could never be run or allocated.
+            (["test", "--model", "normal", "--theta0", "0", "--theta1", "1",
+              "--replicates", "1" + "0" * 400], "replicates"),
+            (["survey", "--config", "{tmp}/ok.ini", "--replications", "1" + "0" * 400],
+             "replications"),
         ],
     )
     def test_non_finite_input_rejected_before_computing(
@@ -422,13 +427,19 @@ class TestExitCodes:
             # The whole line: the prefix names only the field the message names.
             (["bound", "--model", "normal", "--theta0=0", "--theta1=1", "--rel-tol=-1"],
              "config error: rel_tol: rel_tol must lie in (0, inf), got -1.0"),
-            # A count too large for float arithmetic is bad input, not a traceback.
+            # A count beyond numpy's int64 is bad input, named with its value.
             (["r-measure", "--model", "variance-expansion", "--n", "1" + "0" * 400,
               "--theta0", "0", "--theta1", "1"],
-             "config error: n: int too large to convert to float"),
+             "config error: n: n must be an integer in [2, 9223372036854775807], got 1" + "0" * 400),
             (["r-measure", "--model", "two-stage-normal", "--n1", "1" + "0" * 400,
               "--theta0", "0", "--theta1", "1"],
-             "config error: n1, n2, sigma: int too large to convert to float"),
+             "config error: n1: n1 must be an integer in [1, 9223372036854775807], got 1" + "0" * 400),
+            # A theta the family rejects is named alone, under its own field.
+            (["bound", "--model", "exponential", "--theta0=-1", "--theta1", "2"],
+             "config error: theta0: rate must lie in (0, inf), got -1.0"),
+            (["mc-sweep", "--model", "exponential", "--theta0", "1", "--theta1-list", "2,-3",
+              "--replicates", "1000"],
+             "config error: theta1_list: rate must lie in (0, inf), got -3.0"),
         ],
     )
     def test_out_of_range_value_is_named_with_its_value(self, args, message, tmp_path, capsys):
