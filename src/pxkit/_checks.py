@@ -8,6 +8,7 @@ other, a ValueError naming the parameter and showing the value.
 from __future__ import annotations
 
 import math
+from numbers import Rational, Real
 
 
 def check_real(
@@ -23,13 +24,19 @@ def check_real(
     ``float`` converts it: a value that does not compare with a float (such
     as a str) raises TypeError, and an int or Fraction beyond the float
     range that passes raises ValueError, its message too naming ``name``
-    and showing the value.
+    and showing the value.  A real that is not rational, such as a numpy
+    float32, is tested as its float: numpy compares it with a Python float
+    in its own width, which would cast a finite end beyond that width's
+    range to inf with an overflow warning.
     """
+    x = value
+    if not isinstance(value, (float, int)) and isinstance(value, Real) and not isinstance(value, Rational):
+        x = float(value)
     # The open interval first: most values lie inside it, and a closed end
     # then costs one equality test.
-    if lower < value < upper or value == lower and ends[0] == "[" or value == upper and ends[1] == "]":
+    if lower < x < upper or x == lower and ends[0] == "[" or x == upper and ends[1] == "]":
         try:
-            return float(value)
+            return float(x)
         except OverflowError:
             raise ValueError(f"{name} must lie in the float range, got {value!r}") from None
     raise ValueError(f"{name} must lie in {ends[0]}{lower}, {upper}{ends[1]}, got {value!r}")

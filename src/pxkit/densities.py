@@ -206,9 +206,15 @@ def exponential_density(rate: float) -> ScalarDensity:
     )
 
 
+# The largest shape whose log gamma function is a float: math.lgamma gives
+# the largest finite float there and overflows at the next float up, as a
+# bisection over the bit patterns of the positive floats finds.
+_MAX_GAMMA_SHAPE = 2.5599833278516383e305
+
+
 def gamma_density(shape: float, scale: float) -> ScalarDensity:
     """Gamma density (shape/scale parameterization) on (0, inf)."""
-    shape = check_real("shape", shape, 0)
+    shape = check_real("shape", shape, 0, _MAX_GAMMA_SHAPE, "(]")
     scale = check_real("scale", scale, 0)
     log_norm = math.lgamma(shape) + shape * math.log(scale)
 

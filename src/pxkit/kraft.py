@@ -14,6 +14,12 @@ a closed-form log ratio, `_log_ratio` gives it without evaluating either
 density: identical laws, normals of one standard deviation, and
 exponentials.  For any other pair it is the difference of the two
 ``logpdf`` outputs, checked as `decide` checks them.
+
+A pair that declares one law for both densities is inert (`_inert`): its
+log ratio is exactly 0, so adding it never changes a decision.  The joint
+statistic's estimator asks `_inert` of each block's two conditional
+densities and, for an inert pair, draws no second statistic at all, so
+that pair's streams go unread and its support is never checked.
 """
 
 from __future__ import annotations
@@ -70,6 +76,15 @@ def _check_support(family: str, x: np.ndarray) -> None:
         raise ValueError(_NAN_OR_ZERO_BOTH)
 
 
+def _inert(f1, f0) -> bool:
+    """Whether f1 and f0 declare one law, so their log ratio is 0 wherever they have density.
+
+    A pair of densities without a declared law (``ScalarDensity.law`` None)
+    is never inert, however alike their ``logpdf`` outputs are.
+    """
+    return f1.law is not None and f1.law == f0.law
+
+
 def _log_ratio_rule(f1, f0):
     """``ratio(x, out)``: the log likelihood ratio ``log f1(x) - log f0(x)`` at the float array x.
 
@@ -117,7 +132,7 @@ def _log_ratio(f1, f0):
     if law1 is None or law0 is None or law1[0] != law0[0]:
         return None
     family = law1[0]
-    if law1 == law0:
+    if _inert(f1, f0):
 
         def ratio(x, out):
             _check_support(family, x)

@@ -55,7 +55,10 @@ class ConditionalFamily:
     estimator adds the log ratio of the two conditional densities at the
     block's t1 to that of the marginals, each in closed form where the two
     laws have one (`kraft._log_ratio_rule`), so it never evaluates the
-    joint density itself.
+    joint density itself.  Where the two conditional densities at a block's
+    t1 declare one and the same law (`kraft._inert`), as the variance
+    expansion's do, that ratio is 0, so the estimator draws no t2 for the
+    block and never calls ``sample``; the t2 streams then go unread.
 
     The affinity of ``density_at(t1, theta1)`` and ``density_at(t1,
     theta0)`` must be the same at every t1 of the marginals' common support.

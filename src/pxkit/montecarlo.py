@@ -15,7 +15,10 @@ log f1 - log f0 of each replicate into the arm's buffer, by
 positive (`_estimate_errors`).  The buffer's first row holds the ratio of
 the marginal densities of the first statistic; for the joint statistic the
 second row holds the ratio of the block's two conditional densities, which
-is added into the first.  A pair of declared laws with a closed-form ratio
+is added into the first.  A conditional pair that declares one law under
+both hypotheses (`kraft._inert`) has the ratio 0, which changes no
+decision, so the joint statistic's block draws no second statistic for it
+and its streams go unread.  A pair of declared laws with a closed-form ratio
 (`kraft._log_ratio`) evaluates no density; any other pair (tabulated,
 custom or mixed-law families) writes the difference of its two log
 densities into its row.  A block allocates its draws, the comparison's
@@ -40,7 +43,7 @@ import numpy as np
 from . import densities
 from ._checks import check_count, check_real, check_seed
 from .affinity import expanded_bound, marginal_bound
-from .kraft import _log_ratio_rule
+from .kraft import _inert, _log_ratio_rule
 from .models import ExpandedModel, MarginalFamily, SimpleHypotheses
 from .quadrature import QuadratureConfig
 from .seeding import derive_seed
@@ -88,21 +91,22 @@ def check_replicates(replicates: int) -> int:
 
 
 def _estimate_errors(
-    sample, streams: int, log_ratio, hyp: SimpleHypotheses, replicates: int, seed: int
+    block, streams: int, hyp: SimpleHypotheses, replicates: int, seed: int
 ) -> ErrorProbEstimate:
-    """Error probabilities of the test that rejects where ``log_ratio`` is positive.
+    """Error probabilities of the test that rejects where ``block``'s log ratio is positive.
 
-    ``sample(theta, n, rngs)`` draws n statistics under theta from the
-    ``streams`` generators in ``rngs``; ``log_ratio(t, rows)`` gives their
-    log likelihood ratios of theta1 to theta0, and each one above 0 rejects
-    theta0 (a tie of 0 retains it).  ``rows`` is the arm's one ``(2,
-    block)`` buffer cut to the block's n columns, which every block of the
-    arm reuses and ``log_ratio`` may write.  Stream seeds
-    are derived from ``seed`` with keys 0, 1, ..., the theta0 streams first,
-    and each stream is one generator for the whole call.  Each arm draws,
-    evaluates and decides its replicates in blocks of `_CHUNK` and sums its
-    rejections as an integer count, so the estimate equals that of one
-    full-length draw and memory does not depend on ``replicates``.
+    ``block(theta, n, rngs, rows)`` draws n replicates under theta from the
+    ``streams`` generators in ``rngs`` and returns their log likelihood
+    ratios of theta1 to theta0; each one above 0 rejects theta0 (a tie of 0
+    retains it).  ``rows`` is the arm's one ``(2, block)`` buffer cut to the
+    block's n columns, which every block of the arm reuses and ``block`` may
+    write.  Stream seeds are derived from ``seed`` with keys 0, 1, ..., the
+    theta0 streams first, and each stream is one generator for the whole
+    call; a stream that ``block`` never reads leaves the others' draws as
+    they are.  Each arm draws, evaluates and decides its replicates in
+    blocks of `_CHUNK` and sums its rejections as an integer count, so the
+    estimate equals that of one full-length draw and memory does not depend
+    on ``replicates``.
 
     A call of more than one block runs the theta1 arm on one worker thread
     while the caller's thread runs the theta0 arm; numpy draws without the
@@ -128,7 +132,7 @@ def _estimate_errors(
                 if failed.is_set():
                     break
                 n = min(_CHUNK, replicates - start)
-                count += int(np.count_nonzero(log_ratio(sample(theta, n, rngs), rows[:, :n]) > 0.0))
+                count += int(np.count_nonzero(block(theta, n, rngs, rows[:, :n]) > 0.0))
         except BaseException:
             failed.set()
             raise
@@ -165,9 +169,8 @@ def estimate_phi_errors(
     density = {theta: family.density_at(theta) for theta in (hyp.theta0, hyp.theta1)}
     ratio = _log_ratio_rule(density[hyp.theta1], density[hyp.theta0])
     return _estimate_errors(
-        lambda theta, n, rngs: density[theta].sample(n, rngs[0]),
+        lambda theta, n, rngs, rows: ratio(density[theta].sample(n, rngs[0]), rows[0]),
         1,
-        lambda t, rows: ratio(t, rows[0]),
         hyp,
         replicates,
         seed,
@@ -180,24 +183,25 @@ def estimate_psi_errors(
     """Error probabilities of the joint-statistic test, at the model's expansion baseline.
 
     Draws t1 and then t2 given t1 under each hypothesis, from streams with
-    keys 0 and 1 under theta0 and 2 and 3 under theta1.
+    keys 0 and 1 under theta0 and 2 and 3 under theta1.  A block whose two
+    conditional densities declare one law (`kraft._inert`), as the variance
+    expansion's do, draws no t2: its log ratio is 0, so the decision is the
+    first statistic's, and streams 1 and 3 go unread there.
     """
 
     marginal = {theta: em.marginal.density_at(theta) for theta in (hyp.theta0, hyp.theta1)}
     ratio = _log_ratio_rule(marginal[hyp.theta1], marginal[hyp.theta0])
 
-    def sample(theta, n, rngs):
+    def block(theta, n, rngs, rows):
         t1 = marginal[theta].sample(n, rngs[0])
-        return t1, em.conditional.density_at(t1, theta).sample(n, rngs[1])
-
-    def log_ratio(t, rows):
-        t1, t2 = t
         r = ratio(t1, rows[0])
-        conditional = (em.conditional.density_at(t1, theta) for theta in (hyp.theta1, hyp.theta0))
-        r += _log_ratio_rule(*conditional)(t2, rows[1])
+        conditional = {th: em.conditional.density_at(t1, th) for th in (hyp.theta0, hyp.theta1)}
+        f1, f0 = conditional[hyp.theta1], conditional[hyp.theta0]
+        if not _inert(f1, f0):
+            r += _log_ratio_rule(f1, f0)(conditional[theta].sample(n, rngs[1]), rows[1])
         return r
 
-    return _estimate_errors(sample, 2, log_ratio, hyp, replicates, seed)
+    return _estimate_errors(block, 2, hyp, replicates, seed)
 
 
 def check_bound(estimate: ErrorProbEstimate, bound: float) -> BoundCheck:

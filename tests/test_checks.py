@@ -204,6 +204,13 @@ ACCEPTED_BEFORE = {
     "AccuracyModel.noise_sd",
 }
 
+# The gamma shape's interval gained an upper end after the rule: the largest
+# shape whose math.lgamma is finite (`densities._MAX_GAMMA_SHAPE`).  The old
+# site let a larger shape through to an OverflowError, from lgamma or from
+# float; the rule now rejects it as bad input, a ValueError stating the
+# interval.
+NARROWED = {"gamma_density.shape"}
+
 REAL_INPUTS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7e308, -1, 0.5, 1, 2, True,
     np.float32(0.5), np.float32(np.inf), np.float64(2.0), np.float64(np.nan), np.int64(2), np.int64(-1),
@@ -247,15 +254,17 @@ def _assert_same_verdict(site, v):
             want = _outcome(call, v)
     want_type = None if want is None else type(want)
     v_overflows = isinstance(_outcome(float, v), OverflowError)
-    if v_overflows and (want_type is OverflowError or site in ACCEPTED_BEFORE and want is None):
+    narrowed = site in NARROWED and want_type is OverflowError
+    if narrowed or v_overflows and (want_type is OverflowError or site in ACCEPTED_BEFORE and want is None):
         want_type = ValueError
     assert (None if got is None else type(got)) is want_type, (site, v, got, want)
-    if isinstance(rejected, ValueError) or isinstance(got, ValueError) and v_overflows:
-        # The old range test rejected it, or the value has no float: the
-        # rule's message names the input and shows its value.
+    if isinstance(rejected, ValueError) or isinstance(got, ValueError) and (v_overflows or narrowed):
+        # The old range test rejected it, the value has no float, or it lies
+        # past a narrowed end: the rule's message names the input and shows
+        # its value.
         assert str(got).startswith(f"{name} must lie in "), str(got)
         assert str(got).endswith(f", got {v!r}"), str(got)
-    if v_overflows and not isinstance(rejected, ValueError):
+    if v_overflows and not isinstance(rejected, ValueError) and not narrowed:
         # It passed the range test but has no float.
         assert str(got) == f"{name} must lie in the float range, got {v!r}", str(got)
 

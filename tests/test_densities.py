@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from pxkit import (
     normal_density,
     tabulated_density,
 )
-from pxkit.densities import make_rng, rekey
+from pxkit.densities import _MAX_GAMMA_SHAPE, make_rng, rekey
+
+# The gamma shape's interval as a message states it: up to the largest shape
+# whose math.lgamma is finite.
+SHAPE_ENDS = r"\(0, 2\.5599833278516383e\+305\]"
 
 ALL_BUILTINS = {
     "normal": normal_density(0.3, 1.7),
@@ -109,7 +114,7 @@ class TestValidation:
         # The message names the non-finite parameter and its interval, and shows its value.
         name, value = next((n, a) for n, a in zip(inspect.signature(make).parameters, args)
                            if not math.isfinite(a))
-        interval = r"\(-inf, inf\)" if name == "mean" else r"\(0, inf\)"
+        interval = {"mean": r"\(-inf, inf\)", "shape": SHAPE_ENDS}.get(name, r"\(0, inf\)")
         with pytest.raises(ValueError, match=rf"^{name} must lie in {interval}, got {value!r}$"):
             make(*args)
 
@@ -121,6 +126,19 @@ class TestValidation:
         # Finite parameters whose integration hints (1/rate; shape*scale) overflow.
         with pytest.raises(ValueError, match=r"^center must lie in \(-inf, inf\), got inf$"):
             make(*args)
+
+    def test_gamma_shape_ends_where_lgamma_overflows(self):
+        # math.lgamma(1e308) overflows; the rejection names the shape where
+        # an unnamed OverflowError used to escape.
+        with pytest.raises(ValueError, match=rf"^shape must lie in {SHAPE_ENDS}, got 1e\+308$"):
+            gamma_density(1e308, 1e-300)
+        # The end is the largest float whose lgamma is finite.
+        assert math.lgamma(_MAX_GAMMA_SHAPE) == sys.float_info.max
+        with pytest.raises(OverflowError):
+            math.lgamma(math.nextafter(_MAX_GAMMA_SHAPE, math.inf))
+        assert gamma_density(_MAX_GAMMA_SHAPE, 1.0).law == ("gamma", _MAX_GAMMA_SHAPE, 1.0)
+        with pytest.raises(ValueError, match=r"^shape must lie in "):
+            gamma_density(math.nextafter(_MAX_GAMMA_SHAPE, math.inf), 1.0)
 
     @pytest.mark.parametrize("hints", [(math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0),
                                        (0.0, math.nan)])

@@ -309,20 +309,79 @@ def _drawing(density, value, keep_law):
     )
 
 
+def _counting(conditional, keep_law=True):
+    """The conditional family, whose samplers record each draw as (theta, n); and the record.
+
+    Its densities' laws are declared as ``conditional``'s when ``keep_law``.
+    """
+    draws = []
+
+    def density_at(t1, theta):
+        base = conditional.density_at(t1, theta)
+
+        def sample(n, rng):
+            draws.append((theta, n))
+            return base.sample(n, rng)
+
+        return replace(base, sample=sample, law=base.law if keep_law else None)
+
+    return ConditionalFamily(density_at), draws
+
+
+def _blocks(replicates):
+    """The (theta, n) of every block of both arms, sorted: one conditional draw each."""
+    sizes = [min(_CHUNK, replicates - start) for start in range(0, replicates, _CHUNK)]
+    return sorted((theta, n) for theta in (HYP.theta0, HYP.theta1) for n in sizes)
+
+
+# The joint statistic's estimator draws t2 only where its two conditional
+# densities are not one declared law: that pair's log ratio is 0 and changes
+# no decision.
+@pytest.mark.parametrize("replicates", [_CHUNK, 6 * _CHUNK + 7], ids=["one-block", "seven-blocks"])
+class TestConditionalDraws:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_variance_pair_draws_only_without_a_declared_law(self, replicates, n):
+        em = make_normal_variance_expansion(n)
+        inert, inert_draws = _counting(em.conditional)
+        stripped, stripped_draws = _counting(em.conditional, keep_law=False)
+        got = estimate_psi_errors(ExpandedModel(em.marginal, inert), HYP, replicates, seed=7)
+        # Without a law the pair is not inert: t2 is drawn, and its ratio is
+        # the difference of two equal log densities, 0 again.
+        want = estimate_psi_errors(ExpandedModel(em.marginal, stripped), HYP, replicates, seed=7)
+        assert inert_draws == []
+        assert sorted(stripped_draws) == _blocks(replicates)
+        assert (got.alpha_hat, got.beta_hat) == (want.alpha_hat, want.beta_hat)
+
+    def test_two_stage_pair_draws_once_per_block_per_arm(self, replicates):
+        em = make_two_stage_normal(1, 1, 1.0)
+        conditional, draws = _counting(em.conditional)
+        estimate_psi_errors(ExpandedModel(em.marginal, conditional), HYP, replicates, seed=7)
+        assert sorted(draws) == _blocks(replicates)
+
+
 # A draw outside both hypotheses' supports raises, whether its pair's log
 # ratio is a closed form of the declared laws or the difference of the two
-# log densities (the "decide" id: `decide`'s check).  The variance model's
-# conditional ratio is identically 0, yet a t2 of 0 has zero gamma density.
-# A NaN draw raises too, for the normal as for the other laws.
+# log densities (the "decide" id: `decide`'s check).  The one exception is
+# the variance model's declared pair: one gamma law under both hypotheses,
+# whose ratio is identically 0, so no t2 is drawn and a sampler that would
+# return 0, of zero gamma density, is never called.  Without its law the
+# pair draws, and that t2 of 0 raises.  A NaN draw raises too, for the
+# normal as for the other laws.
 @pytest.mark.parametrize("keep_law", [True, False], ids=["closed-form", "decide"])
 class TestDrawOutsideBothSupports:
     def test_psi_conditional_draw(self, keep_law):
         em = make_normal_variance_expansion(4)
-        conditional = ConditionalFamily(
+        conditional, draws = _counting(ConditionalFamily(
             lambda t1, theta: _drawing(em.conditional.density_at(t1, theta), 0.0, keep_law)
-        )
-        with pytest.raises(ValueError, match="zero density under both"):
-            estimate_psi_errors(ExpandedModel(em.marginal, conditional), HYP, 1000, seed=1)
+        ))
+        drawing = ExpandedModel(em.marginal, conditional)
+        if keep_law:
+            est = estimate_psi_errors(drawing, HYP, 1000, seed=1)
+            assert draws == []
+            assert repr(est) == repr(estimate_psi_errors(em, HYP, 1000, seed=1))
+        else:
+            with pytest.raises(ValueError, match="zero density under both"):
+                estimate_psi_errors(drawing, HYP, 1000, seed=1)
 
     @pytest.mark.parametrize("value", [-1.0, math.inf])
     def test_phi_draw(self, keep_law, value):
